@@ -61,10 +61,13 @@ from .sharing import (
     AxiomReport,
     InconsistentRescaling,
     RescaleReport,
+    SharingRow,
     audit_axioms,
     chi_graph,
     eta,
     private_graph,
+    sharing_row,
+    sharing_rows,
 )
 from .euclid import (
     DominanceReport,

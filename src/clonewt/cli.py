@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from numbers import Rational
 from pathlib import Path
 
 from .audit import (
@@ -36,22 +35,17 @@ from .audit import (
     strict_locality_demo,
 )
 from .caps import CapExceeded
-from .euclid import Estimate, sharing_matrix
+from .euclid import sharing_matrix
 from .filtration import Graph, neighborhood_graph, quotient
 from .metric import MetricError, MetricInstance, load_instance
+from .render import jsonable
 from .rules import (
     graph_entropy_certificate,
     maximal_cliques,
     parse_rule,
     w_entropy,
 )
-from .sharing import (
-    InconsistentRescaling,
-    audit_axioms,
-    chi_graph,
-    eta,
-    private_graph,
-)
+from .sharing import InconsistentRescaling, audit_axioms, sharing_rows
 from .weighting import Density, MetricWeighting, evaluate_all, sample_labels
 
 OK, USAGE_ERROR, VIOLATIONS = 0, 1, 2
@@ -74,23 +68,6 @@ def _number(text: str) -> Fraction:
         raise _CLIError(f"expected a number, got {text!r}") from None
 
 
-def _ser(value):
-    """JSON-able rendering; exact rationals become 'p/q' strings."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, Estimate):
-        return {"value": value.value, "half_width": value.half_width}
-    if isinstance(value, Rational):
-        return str(Fraction(value))
-    if isinstance(value, float):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _ser(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_ser(v) for v in value]
-    raise TypeError(f"cannot serialise {type(value).__name__}")
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text)
@@ -99,7 +76,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(doc, args) -> None:
-    _emit(json.dumps(_ser(doc), indent=2, sort_keys=True) + "\n", args.output)
+    _emit(json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n", args.output)
 
 
 def _read_instance(args) -> MetricInstance:
@@ -158,6 +135,9 @@ def _read_graph(path_str: str) -> Graph:
     if not labels:
         raise _CLIError(f"{path}: no vertices (need a '# labels: ...' header or edges)")
     index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) < len(labels):
+        repeated = next(lab for i, lab in enumerate(labels) if index[lab] != i)
+        raise _CLIError(f"{path}: vertex label {repeated!r} appears more than once")
     edges = []
     for u, v in edge_labels:
         if u not in index or v not in index:
@@ -208,7 +188,7 @@ def _cmd_weigh(args) -> int:
     weights = evaluate_all(inst, mw, exact=args.exact)
     if args.format == "csv":
         lines = ["label,weight"]
-        lines += [f"{lab},{_ser(weights[lab])}" for lab in inst.labels]
+        lines += [f"{lab},{jsonable(weights[lab])}" for lab in inst.labels]
         _emit("\n".join(lines) + "\n", args.output)
         return OK
     doc = {
@@ -250,21 +230,15 @@ def _cmd_share(args) -> int:
         graph = _read_graph(args.graph)
         name, rule = parse_rule(args.rule)
         rows = {}
-        for x in range(graph.n):
-            label = graph.labels[x]
-            try:
-                report = eta(graph, rule, x)
-                rows[label] = {
-                    "eta": report.eta,
-                    "private": private_graph(graph, rule, x),
-                    "chi": {
-                        graph.labels[y]: chi_graph(graph, rule, x, y)
-                        for y in range(graph.n)
-                        if y != x
-                    },
-                }
-            except InconsistentRescaling as exc:
-                rows[label] = {"inconsistent": str(exc)}
+        for x, row in enumerate(sharing_rows(graph, rule)):
+            if row.undefined is not None:
+                rows[graph.labels[x]] = {"inconsistent": row.undefined}
+                continue
+            rows[graph.labels[x]] = {
+                "eta": row.report.eta,
+                "private": row.private,
+                "chi": {graph.labels[y]: value for y, value in row.chi.items()},
+            }
         _emit_json({"rule": name, "vertices": rows}, args)
         return OK
 

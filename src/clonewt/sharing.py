@@ -18,7 +18,10 @@ from .rules import Rule
 __all__ = [
     "InconsistentRescaling",
     "RescaleReport",
+    "SharingRow",
     "AxiomReport",
+    "sharing_row",
+    "sharing_rows",
     "eta",
     "chi_graph",
     "private_graph",
@@ -47,59 +50,99 @@ class RescaleReport:
     witness: tuple[int, int] | None = None
 
 
-def _analyze_removal(
-    graph: Graph, rule: Rule, x: int
-) -> tuple[RescaleReport, dict[int, Fraction] | None]:
-    """One vertex removal: the rescale report plus, when consistent, the
-    full row of sharing coefficients chi(x, y) for y != x."""
+@dataclass(frozen=True)
+class SharingRow:
+    """Everything one removal of x defines.
+
+    ``report`` is the rescaling read off outside N[x]; it is None when a
+    non-neighbour has weight 0, so no ratio exists.  When the rescaling is
+    consistent, ``chi`` maps every y != x to chi(x, y) and ``private`` is
+    chi(x, x); otherwise both are None and ``undefined`` says why.
+    """
+
+    report: RescaleReport | None
+    chi: dict[int, Fraction] | None = None
+    private: Fraction | None = None
+    undefined: str | None = None
+
+    def require(self) -> "SharingRow":
+        """This row, or InconsistentRescaling when chi is undefined at x."""
+        if self.undefined is not None:
+            raise InconsistentRescaling(self.undefined)
+        return self
+
+
+def sharing_row(graph: Graph, rule: Rule, x: int | str, weights=None) -> SharingRow:
+    """Remove x once and read off eta, the chi row and the private weight.
+
+    ``weights`` is w(G) when the caller already holds it; otherwise the rule
+    is evaluated here.  The row identity w(x) = chi(x, x) + sum over y != x
+    of chi(x, y) is an algebraic consequence of normalisation and is
+    re-derived exactly whenever w(G) is rational (float rules sum to 1 only
+    within 1e-12).
+    """
     if graph.n < 2:
         raise ValueError("cannot remove a vertex from a single-vertex graph")
-    w_before = rule(graph)
+    x = graph.index(x)
+    if weights is None:
+        weights = rule(graph)
+    before = [Fraction(v) for v in weights]
     survivors = [v for v in range(graph.n) if v != x]
     w_after = rule(graph.remove_vertex(x))
     after = {z: Fraction(w_after[i]) for i, z in enumerate(survivors)}
 
-    outside = [z for z in survivors if not graph.closed(x) & (1 << z)]
+    near = graph.closed(x)
+    outside = [z for z in survivors if not near >> z & 1]
     scale = Fraction(1)
     if outside:
-        ratios = []
         for z in outside:
-            before = Fraction(w_before[z])
-            if before == 0:
-                raise InconsistentRescaling(
-                    f"w(G)({graph.labels[z]}) = 0; rescaling ratio undefined"
+            if before[z] == 0:
+                return SharingRow(
+                    None, undefined=f"w(G)({graph.labels[z]}) = 0; rescaling ratio undefined"
                 )
-            ratios.append((z, after[z] / before))
-        first_z, scale = ratios[0]
-        for z, ratio in ratios[1:]:
-            if ratio != scale:
-                return RescaleReport(x, None, False, witness=(first_z, z)), None
+        first_z, scale = outside[0], after[outside[0]] / before[outside[0]]
+        for z in outside[1:]:
+            if after[z] / before[z] != scale:
+                return SharingRow(
+                    RescaleReport(x, None, False, witness=(first_z, z)),
+                    undefined=(
+                        f"rule rescales inconsistently when removing {graph.labels[x]}: "
+                        f"witness non-neighbours {graph.labels[first_z]}, {graph.labels[z]}"
+                    ),
+                )
 
-    report = RescaleReport(x, scale - 1, True)
-    chis = {}
+    eta_x = scale - 1
+    chi = {}
     for y in survivors:
-        value = after[y] / scale - Fraction(w_before[y])
-        if not graph.closed(x) & (1 << y) and value != 0:  # pragma: no cover
+        value = after[y] / scale - before[y]
+        if not near >> y & 1 and value != 0:  # pragma: no cover - guard
             raise RuntimeError(
                 f"chi({graph.labels[x]},{graph.labels[y]}) = {value} != 0 outside N[x]"
             )
-        chis[y] = value
-    return report, chis
+        chi[y] = value
+    private = eta_x / (1 + eta_x)
+    if weights.exact and before[x] != private + sum(chi.values()):  # pragma: no cover - guard
+        raise RuntimeError(
+            f"row identity failed at {graph.labels[x]}: "
+            f"w = {before[x]} but chi(x,x) + row = {private + sum(chi.values())}"
+        )
+    return SharingRow(RescaleReport(x, eta_x, True), chi, private)
+
+
+def sharing_rows(graph: Graph, rule: Rule) -> list[SharingRow]:
+    """The row of every vertex, indexed by vertex: one evaluation of w(G)
+    plus one removal per vertex."""
+    weights = rule(graph)
+    return [sharing_row(graph, rule, x, weights) for x in range(graph.n)]
 
 
 def eta(graph: Graph, rule: Rule, x: int | str) -> RescaleReport:
     """Rescaling factor: w(G-x)(z)/w(G)(z) - 1 for z outside N[x], with all
     eligible z checked for agreement."""
-    return _analyze_removal(graph, rule, graph.index(x))[0]
-
-
-def _require_consistent(graph: Graph, report: RescaleReport):
-    if not report.consistent:
-        u, v = report.witness
-        raise InconsistentRescaling(
-            f"rule rescales inconsistently when removing {graph.labels[report.x]}: "
-            f"witness non-neighbours {graph.labels[u]}, {graph.labels[v]}"
-        )
+    row = sharing_row(graph, rule, x)
+    if row.report is None:
+        raise InconsistentRescaling(row.undefined)
+    return row.report
 
 
 def chi_graph(graph: Graph, rule: Rule, x: int | str, y: int | str) -> Fraction:
@@ -111,28 +154,12 @@ def chi_graph(graph: Graph, rule: Rule, x: int | str, y: int | str) -> Fraction:
     x, y = graph.index(x), graph.index(y)
     if x == y:
         raise ValueError("use private_graph for the diagonal")
-    report, chis = _analyze_removal(graph, rule, x)
-    _require_consistent(graph, report)
-    return chis[y]
+    return sharing_row(graph, rule, x).require().chi[y]
 
 
 def private_graph(graph: Graph, rule: Rule, x: int | str) -> Fraction:
-    """Private weight chi(x, x) = eta/(1 + eta).
-
-    The row identity w(x) = chi(x, x) + sum over y != x of chi(x, y) is an
-    algebraic consequence of normalisation and is re-derived here exactly.
-    """
-    x = graph.index(x)
-    report, chis = _analyze_removal(graph, rule, x)
-    _require_consistent(graph, report)
-    value = report.eta / (1 + report.eta)
-    w_x = Fraction(rule(graph)[x])
-    if w_x != value + sum(chis.values()):  # pragma: no cover - guard
-        raise RuntimeError(
-            f"row identity failed at {graph.labels[x]}: "
-            f"w = {w_x} but chi(x,x) + row = {value + sum(chis.values())}"
-        )
-    return value
+    """Private weight chi(x, x) = eta/(1 + eta)."""
+    return sharing_row(graph, rule, x).require().private
 
 
 @dataclass
@@ -165,8 +192,11 @@ def audit_axioms(
         passed={k: True for k in axioms}, witnesses={k: [] for k in axioms}
     )
     n = graph.n
-    rows = {x: _analyze_removal(graph, rule, x) for x in range(n)}
-    consistent = {x for x, (rep, _) in rows.items() if rep.consistent}
+    rows = sharing_rows(graph, rule)
+    for row in rows:
+        if row.report is None:
+            raise InconsistentRescaling(row.undefined)
+    consistent = {x for x, row in enumerate(rows) if row.chi is not None}
     report.skipped_vertices = sorted(set(range(n)) - consistent)
 
     def note(axiom: int, witness) -> None:
@@ -176,7 +206,7 @@ def audit_axioms(
 
     if 1 in axioms:
         for x in range(n):
-            rep, _ = rows[x]
+            rep = rows[x].report
             if not rep.consistent:
                 u, v = rep.witness
                 note(1, (graph.labels[x], graph.labels[u], graph.labels[v]))
@@ -184,7 +214,7 @@ def audit_axioms(
     chi = {
         (x, y): value
         for x in sorted(consistent)
-        for y, value in rows[x][1].items()
+        for y, value in rows[x].chi.items()
     }
 
     if 2 in axioms:

@@ -13,8 +13,11 @@ import pytest
 
 from clonewt import (
     attack,
+    automorphisms,
     conjecture_search,
+    equivalence_classes,
     matrix_self_isometries,
+    parse_rule,
     paw_graph,
     planted_asymmetry_rule,
     random_graph,
@@ -129,6 +132,46 @@ class TestGraphSuite:
             ("entropy",), graphs=15, seed=0, n_range=(2, 6), tol=1e-7
         )
         assert report.passed, report.violations[:3]
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_orbit_check_equals_the_whole_group_check(self, seed):
+        """Symmetry checked once per orbit gives the verdict and largest
+        deviation of comparing w(v) with w(sigma(v)) for every automorphism
+        sigma, on the suite's own seeded graphs."""
+        rules = {"cu": parse_rule("cu")[1], "planted": planted_asymmetry_rule}
+        for name, rule in rules.items():
+            report = run_graph_suite((name,), graphs=30, seed=seed, rule_overrides=rules)
+            want_dev, want_symmetric = _whole_group_reference(rule, graphs=30, seed=seed)
+            assert report.max_deviation == want_dev, name
+            symmetric = not any(v.check == "symmetry" for v in report.violations)
+            assert symmetric == want_symmetric, name
+            assert want_symmetric == (name == "cu")
+
+
+def _whole_group_reference(rule, graphs, seed, n_range=(2, 8), edge_p=(0.15, 0.85)):
+    """The graph suite's largest deviation and symmetry verdict, recomputed
+    with a comparison for every vertex under every automorphism."""
+    max_dev, symmetric = 0.0, True
+    for child in np.random.SeedSequence(seed).spawn(graphs):
+        rng = np.random.default_rng(child)
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        p = float(rng.uniform(*edge_p))
+        graph = random_graph(n, p, rng)
+        if n < n_range[1] and rng.random() < 0.5:
+            graph = add_vertex_clone(graph, int(rng.integers(0, n)))
+        w = rule(graph)
+        for sigma in automorphisms(graph, cap=n_range[1] + 1):
+            for v in range(graph.n):
+                dev = abs(w[v] - w[sigma[v]])
+                max_dev = max(max_dev, float(dev))
+                symmetric = symmetric and dev == 0
+        for members in equivalence_classes(graph).classes:
+            for z in members if len(members) > 1 else ():
+                w_sub = rule(graph.remove_vertex(z))
+                for y in range(graph.n):
+                    if not graph.closed(z) >> y & 1:
+                        max_dev = max(max_dev, float(abs(w[y] - w_sub[graph.labels[y]])))
+    return max_dev, symmetric
 
 
 class TestImpossibilityDemo:

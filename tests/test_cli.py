@@ -232,6 +232,14 @@ class TestCliques:
         assert code == USAGE_ERROR
         assert "expected 'u v'" in err
 
+    def test_repeated_header_label_is_rejected(self, capsys, tmp_path):
+        """Label-keyed output would merge the two vertices named a."""
+        path = tmp_path / "dup.edges"
+        path.write_text("# labels: a b a\na b\n")
+        code, out, err = run(capsys, "cliques", "--graph", str(path))
+        assert code == USAGE_ERROR and not out
+        assert "vertex label 'a' appears more than once" in err
+
 
 class TestShare:
     """`clonewt share` reports sharing coefficients in both operating modes."""
@@ -245,6 +253,36 @@ class TestShare:
         assert Fraction(str(row_a["private"])) == Fraction(1, 2)
         assert row_a["chi"]["b"] == "-1/6"
         assert Fraction(str(doc["vertices"]["b"]["chi"]["a"])) == Fraction(1, 6)
+
+    def test_graph_mode_evaluates_the_rule_once_per_removal(
+        self, capsys, monkeypatch, k4_edges
+    ):
+        """The whole sharing matrix of an n-vertex graph costs n + 1 rule
+        calls and n removals."""
+        import clonewt.cli as cli
+        from clonewt import Graph
+
+        calls = []
+        name, mcca = cli.parse_rule("mcca")
+
+        def counting(graph):
+            calls.append(graph.n)
+            return mcca(graph)
+
+        removals = []
+        remove_vertex = Graph.remove_vertex
+
+        def counting_removal(self, v):
+            removals.append(v)
+            return remove_vertex(self, v)
+
+        monkeypatch.setattr(cli, "parse_rule", lambda spec: (name, counting))
+        monkeypatch.setattr(Graph, "remove_vertex", counting_removal)
+        code, out, _ = run(capsys, "share", "--graph", k4_edges, "--rule", "mcca")
+        assert code == OK
+        assert len(json.loads(out)["vertices"]) == 4
+        assert calls == [4, 3, 3, 3, 3]
+        assert removals == [0, 1, 2, 3]
 
     def test_graph_mode_reports_inconsistent_vertices(self, capsys, p5_edges):
         code, out, _ = run(capsys, "share", "--graph", p5_edges, "--rule", "mccp")

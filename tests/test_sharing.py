@@ -18,10 +18,14 @@ import numpy as np
 
 from clonewt import (
     Graph,
+    RescaleReport,
+    WeightVector,
     audit_axioms,
     chi_graph,
     eta,
+    parse_rule,
     private_graph,
+    sharing_rows,
     w_cu,
     w_degree,
     w_mcca,
@@ -159,3 +163,89 @@ class TestAxiomAudit:
             except InconsistentRescaling:
                 continue  # chi is undefined at this vertex, nothing to check
             assert total == w[x]
+
+
+def _row_from_definition(g, rule, x):
+    """(eta, chi row, private weight) of x straight from the definition, or
+    None when no single rescaling factor exists outside N[x]."""
+    w = [Fraction(v) for v in rule(g)]
+    survivors = [v for v in range(g.n) if v != x]
+    sub = rule(g.remove_vertex(x))
+    after = {z: Fraction(sub[i]) for i, z in enumerate(survivors)}
+    outside = [z for z in survivors if not g.has_edge(x, z)]
+    if any(w[z] == 0 for z in outside):
+        return None
+    ratios = {after[z] / w[z] for z in outside}
+    if len(ratios) > 1:
+        return None
+    scale = ratios.pop() if ratios else Fraction(1)
+    chi = {y: after[y] / scale - w[y] for y in survivors}
+    return scale - 1, chi, (scale - 1) / scale
+
+
+class TestRowEngine:
+    RULES = ("uniform", "cu", "mcca", "mccp", "lift:uniform", "smooth:cu")
+
+    @pytest.mark.parametrize("spec", RULES)
+    def test_rows_match_the_definition(self, spec):
+        rule = parse_rule(spec)[1]
+        compared = 0
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            g = random_graph(2 + seed % 8, float(rng.uniform(0.2, 0.8)), rng)
+            rows = sharing_rows(g, rule)
+            assert len(rows) == g.n
+            for x, row in enumerate(rows):
+                want = _row_from_definition(g, rule, x)
+                if want is None:
+                    assert row.chi is None and row.private is None, (spec, seed, x)
+                    assert row.undefined is not None
+                    continue
+                eta_x, chi, private = want
+                assert row.report == RescaleReport(x, eta_x, True), (spec, seed, x)
+                assert row.chi == chi and row.private == private, (spec, seed, x)
+                assert row.undefined is None
+                compared += 1
+        assert compared >= 24, f"only {compared} consistent rows under {spec}"
+
+    def test_zero_weight_leaves_the_row_undefined(self):
+        """A non-neighbour of weight 0 has no rescaling ratio: the row says
+        so, eta raises, and the axiom audit refuses the graph."""
+
+        def starve_isolated(g):
+            live = [v for v in range(g.n) if g.nbrs[v]]
+            return WeightVector(
+                tuple(Fraction(1, len(live)) if g.nbrs[v] else Fraction(0) for v in range(g.n)),
+                g.labels,
+            )
+
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)], labels=("a", "b", "c", "d"))
+        rows = sharing_rows(g, starve_isolated)
+        assert rows[0].report is None
+        assert rows[0].undefined == "w(G)(d) = 0; rescaling ratio undefined"
+        assert rows[3].report.eta == 0 and rows[3].private == 0
+        with pytest.raises(InconsistentRescaling, match="ratio undefined"):
+            eta(g, starve_isolated, "a")
+        with pytest.raises(InconsistentRescaling, match="ratio undefined"):
+            audit_axioms(g, starve_isolated)
+
+    def test_audit_evaluates_the_rule_once_per_removal(self, monkeypatch):
+        """n + 1 rule calls and n removals for an n-vertex graph."""
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return w_mccp(g)
+
+        removals = []
+        remove_vertex = Graph.remove_vertex
+
+        def counting_removal(self, v):
+            removals.append(v)
+            return remove_vertex(self, v)
+
+        monkeypatch.setattr(Graph, "remove_vertex", counting_removal)
+        g = random_graph(9, 0.5, np.random.default_rng(3))
+        audit_axioms(g, counting)
+        assert calls == [9] + [8] * 9
+        assert removals == list(range(9))
