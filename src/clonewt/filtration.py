@@ -12,11 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .caps import CapExceeded, default_caps
 from .metric import MetricInstance
 
 __all__ = [
     "Graph",
+    "Filtration",
     "ClassPartition",
     "QuotientGraph",
     "neighborhood_graph",
@@ -60,6 +63,17 @@ class Graph:
             for u in _bits(mask):
                 if not self.nbrs[u] & (1 << v):
                     raise ValueError(f"edge {v}-{u} is not symmetric")
+
+    @classmethod
+    def _trusted(cls, n: int, nbrs: tuple[int, ...], labels: tuple[str, ...]) -> "Graph":
+        """A graph whose masks are valid by construction, built without the
+        checks of ``__post_init__``.  Only for masks derived from a symmetric
+        source: sweep events, quotients and subgraphs of a ``Graph``."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "nbrs", nbrs)
+        object.__setattr__(graph, "labels", labels)
+        return graph
 
     @staticmethod
     def from_edges(
@@ -111,7 +125,7 @@ class Graph:
                 if u in pos:
                     mask |= 1 << pos[u]
             masks.append(mask)
-        return Graph(len(keep), tuple(masks), tuple(self.labels[old] for old in keep))
+        return Graph._trusted(len(keep), tuple(masks), tuple(self.labels[old] for old in keep))
 
 
 def neighborhood_graph(
@@ -137,6 +151,74 @@ def neighborhood_graph(
     return Graph(n, tuple(masks), inst.labels)
 
 
+def _prefilter_bound(inst: MetricInstance, alpha: Fraction) -> float:
+    """A float radius that every pair with ``d_exact <= alpha`` stays within.
+
+    Exact matrices round correctly to the float matrix, and rounding is
+    monotone, so ``float(alpha)`` bounds them.  Distances computed from
+    rounded coordinates can be off by a few units in the last place of the
+    largest coordinate; the margin covers that with room to spare.
+    """
+    bound = float(alpha)
+    scale = bound
+    if inst.points is not None and inst.points.size:
+        scale += float(np.abs(inst.points).max())
+    return bound + scale * 2.0**-40
+
+
+class Filtration:
+    """The threshold events of an instance up to alpha.
+
+    ``radii`` are the distinct pairwise distances in (0, alpha], ascending,
+    ``pairs[k]`` the pairs (i < j) at distance ``radii[k]``, and ``base`` the
+    pairs at distance 0, joined at every radius.  Pairs farther apart than
+    alpha are never listed.  Float mode compares the float matrix; exact
+    mode decides membership and groups radii by ``d_exact`` and uses the
+    float matrix only to skip pairs that cannot be within alpha.
+    """
+
+    def __init__(
+        self, inst: MetricInstance, alpha: float | Fraction, *, exact: bool = False
+    ) -> None:
+        n = inst.n
+        self.n, self.labels, self.exact = n, inst.labels, exact
+        i, j = np.triu_indices(n, k=1)
+        d = inst.dist[i, j]
+        groups: dict = {}
+        if exact:
+            a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+            near = d <= _prefilter_bound(inst, a)
+            for u, v in zip(i[near].tolist(), j[near].tolist()):
+                r = inst.d_exact(u, v)
+                if r <= a:
+                    groups.setdefault(r, []).append((u, v))
+        else:
+            near = d <= float(alpha)
+            i, j, d = i[near], j[near], d[near]
+            order = np.argsort(d, kind="stable")
+            i, j, d = i[order].tolist(), j[order].tolist(), d[order].tolist()
+            start = 0
+            for stop in range(1, len(d) + 1):
+                if stop == len(d) or d[stop] != d[start]:
+                    groups[d[start]] = list(zip(i[start:stop], j[start:stop]))
+                    start = stop
+        self.base: list[tuple[int, int]] = groups.pop(0, [])
+        self.radii: list = sorted(groups)
+        self.pairs: list[list[tuple[int, int]]] = [groups[r] for r in self.radii]
+
+    def graphs(self):
+        """Yield (r, G_r) for r = 0 and then for each radius in turn; the
+        graph is constant from r up to the next radius."""
+        n = self.n
+        masks = [0] * n
+        zero = Fraction(0) if self.exact else 0.0
+        for r, pairs in zip([zero, *self.radii], [self.base, *self.pairs]):
+            for u, v in pairs:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            yield r, Graph._trusted(n, tuple(masks), self.labels)
+
+
 def threshold_radii(
     inst: MetricInstance, alpha: float | Fraction, *, exact: bool = False
 ) -> list:
@@ -145,24 +227,7 @@ def threshold_radii(
     These are exactly the radii at which the neighborhood graph changes
     within the integration window.
     """
-    n = inst.n
-    if exact:
-        a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-        vals = {
-            inst.d_exact(i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if 0 < inst.d_exact(i, j) <= a
-        }
-    else:
-        af = float(alpha)
-        vals = {
-            float(inst.dist[i, j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if 0 < inst.dist[i, j] <= af
-        }
-    return sorted(vals)
+    return Filtration(inst, alpha, exact=exact).radii
 
 
 @dataclass(frozen=True)
@@ -206,26 +271,32 @@ def quotient(graph: Graph) -> QuotientGraph:
 
     Two classes are adjacent iff their members are adjacent; member choice
     cannot matter (equal closed neighborhoods), which is re-checked here
-    because the rules build on it.
+    because the rules build on it: each class's closed neighborhood must be
+    a union of whole classes.
     """
     part = equivalence_classes(graph)
-    k = len(part)
-    masks = [0] * k
-    for a in range(k):
-        for b in range(a + 1, k):
-            rep = graph.has_edge(part.classes[a][0], part.classes[b][0])
-            for u in part.classes[a]:
-                for v in part.classes[b]:
-                    if graph.has_edge(u, v) != rep:
-                        raise RuntimeError(
-                            f"class adjacency of {part.classes[a]} vs {part.classes[b]} "
-                            f"is not well-defined; classes are not true duplicates"
-                        )
-            if rep:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
+    class_mask = [0] * len(part)
+    for v, c in enumerate(part.class_of):
+        class_mask[c] |= 1 << v
+    masks = []
+    for a, cls in enumerate(part.classes):
+        closed = graph.closed(cls[0])
+        hit = covered = 0
+        for u in _bits(closed):
+            c = part.class_of[u]
+            if not hit >> c & 1:
+                hit |= 1 << c
+                covered |= class_mask[c]
+        if covered != closed:
+            b = part.class_of[next(_bits(covered & ~closed))]
+            first, second = sorted((a, b))
+            raise RuntimeError(
+                f"class adjacency of {part.classes[first]} vs {part.classes[second]} "
+                f"is not well-defined; classes are not true duplicates"
+            )
+        masks.append(hit & ~(1 << a))
     labels = tuple("+".join(graph.labels[v] for v in cls) for cls in part.classes)
-    return QuotientGraph(Graph(k, tuple(masks), labels), part)
+    return QuotientGraph(Graph._trusted(len(part), tuple(masks), labels), part)
 
 
 def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:

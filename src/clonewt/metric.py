@@ -125,15 +125,6 @@ class MetricInstance:
     def has_exact(self) -> bool:
         return self.dist_exact is not None
 
-    def pair_distances(self) -> list[float]:
-        """All d(i, j) over unordered pairs i < j, sorted ascending."""
-        n = self.n
-        return sorted(float(self.dist[i, j]) for i in range(n) for j in range(i + 1, n))
-
-    def element_distances(self, x: int | str) -> list[float]:
-        i = self.index(x)
-        return sorted(float(self.dist[i, j]) for j in range(self.n) if j != i)
-
     def to_document(self) -> dict:
         """JSON-ready description of the instance (matrix form)."""
         return {

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .filtration import Graph
+from .filtration import Filtration, neighborhood_graph
 from .metric import MetricInstance
 from .rules import Rule, WeightVector, parse_rule, rule_is_rational
 
@@ -150,36 +150,14 @@ class MetricWeighting:
 
 def _sweep(inst: MetricInstance, mw: MetricWeighting, exact: bool):
     """Yield (graph, cdf increment) per constant piece of the filtration."""
-    n = inst.n
     density = mw.density
     alpha = density.alpha if exact else float(density.alpha)
-    if exact:
-        dist = [[inst.d_exact(i, j) for j in range(n)] for i in range(n)]
-    else:
-        dist = [[float(inst.dist[i, j]) for j in range(n)] for i in range(n)]
-
-    by_radius: dict = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            by_radius.setdefault(dist[i][j], []).append((i, j))
-    thresholds = sorted(r for r in by_radius if 0 < r <= alpha)
-
-    masks = [0] * n
-    for i, j in by_radius.get(Fraction(0) if exact else 0.0, []):
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-
-    grid = [Fraction(0) if exact else 0.0] + thresholds
     cdf = density.cdf if exact else (lambda r: float(density.cdf(r)))
-    for idx, r in enumerate(grid):
-        if idx > 0:
-            for i, j in by_radius[r]:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-        r_next = grid[idx + 1] if idx + 1 < len(grid) else alpha
+    filtration = Filtration(inst, density.alpha, exact=exact)
+    for (r, graph), r_next in zip(filtration.graphs(), [*filtration.radii, alpha]):
         increment = cdf(r_next) - cdf(r)
         if increment != 0:
-            yield Graph(n, tuple(masks), inst.labels), increment
+            yield graph, increment
 
 
 def evaluate_all(
@@ -218,8 +196,9 @@ def riemann_oracle(inst: MetricInstance, x: int | str, mw: MetricWeighting, step
     """Midpoint Riemann sum of nu(r) * w(G_r)(x) on a uniform radius grid.
 
     Deliberately independent of the threshold sweep: each grid cell's graph
-    is rebuilt from raw distance comparisons at the cell midpoint.  Cells
-    whose midpoints see the same set of distances share one rule call.
+    is rebuilt by ``neighborhood_graph`` from raw distance comparisons at the
+    cell midpoint.  Cells whose midpoints see the same set of distances share
+    one rule call.
     """
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
@@ -238,13 +217,7 @@ def riemann_oracle(inst: MetricInstance, x: int | str, mw: MetricWeighting, step
     for key in np.unique(groups):
         sel = groups == key
         rep = float(mids[sel][0])
-        masks = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if inst.dist[i, j] <= rep:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        w_x = float(mw.rule(Graph(n, tuple(masks), inst.labels))[xi])
+        w_x = float(mw.rule(neighborhood_graph(inst, rep))[xi])
         total += w_x * float(pdf_vals[sel].sum()) * width
     return total
 
