@@ -249,15 +249,19 @@ class ClassPartition:
 
 
 def equivalence_classes(graph: Graph) -> ClassPartition:
-    by_closed: dict[int, list[int]] = {}
-    for v in range(graph.n):
-        by_closed.setdefault(graph.closed(v), []).append(v)
-    classes = sorted((tuple(vs) for vs in by_closed.values()), key=lambda c: c[0])
-    class_of = [0] * graph.n
-    for idx, cls in enumerate(classes):
-        for v in cls:
-            class_of[v] = idx
-    return ClassPartition(tuple(classes), tuple(class_of))
+    # scanning vertices in order opens each class at its least member, so
+    # classes come out ordered by least vertex
+    index: dict[int, int] = {}
+    classes: list[list[int]] = []
+    class_of = []
+    for v, mask in enumerate(graph.nbrs):
+        c = index.setdefault(mask | 1 << v, len(classes))
+        if c == len(classes):
+            classes.append([v])
+        else:
+            classes[c].append(v)
+        class_of.append(c)
+    return ClassPartition(tuple(map(tuple, classes)), tuple(class_of))
 
 
 @dataclass(frozen=True)

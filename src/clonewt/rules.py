@@ -8,6 +8,7 @@ rule is a certified numerical optimisation and returns floats.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -60,18 +61,27 @@ class WeightVector:
             raise ValueError("one weight per label required")
         if not self.values:
             raise ValueError("weight vector over an empty vertex set")
+        if self.exact:
+            # integer arithmetic over the lcm of the distinct denominators
+            tally = _tally(self.values)
+            if any(v.numerator < 0 for v, _ in tally):
+                raise ValueError(f"negative weight in {self.values}")
+            common = math.lcm(*{v.denominator for v, _ in tally})
+            total = sum(v.numerator * (common // v.denominator) * k for v, k in tally)
+            if total != common:
+                raise ValueError(
+                    f"exact weights sum to {Fraction(total, common)}, expected 1"
+                )
+            return
         if any(v < 0 for v in self.values):
             raise ValueError(f"negative weight in {self.values}")
         total = sum(self.values)
-        if self.exact:
-            if total != 1:
-                raise ValueError(f"exact weights sum to {total}, expected 1")
-        elif abs(float(total) - 1.0) > 1e-12:
+        if abs(float(total) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {float(total)!r}, expected 1 within 1e-12")
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.values)
+        return all(issubclass(t, (int, Fraction)) for t in set(map(type, self.values)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -92,6 +102,14 @@ class WeightVector:
 
     def as_dict(self) -> dict[str, object]:
         return dict(zip(self.labels, self.values))
+
+
+def _tally(values) -> list[tuple[object, int]]:
+    """Each distinct object in ``values`` with its multiplicity.  Rules share
+    one value object per class, so this is usually far shorter than
+    ``values``; equal values held by different objects count separately."""
+    objects = dict(zip(map(id, values), values))
+    return [(objects[key], k) for key, k in Counter(map(id, values)).items()]
 
 
 Rule = Callable[[Graph], WeightVector]
@@ -115,8 +133,9 @@ def w_cu(graph: Graph) -> WeightVector:
     _require_nonempty(graph)
     part = equivalence_classes(graph)
     k = len(part)
-    values = tuple(Fraction(1, k * len(part.members(v))) for v in range(graph.n))
-    return WeightVector(values, graph.labels)
+    sizes = [len(cls) for cls in part.classes]
+    share = {size: Fraction(1, k * size) for size in set(sizes)}
+    return WeightVector(tuple(share[sizes[c]] for c in part.class_of), graph.labels)
 
 
 def lift_quotient(base: Rule) -> Rule:
@@ -127,11 +146,8 @@ def lift_quotient(base: Rule) -> Rule:
         _require_nonempty(graph)
         q = quotient(graph)
         base_w = base(q.graph)
-        values = tuple(
-            base_w[q.partition.class_of[v]] / len(q.partition.members(v))
-            for v in range(graph.n)
-        )
-        return WeightVector(values, graph.labels)
+        shares = [base_w[c] / len(cls) for c, cls in enumerate(q.partition.classes)]
+        return WeightVector(tuple(shares[c] for c in q.partition.class_of), graph.labels)
 
     rule.__name__ = f"lift_{getattr(base, '__name__', 'rule')}"
     return rule

@@ -174,16 +174,46 @@ def evaluate_all(
             f"rule {mw.rule_name!r} does not produce rational weights; "
             "exact integration is unavailable"
         )
-    acc = [Fraction(0) if exact else 0.0] * inst.n
+    n = inst.n
+    if not exact:
+        acc = np.zeros(n)
+        for graph, increment in _sweep(inst, mw, exact):
+            # elementwise multiply-then-add in vertex order: the same float
+            # operations as a per-vertex loop, so the result is bit-identical
+            acc += increment * np.array(_floats(mw.rule(graph).values))
+        return WeightVector(tuple(acc.tolist()), inst.labels)
+
+    # exact: one Fraction product per distinct rule value and one sum per
+    # distinct (running total, value) pair.  Rules share one value object per
+    # class, and vertices with equal histories share their running total.
+    acc = [Fraction(0)] * n
     for graph, increment in _sweep(inst, mw, exact):
         w = mw.rule(graph)
-        if exact:
-            for v in range(inst.n):
-                acc[v] += increment * w[v]
-        else:
-            for v in range(inst.n):
-                acc[v] += increment * float(w[v])
+        if not w.exact:
+            raise ValueError(
+                f"rule {mw.rule_name!r} returned non-rational weights; "
+                "exact integration is unavailable"
+            )
+        distinct = dict(zip(map(id, w.values), w.values))
+        terms = {key: increment * v for key, v in distinct.items()}
+        sums: dict[tuple[int, int], Fraction] = {}
+        new_acc = []
+        for total, v in zip(acc, w.values):
+            key = (id(total), id(v))
+            if key not in sums:
+                sums[key] = total + terms[id(v)]
+            new_acc.append(sums[key])
+        acc = new_acc
     return WeightVector(tuple(acc), inst.labels)
+
+
+def _floats(values) -> list[float]:
+    """``float(v)`` of each value, converting each distinct object once;
+    ``numerator / denominator`` is exactly how ``float(Fraction)`` rounds."""
+    distinct = dict(zip(map(id, values), values))
+    conv = {key: v if isinstance(v, float) else v.numerator / v.denominator
+            for key, v in distinct.items()}
+    return list(map(conv.__getitem__, map(id, values)))
 
 
 def evaluate(
