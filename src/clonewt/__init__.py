@@ -19,6 +19,7 @@ from .metric import (
     random_instance,
 )
 from .filtration import (
+    Filtration,
     Graph,
     automorphisms,
     equivalence_classes,

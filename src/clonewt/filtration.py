@@ -81,6 +81,8 @@ class Graph:
     ) -> "Graph":
         masks = [0] * n
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) names a vertex outside 0..{n - 1} (n={n})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             masks[u] |= 1 << v
@@ -249,19 +251,17 @@ class ClassPartition:
 
 
 def equivalence_classes(graph: Graph) -> ClassPartition:
-    # scanning vertices in order opens each class at its least member, so
-    # classes come out ordered by least vertex
-    index: dict[int, int] = {}
-    classes: list[list[int]] = []
-    class_of = []
+    by_closed: dict[int, list[int]] = {}
     for v, mask in enumerate(graph.nbrs):
-        c = index.setdefault(mask | 1 << v, len(classes))
-        if c == len(classes):
-            classes.append([v])
-        else:
-            classes[c].append(v)
-        class_of.append(c)
-    return ClassPartition(tuple(map(tuple, classes)), tuple(class_of))
+        by_closed.setdefault(mask | 1 << v, []).append(v)
+    # scanning vertices in order opens each class at its least member, so
+    # the classes come out ordered by least vertex
+    classes = tuple(map(tuple, by_closed.values()))
+    class_of = [0] * graph.n
+    for idx, cls in enumerate(classes):
+        for v in cls:
+            class_of[v] = idx
+    return ClassPartition(classes, tuple(class_of))
 
 
 @dataclass(frozen=True)
@@ -336,55 +336,81 @@ def forbidden_intervals(
     return merge_intervals(intervals)
 
 
+def _check_automorphism_cap(graph: Graph, cap: int | None) -> None:
+    limit = cap if cap is not None else default_caps().automorphism_vertices
+    if graph.n > limit:
+        raise CapExceeded(
+            f"automorphism search on {graph.n} vertices", "automorphism_vertices", limit
+        )
+
+
+def _signature_candidates(graph: Graph) -> list[list[int]]:
+    """For each vertex, the vertices with its degree and neighbour degrees:
+    the only possible images under an automorphism."""
+    sig = [
+        (graph.degree(v), tuple(sorted(graph.degree(u) for u in graph.neighbors(v))))
+        for v in range(graph.n)
+    ]
+    return [[w for w in range(graph.n) if sig[w] == sig[v]] for v in range(graph.n)]
+
+
+def _automorphism_search(
+    graph: Graph, candidates: list[list[int]], order: list[int], limit: int | None = None
+) -> list[tuple[int, ...]]:
+    """Automorphisms that map every v into ``candidates[v]``, found by
+    backtracking over the vertices in ``order``; at most ``limit`` of them."""
+    n = graph.n
+    image = [-1] * n
+    used = [False] * n
+    out: list[tuple[int, ...]] = []
+
+    def extend(depth: int) -> bool:
+        """Extend the partial image; True once ``limit`` are found."""
+        if depth == n:
+            out.append(tuple(image))
+            return len(out) == limit
+        v = order[depth]
+        for w in candidates[v]:
+            if used[w]:
+                continue
+            for u in order[:depth]:
+                if graph.has_edge(v, u) != graph.has_edge(w, image[u]):
+                    break
+            else:
+                image[v] = w
+                used[w] = True
+                if extend(depth + 1):
+                    return True
+                used[w] = False
+                image[v] = -1
+        return False
+
+    extend(0)
+    return out
+
+
 def automorphisms(graph: Graph, cap: int | None = None) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, by backtracking.
 
     Exhaustive search is only allowed up to the ``automorphism_vertices``
     cap (default 8); pass ``cap`` explicitly for known-small bigger graphs.
     """
-    limit = cap if cap is not None else default_caps().automorphism_vertices
-    if graph.n > limit:
-        raise CapExceeded(
-            f"automorphism search on {graph.n} vertices", "automorphism_vertices", limit
-        )
+    _check_automorphism_cap(graph, cap)
+    return _automorphism_search(graph, _signature_candidates(graph), list(range(graph.n)))
+
+
+def orbits(graph: Graph, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Vertex orbits under the automorphism group, ordered by least vertex.
+
+    Needs one automorphism per merge, not the whole group: for each vertex
+    that still leads its orbit and each same-signature vertex outside it,
+    search for one automorphism mapping the first to the second and merge
+    along all of its cycles.  The same cap as ``automorphisms`` applies.
+    """
+    _check_automorphism_cap(graph, cap)
     n = graph.n
-    sig = []
-    for v in range(n):
-        sig.append((graph.degree(v), tuple(sorted(graph.degree(u) for u in graph.neighbors(v)))))
-    candidates = [[w for w in range(n) if sig[w] == sig[v]] for v in range(n)]
-
-    out: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> None:
-        if v == n:
-            out.append(tuple(image))
-            return
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if graph.has_edge(v, u) != graph.has_edge(w, image[u]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                extend(v + 1)
-                used[w] = False
-                image[v] = -1
-
-    extend(0)
-    return out
-
-
-def orbits(graph: Graph, autos: list[tuple[int, ...]] | None = None, cap: int | None = None):
-    """Vertex orbits under the automorphism group, ordered by least vertex."""
-    if autos is None:
-        autos = automorphisms(graph, cap=cap)
-    parent = list(range(graph.n))
+    candidates = _signature_candidates(graph)
+    parent = list(range(n))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -392,12 +418,23 @@ def orbits(graph: Graph, autos: list[tuple[int, ...]] | None = None, cap: int | 
             a = parent[a]
         return a
 
-    for perm in autos:
-        for v in range(graph.n):
-            ra, rb = find(v), find(perm[v])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    # The least vertex of each orbit found so far has been tested against
+    # every vertex that could join it, so a vertex that no longer leads its
+    # orbit, and a smaller vertex outside v's orbit, need no further search.
+    for v in range(n):
+        if find(v) != v:
+            continue
+        order = [v] + [u for u in range(n) if u != v]
+        for w in candidates[v]:
+            if w <= v or find(w) == v:
+                continue
+            pinned = candidates[:v] + [[w]] + candidates[v + 1 :]
+            for perm in _automorphism_search(graph, pinned, order, limit=1):
+                for u in range(n):
+                    ra, rb = find(u), find(perm[u])
+                    if ra != rb:
+                        parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list[int]] = {}
-    for v in range(graph.n):
+    for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return tuple(tuple(vs) for _, vs in sorted(groups.items()))

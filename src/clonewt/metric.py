@@ -60,11 +60,12 @@ def _validate(d: np.ndarray, tol: float) -> None:
     if diag.size:
         i = diag[0][0]
         raise MetricError(f"nonzero diagonal d({i},{i}) = {d[i, i]}")
+    slack = np.empty_like(d)
     for k in range(n):
-        slack = d - (d[:, k : k + 1] + d[k : k + 1, :])
-        bad = np.argwhere(slack > tol)
-        if bad.size:
-            i, j = bad[0]
+        np.add(d[:, k : k + 1], d[k : k + 1, :], out=slack)
+        np.subtract(d, slack, out=slack)
+        if slack.max() > tol:
+            i, j = np.argwhere(slack > tol)[0]
             raise MetricError(
                 f"triangle inequality violated by {slack[i, j]:.3e} > tol={tol}: "
                 f"d({i},{j}) = {d[i, j]} > d({i},{k}) + d({k},{j}) = {d[i, k] + d[k, j]}"
@@ -221,7 +222,8 @@ def _load_csv(path: Path, tol: float) -> MetricInstance:
         raise MetricError(f"{path}: {len(data)} matrix rows for {len(labels)} labels")
     dist = np.array([[float(cell) for cell in row] for row in data], dtype=float)
     _validate(dist, tol)
-    dist_exact = tuple(tuple(_fraction(v) for v in row) for row in dist)
+    # the cells' literal decimal values, as JSON input gets in exact mode
+    dist_exact = tuple(tuple(Fraction(cell.strip()) for cell in row) for row in data)
     return MetricInstance(labels, dist, dist_exact=dist_exact, tol=tol)
 
 

@@ -133,9 +133,9 @@ def w_cu(graph: Graph) -> WeightVector:
     _require_nonempty(graph)
     part = equivalence_classes(graph)
     k = len(part)
-    sizes = [len(cls) for cls in part.classes]
-    share = {size: Fraction(1, k * size) for size in set(sizes)}
-    return WeightVector(tuple(share[sizes[c]] for c in part.class_of), graph.labels)
+    share = {size: Fraction(1, k * size) for size in {len(cls) for cls in part.classes}}
+    shares = [share[len(cls)] for cls in part.classes]
+    return WeightVector(tuple([shares[c] for c in part.class_of]), graph.labels)
 
 
 def lift_quotient(base: Rule) -> Rule:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from clonewt import (
     CapExceeded,
+    Filtration,
     Graph,
     automorphisms,
     equivalence_classes,
@@ -28,6 +29,9 @@ from clonewt import (
     random_instance,
     threshold_radii,
 )
+from clonewt.audit import add_vertex_clone, random_graph
+
+import numpy as np
 
 
 def complete_graph(n: int) -> Graph:
@@ -64,6 +68,11 @@ class TestGraph:
     def test_self_loops_rejected(self):
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 0)])
+
+    @pytest.mark.parametrize("edge", [(0, -1), (0, 3), (5, 1)])
+    def test_out_of_range_vertices_rejected(self, edge):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\).*n=3"):
+            Graph.from_edges(3, [edge])
 
 
 class TestNeighborhoodGraph:
@@ -109,6 +118,16 @@ class TestThresholdRadii:
         assert threshold_radii(inst, 3) == [1.0, 2.0]
         assert threshold_radii(inst, 1.5) == [1.0]
 
+    def test_exact_radius_above_its_float_image(self):
+        """d = 3/50 exactly, but the float distance of the rounded
+        coordinates exceeds float(3/50): exact mode still sees the pair."""
+        inst = load_instance(
+            {"kind": "points", "points": [[Fraction(1, 100)], [Fraction(7, 100)]]}
+        )
+        assert inst.dist[0, 1] > float(Fraction(3, 50))
+        assert threshold_radii(inst, Fraction(3, 50), exact=True) == [Fraction(3, 50)]
+        assert threshold_radii(inst, Fraction(3, 50)) == []
+
     @given(
         n=st.integers(min_value=2, max_value=8),
         seed=st.integers(min_value=0, max_value=5000),
@@ -130,6 +149,39 @@ class TestThresholdRadii:
             ).edges(), f"graph changed inside ({lo}, {hi}): n={n} seed={seed}"
 
 
+class TestFiltration:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kind, seed", [("euclidean", 1), ("euclidean", 2),
+                                            ("shortest_path", 3), ("shortest_path", 4)])
+    def test_sweep_graphs_are_valid_threshold_graphs(self, kind, seed, exact):
+        """Each graph the sweep yields passes the public validation and is
+        the neighbourhood graph at its radius."""
+        inst = random_instance(kind, 9, seed)
+        alpha = Fraction(3, 4)
+        filt = Filtration(inst, alpha, exact=exact)
+        assert filt.radii == threshold_radii(inst, alpha, exact=exact)
+        seen = 0
+        for r, g in filt.graphs():
+            assert Graph(g.n, g.nbrs, g.labels) == g
+            assert g == neighborhood_graph(inst, r, exact=exact)
+            seen += 1
+        assert seen == len(filt.radii) + 1
+
+    def test_pairs_beyond_alpha_are_not_listed(self, three_points):
+        filt = Filtration(three_points, Fraction(1), exact=True)
+        assert filt.base == []
+        assert filt.radii == [Fraction(2, 5)]
+        assert filt.pairs == [[(0, 1)]]
+
+    def test_zero_distance_pairs_join_from_the_start(self):
+        inst = load_instance({"kind": "matrix", "distances": [[0, 0, 1], [0, 0, 1], [1, 1, 0]]})
+        filt = Filtration(inst, 2)
+        assert filt.base == [(0, 1)]
+        assert filt.radii == [1.0]
+        r, g = next(filt.graphs())
+        assert r == 0 and g.edges() == [(0, 1)]
+
+
 class TestEquivalenceClasses:
     def test_paw_classes(self, paw):
         part = equivalence_classes(paw)
@@ -143,6 +195,13 @@ class TestEquivalenceClasses:
         assert q.graph.labels == ("a", "b", "c+d")
         # quotient of a triangle-with-pendant: path a - b - {c,d}
         assert len(q.graph.edges()) == 2
+
+    def test_quotient_rejects_classes_that_are_not_duplicates(self):
+        # asymmetric masks, as only a graph built without validation can have
+        # 0 and 1 share N[] = {0, 1, 2}, but 2 sees only 0
+        broken = Graph._trusted(3, (0b110, 0b101, 0b001), ("a", "b", "c"))
+        with pytest.raises(RuntimeError, match="not well-defined"):
+            quotient(broken)
 
     def test_complete_graph_is_one_class(self):
         part = equivalence_classes(complete_graph(5))
@@ -170,6 +229,31 @@ class TestAutomorphisms:
         with pytest.raises(CapExceeded, match="automorphism_vertices"):
             automorphisms(path_graph(9))
         assert len(automorphisms(path_graph(9), cap=9)) == 2
+        with pytest.raises(CapExceeded, match="automorphism_vertices"):
+            orbits(path_graph(9))
+        assert orbits(path_graph(9), cap=9) == ((0, 8), (1, 7), (2, 6), (3, 5), (4,))
+
+    def test_orbits_of_a_symmetric_graph_without_the_group(self):
+        # 8! automorphisms; the orbit search needs only a handful of them
+        assert orbits(Graph.from_edges(8, [])) == (tuple(range(8)),)
+        assert orbits(complete_graph(8)) == (tuple(range(8)),)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_orbits_equal_the_whole_group_orbits(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(2 + seed % 6, float(rng.uniform(0.1, 0.9)), rng)
+        if seed % 2:
+            g = add_vertex_clone(g, int(rng.integers(0, g.n)))
+        n = g.n
+        parent = list(range(n))
+        for sigma in automorphisms(g):
+            for v in range(n):
+                a, b = sorted((parent[v], parent[sigma[v]]))
+                parent = [a if p == b else p for p in parent]
+        groups = {}
+        for v in range(n):
+            groups.setdefault(parent[v], []).append(v)
+        assert orbits(g) == tuple(sorted(tuple(vs) for vs in groups.values()))
 
     @given(
         n=st.integers(min_value=2, max_value=7),

@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonewt import MetricError, add_clone, load_instance, random_instance
+from clonewt import (
+    Density,
+    MetricError,
+    MetricWeighting,
+    add_clone,
+    evaluate_all,
+    load_instance,
+    random_instance,
+)
 
 
 class TestLoadInstance:
@@ -56,6 +64,28 @@ class TestLoadInstance:
         inst = load_instance(path)
         assert inst.labels == ("a", "b", "c")
         assert inst.d("a", "c") == 2.0
+
+    def test_csv_exact_entries_are_the_literal_decimals(self, tmp_path):
+        rows = [["0", "0.3", "0.7"], ["0.3", "0", "0.4"], ["0.7", "0.4", "0"]]
+        path = tmp_path / "inst.csv"
+        path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in rows))
+        from_csv = load_instance(path)
+        from_json = load_instance(
+            {"kind": "matrix", "labels": ["a", "b", "c"],
+             "distances": [[Fraction(v) for v in r] for r in rows]}
+        )
+        assert from_csv.dist_exact == from_json.dist_exact
+        assert from_csv.d_exact("a", "b") == Fraction(3, 10)
+        mw = MetricWeighting.from_names("cu", Density.uniform(Fraction(1, 2)))
+        assert evaluate_all(from_csv, mw, exact=True) == evaluate_all(from_json, mw, exact=True)
+
+    def test_triangle_message_names_the_first_violation(self):
+        with pytest.raises(MetricError) as err:
+            load_instance({"kind": "matrix", "distances": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]})
+        assert str(err.value) == (
+            "triangle inequality violated by 1.000e+00 > tol=1e-09: "
+            "d(0,2) = 3.0 > d(0,1) + d(1,2) = 2.0"
+        )
 
     @pytest.mark.parametrize(
         "distances, message",

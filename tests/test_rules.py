@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from clonewt import (
     CapExceeded,
     Graph,
+    WeightVector,
     clique_partitions,
     graph_entropy,
     graph_entropy_certificate,
@@ -54,6 +55,29 @@ def graphs(draw, max_n=8):
     p = draw(st.floats(min_value=0.1, max_value=0.9))
     rng = np.random.default_rng(seed)
     return random_graph(n, p, rng)
+
+
+class TestWeightVector:
+    def test_rejects_a_negative_entry(self):
+        half = Fraction(1, 2)
+        with pytest.raises(ValueError, match="negative weight"):
+            WeightVector((half, half, Fraction(1, 3), Fraction(-1, 3)), ("a", "b", "c", "d"))
+        with pytest.raises(ValueError, match="negative weight"):
+            WeightVector((1.5, -0.5), ("a", "b"))
+
+    def test_rejects_an_exact_sum_just_above_one(self):
+        third = Fraction(1, 3)
+        bump = Fraction(1, 10**40)
+        with pytest.raises(ValueError, match="exact weights sum to") as err:
+            WeightVector((third, third, third + bump), ("a", "b", "c"))
+        assert str(1 + bump) in str(err.value)
+
+    def test_shared_and_integer_values(self):
+        quarter = Fraction(1, 4)
+        assert WeightVector((quarter,) * 4, tuple("abcd")).exact
+        assert WeightVector((1, 0), ("a", "b")).exact
+        with pytest.raises(ValueError, match="exact weights sum to 2"):
+            WeightVector((1, 1), ("a", "b"))
 
 
 class TestClassUniform:

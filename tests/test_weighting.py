@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from clonewt import (
     Density,
     MetricWeighting,
+    add_clone,
     evaluate,
     evaluate_all,
     load_instance,
+    neighborhood_graph,
     random_instance,
     riemann_oracle,
     sample_labels,
@@ -130,6 +132,71 @@ class TestEvaluate:
         w_flat = evaluate_all(three_points, mw_flat, exact=True)
         # below r = 2/5 all three are singleton classes (uniform 1/3 each)
         assert abs(w_early["p2"] - Fraction(1, 3)) < abs(w_flat["p2"] - Fraction(1, 3))
+
+
+def per_event_reference(inst, mw, exact):
+    """Weights by the definition, event by event: the distinct distances in
+    (0, alpha] from a scan of every pair, ``neighborhood_graph`` at each,
+    the rule, and plain per-vertex sums (``Fraction`` in exact mode)."""
+    n = inst.n
+    if exact:
+        dist, alpha, cdf = inst.d_exact, mw.density.alpha, mw.density.cdf
+    else:
+        dist, alpha = inst.d, float(mw.density.alpha)
+        cdf = lambda r: float(mw.density.cdf(r))
+    radii = sorted({dist(i, j) for i in range(n) for j in range(i + 1, n)
+                    if 0 < dist(i, j) <= alpha})
+    grid = [Fraction(0) if exact else 0.0] + radii
+    acc = [Fraction(0) if exact else 0.0] * n
+    for r, r_next in zip(grid, grid[1:] + [alpha]):
+        increment = cdf(r_next) - cdf(r)
+        if increment == 0:
+            continue
+        w = mw.rule(neighborhood_graph(inst, r, exact=exact))
+        for v in range(n):
+            acc[v] += increment * (w[v] if exact else float(w[v]))
+    return acc
+
+
+def _decimal_csv(path, seed):
+    """A CSV matrix of two-decimal 1-D distances with a planted duplicate."""
+    rng = np.random.default_rng(seed)
+    coords = [int(c) for c in rng.integers(0, 60, size=8)] + [0]
+    coords[-1] = coords[0]
+    rows = [",".join(f"e{i}" for i in range(len(coords)))]
+    rows += [",".join(f"{abs(a - b) / 100:.2f}" for b in coords) for a in coords]
+    path.write_text("\n".join(rows) + "\n")
+    return load_instance(path)
+
+
+SWEEP_RULES = ["cu", "lift:uniform", "uniform", "mcca", "mccp", "smooth:cu"]
+
+
+class TestSweepAgainstPerEventReference:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("rule", SWEEP_RULES)
+    @pytest.mark.parametrize("kind", ["points-2d", "points-1d", "matrix", "csv"])
+    def test_equal_to_the_reference(self, kind, rule, exact, tmp_path):
+        alpha = Fraction(1, 2)
+        for seed in (1, 2):
+            if kind == "points-2d":
+                inst = random_instance("euclidean", 8, seed)
+                inst = add_clone(add_clone(inst, 0, 0, seed), 1, Fraction(1, 20), seed)
+            elif kind == "points-1d":
+                rng = np.random.default_rng(seed)
+                coords = [Fraction(int(c), 50) for c in rng.integers(0, 40, size=9)]
+                inst = load_instance({"kind": "points", "points": [[c] for c in coords]})
+            elif kind == "matrix":
+                inst = add_clone(random_instance("shortest_path", 8, seed), 2, 0, seed)
+                alpha = Fraction(3, 4)
+            else:
+                inst = _decimal_csv(tmp_path / f"m{seed}.csv", seed)
+                alpha = Fraction(1, 4)
+            mw = MetricWeighting.from_names(rule, Density.uniform(alpha))
+            got = evaluate_all(inst, mw, exact=exact).values
+            want = per_event_reference(inst, mw, exact)
+            assert list(got) == want, f"{kind} seed={seed}"
+            assert all(isinstance(v, Fraction if exact else float) for v in got)
 
 
 class TestMetricWeighting:
