@@ -186,24 +186,19 @@ class Filtration:
         self.n, self.labels, self.exact = n, inst.labels, exact
         i, j = np.triu_indices(n, k=1)
         d = inst.dist[i, j]
-        groups: dict = {}
         if exact:
-            a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-            near = d <= _prefilter_bound(inst, a)
-            for u, v in zip(i[near].tolist(), j[near].tolist()):
-                r = inst.d_exact(u, v)
-                if r <= a:
-                    groups.setdefault(r, []).append((u, v))
+            a = Fraction(alpha)
+            near = np.flatnonzero(d <= _prefilter_bound(inst, a))
+            i, j = i[near].tolist(), j[near].tolist()
+            radius = [inst.d_exact(u, v) for u, v in zip(i, j)]
         else:
-            near = d <= float(alpha)
-            i, j, d = i[near], j[near], d[near]
-            order = np.argsort(d, kind="stable")
-            i, j, d = i[order].tolist(), j[order].tolist(), d[order].tolist()
-            start = 0
-            for stop in range(1, len(d) + 1):
-                if stop == len(d) or d[stop] != d[start]:
-                    groups[d[start]] = list(zip(i[start:stop], j[start:stop]))
-                    start = stop
+            a = float(alpha)
+            near = np.flatnonzero(d <= a)
+            i, j, radius = i[near].tolist(), j[near].tolist(), d[near].tolist()
+        groups: dict = {}
+        for u, v, r in zip(i, j, radius):
+            if r <= a:
+                groups.setdefault(r, []).append((u, v))
         self.base: list[tuple[int, int]] = groups.pop(0, [])
         self.radii: list = sorted(groups)
         self.pairs: list[list[tuple[int, int]]] = [groups[r] for r in self.radii]
@@ -293,9 +288,8 @@ def quotient(graph: Graph) -> QuotientGraph:
                 covered |= class_mask[c]
         if covered != closed:
             b = part.class_of[next(_bits(covered & ~closed))]
-            first, second = sorted((a, b))
             raise RuntimeError(
-                f"class adjacency of {part.classes[first]} vs {part.classes[second]} "
+                f"class adjacency of {part.classes[a]} vs {part.classes[b]} "
                 f"is not well-defined; classes are not true duplicates"
             )
         masks.append(hit & ~(1 << a))

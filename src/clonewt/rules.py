@@ -63,11 +63,14 @@ class WeightVector:
             raise ValueError("weight vector over an empty vertex set")
         if self.exact:
             # integer arithmetic over the lcm of the distinct denominators
-            tally = _tally(self.values)
-            if any(v.numerator < 0 for v, _ in tally):
+            distinct = distinct_values(self.values)
+            if any(v.numerator < 0 for v in distinct.values()):
                 raise ValueError(f"negative weight in {self.values}")
-            common = math.lcm(*{v.denominator for v, _ in tally})
-            total = sum(v.numerator * (common // v.denominator) * k for v, k in tally)
+            common = math.lcm(*{v.denominator for v in distinct.values()})
+            total = sum(
+                distinct[key].numerator * (common // distinct[key].denominator) * k
+                for key, k in Counter(map(id, self.values)).items()
+            )
             if total != common:
                 raise ValueError(
                     f"exact weights sum to {Fraction(total, common)}, expected 1"
@@ -104,12 +107,11 @@ class WeightVector:
         return dict(zip(self.labels, self.values))
 
 
-def _tally(values) -> list[tuple[object, int]]:
-    """Each distinct object in ``values`` with its multiplicity.  Rules share
-    one value object per class, so this is usually far shorter than
-    ``values``; equal values held by different objects count separately."""
-    objects = dict(zip(map(id, values), values))
-    return [(objects[key], k) for key, k in Counter(map(id, values)).items()]
+def distinct_values(values) -> dict[int, object]:
+    """The distinct objects in ``values``, keyed by ``id``.  Rules share one
+    value object per class, so this is usually far shorter than ``values``;
+    equal values held by different objects stay separate."""
+    return dict(zip(map(id, values), values))
 
 
 Rule = Callable[[Graph], WeightVector]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .filtration import Filtration, neighborhood_graph
 from .metric import MetricInstance
-from .rules import Rule, WeightVector, parse_rule, rule_is_rational
+from .rules import Rule, WeightVector, distinct_values, parse_rule, rule_is_rational
 
 __all__ = [
     "Density",
@@ -188,17 +188,11 @@ def evaluate_all(
     # class, and vertices with equal histories share their running total.
     acc = [Fraction(0)] * n
     for graph, increment in _sweep(inst, mw, exact):
-        w = mw.rule(graph)
-        if not w.exact:
-            raise ValueError(
-                f"rule {mw.rule_name!r} returned non-rational weights; "
-                "exact integration is unavailable"
-            )
-        distinct = dict(zip(map(id, w.values), w.values))
-        terms = {key: increment * v for key, v in distinct.items()}
+        values = mw.rule(graph).values
+        terms = {key: increment * v for key, v in distinct_values(values).items()}
         sums: dict[tuple[int, int], Fraction] = {}
         new_acc = []
-        for total, v in zip(acc, w.values):
+        for total, v in zip(acc, values):
             key = (id(total), id(v))
             if key not in sums:
                 sums[key] = total + terms[id(v)]
@@ -210,9 +204,8 @@ def evaluate_all(
 def _floats(values) -> list[float]:
     """``float(v)`` of each value, converting each distinct object once;
     ``numerator / denominator`` is exactly how ``float(Fraction)`` rounds."""
-    distinct = dict(zip(map(id, values), values))
     conv = {key: v if isinstance(v, float) else v.numerator / v.denominator
-            for key, v in distinct.items()}
+            for key, v in distinct_values(values).items()}
     return list(map(conv.__getitem__, map(id, values)))
 
 
