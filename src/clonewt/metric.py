@@ -222,8 +222,10 @@ def _load_csv(path: Path, tol: float) -> MetricInstance:
         raise MetricError(f"{path}: {len(data)} matrix rows for {len(labels)} labels")
     dist = np.array([[float(cell) for cell in row] for row in data], dtype=float)
     _validate(dist, tol)
-    # the cells' literal decimal values, as JSON input gets in exact mode
-    dist_exact = tuple(tuple(Fraction(cell.strip()) for cell in row) for row in data)
+    # the cells' literal decimal values, as JSON input gets in exact mode;
+    # a distance matrix repeats its cells, so each distinct text is parsed once
+    exact = {text: Fraction(text) for text in {cell.strip() for row in data for cell in row}}
+    dist_exact = tuple(tuple(exact[cell.strip()] for cell in row) for row in data)
     return MetricInstance(labels, dist, dist_exact=dist_exact, tol=tol)
 
 

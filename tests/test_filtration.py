@@ -197,8 +197,8 @@ class TestEquivalenceClasses:
         assert len(q.graph.edges()) == 2
 
     def test_quotient_rejects_classes_that_are_not_duplicates(self):
-        # asymmetric masks, as only a graph built without validation can have
-        # 0 and 1 share N[] = {0, 1, 2}, but 2 sees only 0
+        # masks only a graph built without validation can have: 0 and 1
+        # share N[] = {0, 1, 2}, but 2 sees only 0
         broken = Graph._trusted(3, (0b110, 0b101, 0b001), ("a", "b", "c"))
         with pytest.raises(RuntimeError, match="not well-defined"):
             quotient(broken)

@@ -161,8 +161,8 @@ def per_event_reference(inst, mw, exact):
 def _decimal_csv(path, seed):
     """A CSV matrix of two-decimal 1-D distances with a planted duplicate."""
     rng = np.random.default_rng(seed)
-    coords = [int(c) for c in rng.integers(0, 60, size=8)] + [0]
-    coords[-1] = coords[0]
+    coords = [int(c) for c in rng.integers(0, 60, size=8)]
+    coords.append(coords[0])
     rows = [",".join(f"e{i}" for i in range(len(coords)))]
     rows += [",".join(f"{abs(a - b) / 100:.2f}" for b in coords) for a in coords]
     path.write_text("\n".join(rows) + "\n")
