@@ -192,7 +192,7 @@ def _cmd_weigh(args) -> int:
         _emit("\n".join(lines) + "\n", args.output)
         return OK
     doc = {
-        "alpha": float(density.alpha),
+        "alpha": density.alpha if args.exact else float(density.alpha),
         "nu": args.nu,
         "rule": mw.rule_name,
         "exact": args.exact,

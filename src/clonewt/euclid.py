@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
+from .metric import _fraction
 from .weighting import Density
 
 __all__ = [
@@ -43,14 +44,6 @@ Number = int | float | Fraction
 Z99 = 2.5758293035489004
 
 _QUAD_BUDGET = 1e-6
-
-
-def _fraction(value: Number) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
-    return Fraction(float(value))
 
 
 def _normalize(points):

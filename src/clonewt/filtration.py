@@ -55,6 +55,10 @@ class Graph:
     def __post_init__(self) -> None:
         if len(self.nbrs) != self.n or len(self.labels) != self.n:
             raise ValueError("adjacency/label arity does not match vertex count")
+        index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(index) < self.n:
+            repeated = next(lab for i, lab in enumerate(self.labels) if index[lab] != i)
+            raise ValueError(f"vertex label {repeated!r} appears more than once")
         for v, mask in enumerate(self.nbrs):
             if mask >> self.n:
                 raise ValueError(f"neighbor mask of vertex {v} addresses missing vertices")

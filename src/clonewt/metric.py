@@ -34,11 +34,13 @@ class MetricError(ValueError):
 
 
 def _fraction(value: Number) -> Fraction:
-    # Fraction(float) is the exact binary value, so this lift never rounds.
+    """Exact rational value of a number.  Integers, numpy's included, are
+    lifted exactly, and ``Fraction(float)`` is the exact binary value, so
+    this lift never rounds."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (int, np.integer)):
+        return Fraction(int(value))
     return Fraction(float(value))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -114,6 +115,18 @@ def distinct_values(values) -> dict[int, object]:
     return dict(zip(map(id, values), values))
 
 
+def _shared_fractions(pairs) -> tuple[Fraction, ...]:
+    """``Fraction(p, q)`` of each (p, q) pair, one object per distinct pair."""
+    made: dict[tuple[int, int], Fraction] = {}
+    out = []
+    for pair in pairs:
+        f = made.get(pair)
+        if f is None:
+            f = made[pair] = Fraction(*pair)
+        out.append(f)
+    return tuple(out)
+
+
 Rule = Callable[[Graph], WeightVector]
 
 
@@ -160,18 +173,47 @@ def smooth(base: Rule) -> Rule:
     w^(x) = sum over y in N[x] of base(y) / (1 + deg(y)).
 
     Each vertex y spreads its mass evenly over its closed neighborhood, so
-    total mass is conserved.
+    total mass is conserved.  The spread is computed once per (base value,
+    degree) and the sum once per distinct closed neighborhood (true twins
+    share theirs).  Exact bases are summed as integers over the lcm of the
+    spreads' denominators; float bases by the same float additions, in the
+    same order, as a per-vertex loop.
     """
 
     def rule(graph: Graph) -> WeightVector:
         _require_nonempty(graph)
         base_w = base(graph)
+        exact = base_w.exact
+        made: dict[tuple[int, int], object] = {}
+        spread = []
+        for v, mask in zip(base_w.values, graph.nbrs):
+            key = (id(v), mask.bit_count())
+            s = made.get(key)
+            if s is None:
+                d = 1 + key[1]
+                s = made[key] = Fraction(v.numerator, v.denominator * d) if exact else v / d
+            spread.append(s)
+        if exact:
+            common = math.lcm(*{s.denominator for s in made.values()})
+            scaled = {id(s): s.numerator * (common // s.denominator) for s in made.values()}
+            terms, zero = [scaled[id(s)] for s in spread], 0
+        else:
+            terms, zero = spread, 0.0
+        sums: dict[int, object] = {}
         values = []
-        for x in range(graph.n):
-            acc = Fraction(0) if base_w.exact else 0.0
-            for y in _bits(graph.closed(x)):
-                acc += base_w[y] / (1 + graph.degree(y))
-            values.append(acc)
+        for x, mask in enumerate(graph.nbrs):
+            closed = mask | (1 << x)
+            total = sums.get(closed)
+            if total is None:
+                total, rest = zero, closed
+                while rest:
+                    low = rest & -rest
+                    total += terms[low.bit_length() - 1]
+                    rest ^= low
+                sums[closed] = total
+            values.append(total)
+        if exact:
+            values = _shared_fractions((t, common) for t in values)
         return WeightVector(tuple(values), graph.labels)
 
     rule.__name__ = f"smooth_{getattr(base, '__name__', 'rule')}"
@@ -200,31 +242,54 @@ class CliqueCover:
 
     ``membership[v]`` is the number of maximal cliques containing v;
     ``participation[k]`` is the sum over members of 1/membership, the total
-    "attention" clique k receives from its vertices.
+    "attention" clique k receives from its vertices (computed when read).
     """
 
     cliques: tuple[tuple[int, ...], ...]
     membership: tuple[int, ...]
-    participation: tuple[Fraction, ...]
+
+    @cached_property
+    def participation(self) -> tuple[Fraction, ...]:
+        return tuple(
+            sum(Fraction(1, self.membership[v]) for v in clique) for clique in self.cliques
+        )
 
 
 def _maximal_clique_masks(nbrs: Sequence[int], cap: int) -> list[int]:
-    """Bron-Kerbosch with pivoting over bitmask vertex sets."""
+    """Bron-Kerbosch with Tomita pivoting over bitmask vertex sets.
+
+    The pivot is the vertex of P | X with the most neighbours in P, ties to
+    the lowest index; candidates P minus N(pivot) are expanded in ascending
+    order.
+    """
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
-            if len(out) > cap:
-                raise CapExceeded("maximal-clique enumeration", "cliques", cap)
+        if not p:
+            if not x:
+                out.append(r)
+                if len(out) > cap:
+                    raise CapExceeded("maximal-clique enumeration", "cliques", cap)
             return
-        pux = p | x
-        u = max(_bits(pux), key=lambda v: (p & nbrs[v]).bit_count())
-        for v in _bits(p & ~nbrs[u]):
-            bit = 1 << v
-            expand(r | bit, p & nbrs[v], x & nbrs[v])
-            p &= ~bit
-            x |= bit
+        # no vertex has more than |P| neighbours in P, so stop at the first that does
+        most, pivot, reach, rest = -1, 0, p.bit_count(), p | x
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            c = (p & nbrs[v]).bit_count()
+            if c > most:
+                most, pivot = c, v
+                if c == reach:
+                    break
+            rest ^= low
+        cand = p & ~nbrs[pivot]
+        while cand:
+            low = cand & -cand
+            nv = nbrs[low.bit_length() - 1]
+            expand(r | low, p & nv, x & nv)
+            p ^= low
+            x |= low
+            cand ^= low
 
     if nbrs:
         expand(0, (1 << len(nbrs)) - 1, 0)
@@ -240,36 +305,54 @@ def maximal_cliques(graph: Graph, cap: int | None = None) -> CliqueCover:
     for clique in cliques:
         for v in clique:
             membership[v] += 1
-    participation = tuple(
-        sum(Fraction(1, membership[v]) for v in clique) for clique in cliques
-    )
-    return CliqueCover(tuple(cliques), tuple(membership), participation)
+    return CliqueCover(tuple(cliques), tuple(membership))
 
 
 def w_mcca(graph: Graph, cap: int | None = None) -> WeightVector:
     """Maximal-clique averaging: each maximal clique holds mass 1/#cliques
-    and splits it evenly among its members."""
+    and splits it evenly among its members.
+
+    Over L = lcm of the clique sizes, w(v) = (sum over C containing v of
+    L/|C|) / (#cliques * L): integer sums, one ``Fraction`` per value.
+    """
     cover = maximal_cliques(graph, cap)
-    k = len(cover.cliques)
-    values = [Fraction(0)] * graph.n
+    common = math.lcm(*{len(clique) for clique in cover.cliques})
+    nums = [0] * graph.n
     for clique in cover.cliques:
-        share = Fraction(1, k * len(clique))
+        share = common // len(clique)
         for v in clique:
-            values[v] += share
-    return WeightVector(tuple(values), graph.labels)
+            nums[v] += share
+    den = len(cover.cliques) * common
+    return WeightVector(_shared_fractions((t, den) for t in nums), graph.labels)
 
 
 def w_mccp(graph: Graph, cap: int | None = None) -> WeightVector:
     """Maximal-clique proportional sharing: inside each clique, mass goes
     inversely to how many cliques a member belongs to, normalised by the
-    clique's total participation."""
+    clique's total participation.
+
+    With M = lcm of the memberships m_u, clique C's participation is
+    S_C / M for the integer S_C = sum over u in C of M/m_u.  Over
+    D = lcm of the S_C, w(v) = M * T_v / (#cliques * m_v * D) where
+    T_v = sum over C containing v of D/S_C: integer sums, one ``Fraction``
+    per distinct (T_v, m_v).
+    """
     cover = maximal_cliques(graph, cap)
-    k = len(cover.cliques)
-    values = [Fraction(0)] * graph.n
-    for clique, part in zip(cover.cliques, cover.participation):
+    membership = cover.membership
+    m_lcm = math.lcm(*set(membership))
+    inverse = [m_lcm // m for m in membership]
+    sums = [sum(inverse[u] for u in clique) for clique in cover.cliques]
+    d_lcm = math.lcm(*set(sums))
+    totals = [0] * graph.n
+    for clique, s in zip(cover.cliques, sums):
+        share = d_lcm // s
         for v in clique:
-            values[v] += Fraction(1, k) / (cover.membership[v] * part)
-    return WeightVector(tuple(values), graph.labels)
+            totals[v] += share
+    scale = len(cover.cliques) * d_lcm
+    return WeightVector(
+        _shared_fractions((m_lcm * t, scale * m) for t, m in zip(totals, membership)),
+        graph.labels,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .filtration import Filtration, neighborhood_graph
-from .metric import MetricInstance
+from .metric import MetricInstance, _fraction
 from .rules import Rule, WeightVector, distinct_values, parse_rule, rule_is_rational
 
 __all__ = [
@@ -27,14 +27,6 @@ __all__ = [
 ]
 
 Number = int | float | Fraction
-
-
-def _fraction(value: Number) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(float(value))
 
 
 @dataclass(frozen=True)

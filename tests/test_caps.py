@@ -4,7 +4,7 @@ import pytest
 
 from clonewt.caps import ENV_VAR, CapExceeded, Caps, default_caps, load_caps
 from clonewt.filtration import Graph, automorphisms
-from clonewt.rules import clique_partitions
+from clonewt.rules import clique_partitions, maximal_cliques
 
 
 def path_graph(n: int) -> Graph:
@@ -78,6 +78,16 @@ class TestCapEnforcement:
     def test_partition_cap_checked_before_iteration(self):
         with pytest.raises(CapExceeded, match="partition_vertices"):
             clique_partitions(path_graph(13))
+
+    def test_clique_cap_raises_at_the_first_clique_past_it(self):
+        # the complement of a perfect matching on 8 vertices has 2**4 maximal cliques
+        g = Graph.from_edges(
+            8, [(i, j) for i in range(8) for j in range(i + 1, 8) if j != i ^ 1]
+        )
+        assert len(maximal_cliques(g, cap=16).cliques) == 16
+        for cap in range(1, 16):
+            with pytest.raises(CapExceeded, match="cliques"):
+                maximal_cliques(g, cap=cap)
 
     def test_raising_a_cap_unlocks_the_computation(self):
         perms = automorphisms(path_graph(9), cap=9)

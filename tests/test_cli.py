@@ -76,6 +76,15 @@ class TestWeigh:
         assert doc["rule"] == "cu"
         assert doc["exact"] is True
 
+    def test_exact_mode_prints_alpha_exactly(self, capsys, three_points_doc):
+        argv = ["weigh", "--input", three_points_doc, "--rule", "cu", "--alpha", "1/3"]
+        code, out, _ = run(capsys, *argv, "--exact")
+        assert code == OK
+        assert json.loads(out)["alpha"] == "1/3"
+        code, out, _ = run(capsys, *argv)
+        assert code == OK
+        assert json.loads(out)["alpha"] == 1 / 3
+
     def test_float_weights_match_the_exact_ones(self, capsys, three_points_doc):
         code, out, _ = run(
             capsys, "weigh", "--input", three_points_doc, "--rule", "cu", "--alpha", "2"

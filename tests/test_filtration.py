@@ -74,6 +74,14 @@ class TestGraph:
         with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\).*n=3"):
             Graph.from_edges(3, [edge])
 
+    def test_repeated_labels_rejected_by_name(self):
+        with pytest.raises(ValueError, match="label 'a' appears more than once"):
+            Graph(2, (0, 0), ("a", "a"))
+        with pytest.raises(ValueError, match="label 'y' appears more than once"):
+            Graph.from_edges(3, [(0, 1)], labels=("x", "y", "y"))
+        # sweep graphs skip the checks by construction
+        assert Graph._trusted(2, (0, 0), ("a", "a")).labels == ("a", "a")
+
 
 class TestNeighborhoodGraph:
     def test_radius_sweep(self, three_points):

@@ -23,6 +23,7 @@ from clonewt import (
     load_instance,
     random_instance,
 )
+from clonewt.metric import _fraction
 
 
 class TestLoadInstance:
@@ -162,6 +163,18 @@ class TestAddClone:
                         f"triangle broken after clone: kind={kind} n={n} "
                         f"seed={seed} eps={eps} ({i},{j},{k})"
                     )
+
+
+class TestFractionLift:
+    def test_numpy_integers_lift_exactly(self):
+        big = np.int64(2**53 + 1)
+        assert _fraction(big) == Fraction(2**53 + 1)
+        assert _fraction(big) != Fraction(float(big))
+
+    def test_floats_lift_to_their_binary_value(self):
+        assert _fraction(0.1) == Fraction(0.1)
+        assert _fraction(np.float64(0.5)) == Fraction(1, 2)
+        assert _fraction(Fraction(1, 3)) == Fraction(1, 3)
 
 
 class TestRandomInstance:

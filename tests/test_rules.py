@@ -34,7 +34,9 @@ from clonewt import (
     w_mccp,
     w_uniform,
 )
-from clonewt.audit import random_graph
+from clonewt.audit import add_vertex_clone, random_graph
+from clonewt.filtration import _bits
+from clonewt.rules import _maximal_clique_masks
 
 import numpy as np
 
@@ -253,6 +255,140 @@ class TestCombinators:
 
     def test_smooth_keeps_normalization(self, g8):
         assert sum(smooth(w_mccp)(g8)) == Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer-arithmetic clique and smoothing rules
+# against their definitions, one Fraction per (clique, member) or
+# (x, y in N[x]) pair.
+
+
+def reference_mcca(graph: Graph) -> list[Fraction]:
+    cliques = maximal_cliques(graph).cliques
+    values = [Fraction(0)] * graph.n
+    for clique in cliques:
+        share = Fraction(1, len(cliques) * len(clique))
+        for v in clique:
+            values[v] += share
+    return values
+
+
+def reference_mccp(graph: Graph) -> list[Fraction]:
+    cover = maximal_cliques(graph)
+    k = len(cover.cliques)
+    values = [Fraction(0)] * graph.n
+    for clique in cover.cliques:
+        part = sum(Fraction(1, cover.membership[u]) for u in clique)
+        for v in clique:
+            values[v] += Fraction(1, k) / (cover.membership[v] * part)
+    return values
+
+
+def reference_smooth(base_w: WeightVector, graph: Graph) -> list:
+    values = []
+    for x in range(graph.n):
+        acc = Fraction(0) if base_w.exact else 0.0
+        for y in _bits(graph.closed(x)):
+            acc += base_w[y] / (1 + graph.degree(y))
+        values.append(acc)
+    return values
+
+
+def reference_clique_masks(nbrs, cap: int) -> list[int]:
+    """Bron-Kerbosch with the pivot chosen by ``max`` (ties to the lowest
+    index) and candidates walked by a generator."""
+    out: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p and not x:
+            out.append(r)
+            if len(out) > cap:
+                raise CapExceeded("maximal-clique enumeration", "cliques", cap)
+            return
+        u = max(_bits(p | x), key=lambda v: (p & nbrs[v]).bit_count())
+        for v in _bits(p & ~nbrs[u]):
+            bit = 1 << v
+            expand(r | bit, p & nbrs[v], x & nbrs[v])
+            p &= ~bit
+            x |= bit
+
+    if nbrs:
+        expand(0, (1 << len(nbrs)) - 1, 0)
+    return out
+
+
+def differential_graphs() -> list[Graph]:
+    """Seeded random graphs of 1-12 vertices (some with planted twins) plus
+    the edgeless, complete, disconnected and paw graphs."""
+    out = []
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 12
+        g = random_graph(n, float(rng.uniform(0.1, 0.9)), rng)
+        while g.n < 12 and rng.random() < 0.4:
+            g = add_vertex_clone(g, int(rng.integers(g.n)), label=f"c{g.n}")
+        out.append(g)
+    out += [empty_graph(1), empty_graph(6), complete_graph(7)]
+    out.append(Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)]))
+    out.append(Graph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)]))
+    return out
+
+
+class TestIntegerArithmeticRules:
+    @pytest.mark.parametrize(
+        "rule, reference",
+        [
+            (w_mcca, reference_mcca),
+            (w_mccp, reference_mccp),
+            (smooth(w_cu), lambda g: reference_smooth(w_cu(g), g)),
+            (smooth(w_mccp), lambda g: reference_smooth(w_mccp(g), g)),
+            (smooth(w_uniform), lambda g: reference_smooth(w_uniform(g), g)),
+        ],
+        ids=["mcca", "mccp", "smooth:cu", "smooth:mccp", "smooth:uniform"],
+    )
+    def test_equal_fractions_to_the_definition(self, rule, reference):
+        for g in differential_graphs():
+            got = rule(g).values
+            assert all(type(v) is Fraction for v in got)
+            assert list(got) == reference(g), f"{g}"
+
+    @pytest.mark.parametrize("rule", [w_mcca, smooth(w_cu), smooth(w_mccp)])
+    def test_equal_values_share_one_object(self, rule):
+        for g in differential_graphs():
+            values = rule(g).values
+            assert len({id(v) for v in values}) == len(set(values))
+
+    def test_float_base_smooths_bit_for_bit(self):
+        """A float-valued base is smoothed by the per-vertex float loop's
+        additions in the same order, so every bit agrees."""
+        for seed, g in enumerate(differential_graphs()):
+            raw = np.random.default_rng(seed).uniform(0.01, 1.0, g.n)
+            floats = tuple((raw / raw.sum()).tolist())
+
+            def base(graph, floats=floats):
+                return WeightVector(floats, graph.labels)
+
+            got = smooth(base)(g).values
+            want = reference_smooth(base(g), g)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_integer_valued_base_smooths_to_fractions(self, paw):
+        def point_mass(graph):
+            return WeightVector((1,) + (0,) * (graph.n - 1), graph.labels)
+
+        s = smooth(point_mass)(paw)
+        assert s.exact
+        assert list(s) == [Fraction(1, 2), Fraction(1, 2), 0, 0]
+
+    def test_clique_enumeration_order_is_unchanged(self):
+        for g in differential_graphs():
+            assert _maximal_clique_masks(g.nbrs, 10**6) == reference_clique_masks(g.nbrs, 10**6)
+
+    def test_participation_is_computed_when_read(self, paw):
+        cover = maximal_cliques(paw)
+        assert "participation" not in vars(cover)
+        assert cover.participation == (Fraction(3, 2), Fraction(5, 2))
+        assert cover.participation is cover.participation
 
 
 class TestRuleGrammar:
