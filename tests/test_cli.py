@@ -340,6 +340,53 @@ class TestShare:
         assert doc["seed"] == 7
         assert doc["chi"][0][1] == doc["chi"][1][0]
 
+    def test_fnu_monte_carlo_with_a_far_pair(self, capsys, tmp_path):
+        """Points 2.1 apart share nothing under alpha 1: the entry is an
+        exact zero with half-width 0, not a crash on a float entry."""
+        doc_path = tmp_path / "far.json"
+        doc_path.write_text(
+            json.dumps({"kind": "points", "points": [[0, 0], [0.5, 0], [2.1, 0]]})
+        )
+        code, out, err = run(
+            capsys,
+            "share",
+            "--input", str(doc_path),
+            "--family", "fnu",
+            "--alpha", "1",
+            "--samples", "64000",
+            "--seed", "1",
+        )
+        assert code == OK, err
+        doc = json.loads(out)
+        assert doc["chi"][0][2] == doc["chi"][2][0] == "0"
+        assert doc["half_widths"][0][2] == 0.0
+        assert doc["half_widths"][0][1] > 0.0
+
+    def test_fnu_on_disjoint_3d_balls_is_exact(self, capsys, tmp_path):
+        """Six 3-D points at least 1 apart under alpha 1/10: every radius
+        cell has pairwise disjoint balls, so each weight and private share
+        is 1/6 and nothing is sampled."""
+        pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1]]
+        doc_path = tmp_path / "disjoint.json"
+        doc_path.write_text(json.dumps({"kind": "points", "points": pts}))
+        code, out, err = run(
+            capsys,
+            "share",
+            "--input", str(doc_path),
+            "--family", "fnu",
+            "--alpha", "1/10",
+            "--samples", "64000",
+            "--seed", "1",
+        )
+        assert code == OK, err
+        doc = json.loads(out)
+        for i in range(6):
+            assert doc["weights"][i] == pytest.approx(1 / 6, abs=1e-12)
+            assert doc["chi"][i][i] == pytest.approx(1 / 6, abs=1e-12)
+            assert doc["row_residuals"][i] == 0.0
+            assert doc["half_widths"][i][i] == 0.0
+            assert all(doc["chi"][i][j] == "0" for j in range(6) if j != i)
+
     def test_points_mode_without_a_seed_fails(self, capsys, tmp_path):
         doc_path = tmp_path / "planar.json"
         doc_path.write_text(

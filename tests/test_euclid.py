@@ -7,6 +7,7 @@ exact 1-D answers fall inside the reported intervals and that the removal
 decomposition reconstructs within its confidence bounds.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from clonewt import (
     sharing_matrix,
     union_volume,
 )
+from clonewt import euclid
 
 TWO = [[Fraction(0)], [Fraction(1)]]
 
@@ -194,3 +196,242 @@ class TestSharingMatrix:
     def test_family_param_recorded(self):
         m = sharing_matrix(TWO, family="fnu", density=Density.uniform(1))
         assert m.family == "fnu"
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the shared-geometry engines against per-entry references
+
+
+def _ref_segments(coords, r):
+    """Covered segments between sorted ball endpoints, each with its
+    covering count taken at the midpoint (the per-entry 1-D formula)."""
+    cuts = sorted({c - r for c in coords} | {c + r for c in coords})
+    segments = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        count = sum(1 for c in coords if abs(c - mid) <= r)
+        if count:
+            segments.append((lo, hi, count))
+    return segments
+
+
+def _ref_covers(center, r, lo, hi):
+    return center - r <= lo and hi <= center + r
+
+
+def _ref_g(coords, r, x):
+    segments = _ref_segments(coords, r)
+    vol = sum((hi - lo for lo, hi, _ in segments), Fraction(0))
+    num = sum(
+        (Fraction(hi - lo, k) for lo, hi, k in segments if _ref_covers(coords[x], r, lo, hi)),
+        Fraction(0),
+    )
+    return num / vol
+
+
+def _ref_chi(coords, r, x, y):
+    segments = _ref_segments(coords, r)
+    vol = sum((hi - lo for lo, hi, _ in segments), Fraction(0))
+    if x == y:
+        return _ref_g(coords, r, x) - sum(
+            (_ref_chi(coords, r, x, z) for z in range(len(coords)) if z != x), Fraction(0)
+        )
+    num = Fraction(0)
+    for lo, hi, k in segments:
+        if _ref_covers(coords[x], r, lo, hi) and _ref_covers(coords[y], r, lo, hi):
+            num += Fraction(hi - lo, k * (k - 1))
+    return num / vol
+
+
+def _ref_private(coords, r, x):
+    return sum(
+        (hi - lo for lo, hi, k in _ref_segments(coords, r)
+         if k == 1 and _ref_covers(coords[x], r, lo, hi)),
+        Fraction(0),
+    )
+
+
+def _one_d_sets():
+    """Seeded 1-D sets on a 1/8 lattice with radii j/16, so exact
+    duplicates, touching intervals (gap exactly 2r) and intervals covered by
+    their neighbours' union all occur; plus sets and radii built from
+    floats."""
+    rng = np.random.default_rng(2024)
+    sets = []
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        ks = [int(k) for k in rng.integers(0, 12, size=n)]
+        if n > 2 and rng.random() < 0.5:
+            ks[-1] = ks[0]
+        sets.append(([Fraction(k, 8) for k in ks], Fraction(int(rng.integers(1, 7)), 16)))
+    for _ in range(8):
+        n = int(rng.integers(2, 7))
+        coords = [Fraction(float(c)) for c in np.round(rng.random(n), 2)]
+        sets.append((coords, Fraction(float(rng.choice([0.05, 0.1, 0.15, 0.3])))))
+    sets.append(([Fraction(0), Fraction(1)], Fraction(1, 2)))  # touching
+    sets.append(([Fraction(0), Fraction(0), Fraction(1, 10)], Fraction(1)))  # engulfed
+    return sets
+
+
+class TestOneDimensionalTable:
+    @pytest.mark.parametrize("coords, r", _one_d_sets())
+    def test_every_entry_equals_the_per_entry_formulas(self, coords, r):
+        pts = [[c] for c in coords]
+        n = len(coords)
+        union = union_volume(pts, r)
+        assert isinstance(union, Fraction)
+        assert union == sum((hi - lo for lo, hi, _ in _ref_segments(coords, r)), Fraction(0))
+        assert private_volume_1d(pts, r) == [_ref_private(coords, r, x) for x in range(n)]
+        for x in range(n):
+            g = g_r(pts, r, x)
+            assert isinstance(g, Fraction) and g == _ref_g(coords, r, x)
+            for y in range(n):
+                chi = chi_gr(pts, r, x, y)
+                assert isinstance(chi, Fraction) and chi == _ref_chi(coords, r, x, y)
+        if n < 2:
+            return
+        for x in range(n):
+            report = removal_effect_gr(pts, r, x)
+            diag = _ref_chi(coords, r, x, x)
+            assert report.eta == diag / (1 - diag)
+            rest = [c for i, c in enumerate(coords) if i != x]
+            for y, entry in report.entries.items():
+                assert entry.before == _ref_g(coords, r, y)
+                assert entry.chi == _ref_chi(coords, r, x, y)
+                assert entry.after == _ref_g(rest, r, y - 1 if y > x else y)
+
+    def test_matrix_equals_separate_calls(self):
+        coords, r = _one_d_sets()[3]
+        pts = [[c] for c in coords]
+        m = sharing_matrix(pts, family="gr", r=r)
+        assert m.weights == tuple(g_r(pts, r, x) for x in range(len(pts)))
+        assert m.chi == tuple(
+            tuple(chi_gr(pts, r, x, y) for y in range(len(pts))) for x in range(len(pts))
+        )
+
+
+def _ref_member(centers, r, zs):
+    d2 = ((zs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+    return d2 <= r * r
+
+
+def _ref_strata(centers, r, samples, seed):
+    """Per-stratum draws and memberships, one stratum at a time."""
+    lo, hi = centers.min(axis=0) - r, centers.max(axis=0) + r
+    dim = centers.shape[1]
+    shape = (max(1, round(64 ** (1.0 / dim))),) * dim
+    n_strata = int(np.prod(shape))
+    n_each = max(1, samples // n_strata)
+    cell = (hi - lo) / np.array(shape, dtype=float)
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = seq.spawn(n_strata)
+    for flat, idx in enumerate(np.ndindex(*shape)):
+        rng = np.random.default_rng(children[flat])
+        origin = lo + np.array(idx, dtype=float) * cell
+        member = _ref_member(centers, r, origin + rng.random((n_each, dim)) * cell)
+        yield member, member.sum(axis=1)
+
+
+def _ref_mc_ratio(centers, r, numer, samples, seed):
+    a_parts, b_parts = [], []
+    for member, counts in _ref_strata(centers, r, samples, seed):
+        a_parts.append(numer(member, counts))
+        b_parts.append((counts > 0).astype(float))
+    mean_b = float(np.concatenate(b_parts).mean())
+    q = float(np.concatenate(a_parts).mean()) / mean_b
+    var_sum = 0.0
+    for a_s, b_s in zip(a_parts, b_parts):
+        if len(a_s) > 1:
+            var_sum += float((a_s - q * b_s).var(ddof=1)) / len(a_s)
+    return q, euclid.Z99 * math.sqrt(var_sum) / len(a_parts) / mean_b
+
+
+def _ref_union_volume(centers, r, samples, seed):
+    means, var_sum, n_strata = 0.0, 0.0, 0
+    for member, counts in _ref_strata(centers, r, samples, seed):
+        hits = (counts > 0).astype(float)
+        means += float(hits.mean())
+        if len(hits) > 1:
+            var_sum += float(hits.var(ddof=1)) / len(hits)
+        n_strata += 1
+    box = float(np.prod(centers.max(axis=0) - centers.min(axis=0) + 2 * r))
+    return box * means / n_strata, box * euclid.Z99 * math.sqrt(var_sum) / n_strata
+
+
+_CLOUDS = {
+    "2d": np.array([[0.0, 0.0], [0.3, 0.1], [0.3, 0.1], [1.0, 0.4], [0.6, 0.9]]),
+    "3d": np.array([[0.0, 0.0, 0.0], [0.4, 0.1, 0.2], [0.2, 0.5, 0.1], [0.9, 0.9, 0.9]]),
+}
+
+
+class TestStratifiedMonteCarlo:
+    @pytest.mark.parametrize("cloud", sorted(_CLOUDS))
+    @pytest.mark.parametrize("samples, seed", [(50, 3), (20_000, 11), (150_000, 5)])
+    @pytest.mark.parametrize("kind", ["g", "chi", "private"])
+    def test_mc_ratio_equals_the_per_stratum_loop(self, cloud, samples, seed, kind):
+        centers = _CLOUDS[cloud]
+        numer = {
+            "g": euclid._numer_g(1),
+            "chi": euclid._numer_chi(0, 1),
+            "private": euclid._numer_private(3),
+        }[kind]
+        # spawning advances a SeedSequence, so each side gets a fresh child
+        for fresh in (lambda: seed, lambda: np.random.SeedSequence(seed).spawn(2)[1]):
+            est = euclid._mc_ratio(euclid._Balls(centers, 0.35), numer, samples, fresh())
+            ref = _ref_mc_ratio(centers, 0.35, numer, samples, fresh())
+            assert (est.value, est.half_width) == ref
+
+    @pytest.mark.parametrize("pts, r, samples, seed", [
+        ([[0.0, 0.0], [1.0, 0.0]], 1.0, 200_000, 3),
+        ([[0.0, 0.0], [0.5, 0.5]], 1.0, 50_000, 9),
+        (_CLOUDS["3d"].tolist(), 0.3, 30_000, 4),
+    ])
+    def test_union_volume_equals_the_per_stratum_loop(self, pts, r, samples, seed):
+        est = union_volume(pts, r, samples=samples, seed=seed)
+        assert (est.value, est.half_width) == _ref_union_volume(np.array(pts), r, samples, seed)
+
+    def test_sampled_dominance_witness(self):
+        """z on the far side of x is not dominated by y; the witness is the
+        first sample in B(x) and B(z) but outside B(y)."""
+        pts = [[0.0, 0.0], [0.8, 0.0], [-0.8, 0.0]]
+        rep = dominance_check(pts, 1.0, 0, 1, 2, samples=20_000, seed=5)
+        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+        zs = -1.0 + rng.random((20_000, 2)) * 2.0
+        arr = np.array(pts)
+        inside = [((zs - arr[i]) ** 2).sum(axis=1) <= 1.0 for i in range(3)]
+        bad = inside[0] & inside[2] & ~inside[1]
+        assert not rep.dominates
+        assert rep.witness == tuple(float(c) for c in zs[bad][0])
+
+
+class TestRadiusIntegrated:
+    @pytest.mark.parametrize("density", [
+        Density.uniform(Fraction(1, 2)),
+        Density.piecewise_linear_cdf([(0, 0), (Fraction(1, 5), Fraction(1, 2)), (1, 1)]),
+    ])
+    def test_1d_matrix_floats_equal_separate_calls(self, density):
+        pts = [[Fraction(0)], [Fraction(3, 10)], [Fraction(3, 10)], [Fraction(9, 20)],
+               [Fraction(7, 4)]]
+        m = sharing_matrix(pts, family="fnu", density=density)
+        n = len(pts)
+        assert m.weights == tuple(f_nu(pts, density, x) for x in range(n))
+        assert m.chi == tuple(
+            tuple(chi_fnu(pts, density, x, y) for y in range(n)) for x in range(n)
+        )
+
+    def test_touching_balls_are_disjoint(self):
+        """Centres exactly 2r apart share no volume: g_r is exactly 1/2, and
+        every radius cell up to half the gap is exact with no samples."""
+        pts = [[0.0, 0.0], [1.0, 0.0]]
+        assert g_r(pts, 0.5, 0) == Fraction(1, 2)
+        assert chi_gr(pts, 0.5, 0, 1) == Fraction(0)
+        est = f_nu(pts, Density.uniform(Fraction(1, 2)), 0, samples=64_000, seed=1)
+        assert est.value == pytest.approx(0.5, abs=1e-12)
+        assert est.half_width == 0.0 and est.samples == 0
+        # a cell whose midpoint is exactly half the gap is still exact
+        est = f_nu(pts, Density.uniform(1), 0, samples=64_000, seed=1, radius_cells=1)
+        assert (est.value, est.half_width, est.samples) == (0.5, 0.0, 0)
+        # past half the gap the cells are sampled again
+        est = f_nu(pts, Density.uniform(1), 0, samples=64_000, seed=1)
+        assert est.samples > 0 and est.half_width > 0.0
+        assert abs(est.value - 0.5) <= 4 * est.half_width + 1e-3
