@@ -125,6 +125,8 @@ def _read_graph(path_str: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise _CLIError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        if parts[0] == parts[1]:
+            raise _CLIError(f"{path}:{lineno}: self-loop at vertex {parts[0]!r}")
         edge_labels.append((parts[0], parts[1]))
     if labels is None:
         seen: dict[str, None] = {}

@@ -66,17 +66,38 @@ def _normalize(points):
 class _Cloud:
     """A normalised point set with the geometry computed on it so far.
     ``sharing_matrix`` hands one cloud to every entry, so each radius's 1-D
-    table and the least pair distance are built once per matrix."""
+    table, the least pair distance and the density on the radius pieces and
+    cells are computed once per matrix."""
 
     def __init__(self, points):
         self.coords, self.arr = _normalize(points)
         self.n = len(self.coords) if self.coords is not None else self.arr.shape[0]
         self._tables: dict[Fraction, _Table1D] = {}
+        self._pieces: dict[Density, list[tuple[float, float, float]]] = {}
+        self._cell_nu: dict[tuple[Density, int], list[float]] = {}
 
     def table(self, r: Fraction) -> _Table1D:
         if r not in self._tables:
             self._tables[r] = _Table1D(self.coords, r)
         return self._tables[r]
+
+    def pieces(self, density: Density) -> list[tuple[float, float, float]]:
+        """(lo, hi, nu) for consecutive 1-D quadrature cuts.  Every knot is
+        a cut, so nu is constant on a piece: a float node strictly between
+        two cuts lies strictly between the same two exact knots."""
+        if density not in self._pieces:
+            cuts = _radius_pieces(self.coords, density)
+            self._pieces[density] = [(lo, hi, float(density.pdf((lo + hi) / 2)))
+                                     for lo, hi in zip(cuts, cuts[1:])]
+        return self._pieces[density]
+
+    def cell_nu(self, density: Density, cells: int) -> list[float]:
+        """nu at the midpoints of ``cells`` equal radius cells of (0, alpha]."""
+        key = (density, cells)
+        if key not in self._cell_nu:
+            mids = (np.arange(cells) + 0.5) * (float(density.alpha) / cells)
+            self._cell_nu[key] = [float(density.pdf(float(mid))) for mid in mids]
+        return self._cell_nu[key]
 
     @cached_property
     def gap(self) -> float:
@@ -226,6 +247,72 @@ def _seed_meta(seed) -> int:
     return int(seed)
 
 
+#: Hash and mix constants of NumPy's ``SeedSequence`` (NEP 19), whose
+#: streams NumPy keeps stable across versions
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value) -> int:
+    """Number of uint32 words ``SeedSequence`` assembles from an entropy or
+    spawn-key value: each integer takes max(1, ceil(bits / 32))."""
+    if isinstance(value, (int, np.integer)):
+        return max(1, -(-int(value).bit_length() // 32))
+    return sum(_words(v) for v in value)
+
+
+def _child_states(seq: np.random.SeedSequence, n: int) -> np.ndarray:
+    """``[c.generate_state(4, np.uint64) for c in seq.spawn(n)]`` as an
+    (n, 4) uint64 array, in one vectorised pass.
+
+    A child's assembled entropy is its parent's (the run entropy padded to
+    the pool size) followed by the child's index, so its pool is the
+    parent's pool after one more mixing round over that index word.  The
+    round's hash constant is INIT_A * MULT_A**k, with k the hashes the
+    parent's entropy took.  ``generate_state``'s hash then yields the words.
+
+    Unlike ``spawn``, this cannot advance ``seq.n_children_spawned``, which
+    is read-only: a second call returns the same words, so pass each seed
+    to one estimate only.
+    """
+    size = len(seq.pool)
+    run, key = _words(seq.entropy), _words(seq.spawn_key)
+    length = (max(run, size) if key else run) + key
+    k = size * size + size * max(0, length - size)
+    u32 = np.uint32
+    hash_a = u32(_INIT_A * pow(_MULT_A, k, 1 << 32) % (1 << 32))
+    index = np.arange(seq.n_children_spawned, seq.n_children_spawned + n, dtype=u32)
+    pool = np.empty((n, size), dtype=u32)
+    words = np.empty((n, 8), dtype=u32)
+    with np.errstate(over="ignore"):
+        for j in range(size):
+            value = index ^ hash_a
+            hash_a *= u32(_MULT_A)
+            value *= hash_a
+            value ^= value >> u32(16)
+            mixed = u32(_MIX_L) * seq.pool[j] - u32(_MIX_R) * value
+            pool[:, j] = mixed ^ (mixed >> u32(16))
+        hash_b = u32(_INIT_B)
+        for j in range(8):
+            value = pool[:, j % size] ^ hash_b
+            hash_b *= u32(_MULT_B)
+            value *= hash_b
+            words[:, j] = value ^ (value >> u32(16))
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state words are known: the four uint64 words
+    that ``PCG64`` asks for."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 #: Sample-ball pairs per block of strata (128 KiB of floats per temporary)
 _BLOCK = 1 << 14
 
@@ -233,8 +320,9 @@ _BLOCK = 1 << 14
 def _stratified(balls: _Balls, samples: int, seed, *integrands) -> list[np.ndarray]:
     """Each ``integrand(member, counts)`` at stratified uniform draws over
     the balls' bounding box, as a (strata, draws per stratum) array.  Each
-    stratum draws from its own generator, seeded by its child of ``seed``,
-    so the draws do not depend on how strata are grouped into blocks."""
+    stratum draws from its own generator, seeded as ``default_rng`` seeds
+    it from its child of ``seed``, so the draws do not depend on how strata
+    are grouped into blocks."""
     if seed is None:
         raise ValueError("Monte-Carlo estimates require an explicit seed")
     if samples <= 0:
@@ -245,13 +333,13 @@ def _stratified(balls: _Balls, samples: int, seed, *integrands) -> list[np.ndarr
     n_each = max(1, samples // n_strata)
     cell = (hi - lo) / np.array(shape, dtype=float)
     origins = lo + np.indices(shape).reshape(balls.dim, -1).T * cell
-    children = _as_seedseq(seed).spawn(n_strata)
+    states = _child_states(_as_seedseq(seed), n_strata)
     step = max(1, _BLOCK // (n_each * len(balls.centers)))
     parts: list[list[np.ndarray]] = [[] for _ in integrands]
     for first in range(0, n_strata, step):
         stop = min(first + step, n_strata)
-        draws = [np.random.default_rng(children[s]).random((n_each, balls.dim))
-                 for s in range(first, stop)]
+        draws = [np.random.Generator(np.random.PCG64(_Words(states[s])))
+                 .random((n_each, balls.dim)) for s in range(first, stop)]
         zs = np.repeat(origins[first:stop], n_each, axis=0) + np.concatenate(draws) * cell
         member = balls.member(zs)
         counts = member.sum(axis=1)
@@ -463,16 +551,19 @@ def _integrate_radial(cloud: _Cloud, density: Density, value_at) -> float:
     """Adaptive quadrature of nu(r) * value_at(r) over (0, alpha], piecewise
     between structural breakpoints, with a certified error budget.  Every
     entry of a matrix integrates over the same pieces, so most quadrature
-    nodes recur, and the cloud builds each node's table once."""
+    nodes recur, and the cloud builds each node's table and each piece's
+    nu once."""
     total = 0.0
     err = 0.0
-    pieces = _radius_pieces(cloud.coords, density)
-    for lo, hi in zip(pieces, pieces[1:]):
+    pieces = cloud.pieces(density)
+    for lo, hi, nu in pieces:
+        if nu == 0.0:
+            continue
         val, est_err = integrate.quad(
-            lambda rf: float(density.pdf(rf)) * float(value_at(_fraction(rf))),
+            lambda rf: nu * float(value_at(_fraction(rf))),
             lo,
             hi,
-            epsabs=_QUAD_BUDGET / (4 * len(pieces)),
+            epsabs=_QUAD_BUDGET / (4 * (len(pieces) + 1)),  # 4 x the number of cuts
             limit=200,
         )
         total += val
@@ -527,8 +618,7 @@ def _radial_mc(cloud: _Cloud, density: Density, numer, samples, seed, radius_cel
     var = 0.0
     used = 0
     strata = 0
-    for k, mid in enumerate(mids):
-        nu = float(density.pdf(float(mid)))
+    for k, (mid, nu) in enumerate(zip(mids, cloud.cell_nu(density, radius_cells))):
         if nu == 0.0:
             continue
         if 2 * mid <= cloud.gap:

@@ -142,12 +142,25 @@ def _exact_matrix_from_points_1d(coords: list[Number]) -> tuple[tuple[Fraction, 
     return tuple(tuple(abs(a - b) for b in pts) for a in pts)
 
 
+def _rounding_slack(dist: np.ndarray, dim: int) -> float:
+    """Bound on the triangle slack d_ij - d_ik - d_kj that rounding alone
+    gives distances computed from dim-dimensional float points.
+
+    A computed distance is within (dim + 3) unit roundoffs of itself (one
+    rounding per difference and square, dim - 1 in the sum, one in the
+    square root; Higham, Accuracy and Stability of Numerical Algorithms,
+    §3).  A slack adds three such errors and two roundings of at most
+    2 * max(d) each.
+    """
+    return (3 * (dim + 3) + 4) * (np.finfo(float).eps / 2) * float(dist.max(initial=0.0))
+
+
 def _instance_from_points(
     labels: tuple[str, ...], points: np.ndarray, raw_coords: list | None, tol: float
 ) -> MetricInstance:
     diffs = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diffs**2).sum(axis=-1))
-    _validate(dist, tol)
+    _validate(dist, tol + _rounding_slack(dist, points.shape[1]))
     dist_exact = None
     if points.shape[1] == 1:
         coords = [row[0] for row in raw_coords] if raw_coords is not None else list(points[:, 0])
@@ -173,7 +186,10 @@ def load_instance(
         if path.suffix.lower() == ".csv":
             return _load_csv(path, tol)
         with open(path) as fh:
-            source = json.load(fh)
+            try:
+                source = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise MetricError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(source, dict):
         raise MetricError(f"instance document must be a mapping, got {type(source).__name__}")
 
@@ -182,31 +198,56 @@ def load_instance(
         raise MetricError(f'instance "kind" must be "points" or "matrix", got {kind!r}')
 
     if kind == "points":
-        raw = source.get("points")
-        if not raw:
-            raise MetricError('points instance needs a non-empty "points" list')
-        rows = [[c for c in row] for row in raw]
-        dim = source.get("dim", len(rows[0]))
-        if any(len(row) != dim for row in rows):
+        rows = source.get("points")
+        points = _float_rows(rows, "points")
+        dim = source.get("dim", points.shape[1])
+        if points.shape[1] != dim:
             raise MetricError(f"every point must have dim={dim} coordinates")
+        if not dim:
+            raise MetricError("points need at least one coordinate")
+        if not np.isfinite(points).all():
+            raise MetricError("point coordinates must be finite")
         labels = _labels_for(source, len(rows))
-        points = np.array([[float(c) for c in row] for row in rows], dtype=float)
         return _instance_from_points(labels, points, rows, tol)
 
     raw = source.get("distances")
-    if raw is None:
-        raise MetricError('matrix instance needs a "distances" field')
+    dist = _float_rows(raw, "distances")
     labels = _labels_for(source, len(raw))
-    dist = np.array([[float(v) for v in row] for row in raw], dtype=float)
     _validate(dist, tol)
     dist_exact = tuple(tuple(_fraction(v) for v in row) for row in raw)
     return MetricInstance(labels, dist, dist_exact=dist_exact, tol=tol)
+
+
+_NUMBER_TYPES = (int, float, Fraction, np.integer, np.floating)
+
+
+def _float_rows(raw, field: str) -> np.ndarray:
+    """A document's non-empty list of equal-length rows of numbers as a
+    float array, or an error naming the first entry that is not one."""
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise MetricError(f'instance needs a non-empty "{field}" list of rows')
+    for i, row in enumerate(raw):
+        if not isinstance(row, (list, tuple, np.ndarray)):
+            raise MetricError(f'"{field}" row {i} must be a list, got {row!r}')
+        if len(row) != len(raw[0]):
+            raise MetricError(
+                f'"{field}" row {i} has {len(row)} entries where row 0 has {len(raw[0])}'
+            )
+        for j, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, _NUMBER_TYPES):
+                raise MetricError(f'"{field}"[{i}][{j}] must be a number, got {v!r}')
+    try:
+        return np.array([[float(v) for v in row] for row in raw], dtype=float)
+    except OverflowError:
+        raise MetricError(f'"{field}" holds a number too large for a float') from None
 
 
 def _labels_for(source: dict, n: int) -> tuple[str, ...]:
     labels = source.get("labels")
     if labels is None:
         return tuple(f"e{i}" for i in range(n))
+    if not isinstance(labels, (list, tuple)):
+        raise MetricError(f'"labels" must be a list, got {labels!r}')
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
         raise MetricError(f"{len(labels)} labels for {n} elements")
@@ -222,12 +263,23 @@ def _load_csv(path: Path, tol: float) -> MetricInstance:
     data = rows[1:]
     if len(data) != len(labels):
         raise MetricError(f"{path}: {len(data)} matrix rows for {len(labels)} labels")
-    dist = np.array([[float(cell) for cell in row] for row in data], dtype=float)
+    for i, row in enumerate(data, start=1):
+        if len(row) != len(labels):
+            raise MetricError(
+                f"{path}: matrix row {i} has {len(row)} cells for {len(labels)} labels"
+            )
+    # each cell's float and literal decimal value, as JSON input gets in
+    # exact mode; a distance matrix repeats its cells, so each distinct text
+    # is parsed once
+    parsed = {}
+    for text in {cell.strip() for row in data for cell in row}:
+        try:
+            parsed[text] = float(text), Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise MetricError(f"{path}: cell {text!r} is not a finite decimal number") from None
+    dist = np.array([[parsed[cell.strip()][0] for cell in row] for row in data], dtype=float)
     _validate(dist, tol)
-    # the cells' literal decimal values, as JSON input gets in exact mode;
-    # a distance matrix repeats its cells, so each distinct text is parsed once
-    exact = {text: Fraction(text) for text in {cell.strip() for row in data for cell in row}}
-    dist_exact = tuple(tuple(exact[cell.strip()] for cell in row) for row in data)
+    dist_exact = tuple(tuple(parsed[cell.strip()][1] for cell in row) for row in data)
     return MetricInstance(labels, dist, dist_exact=dist_exact, tol=tol)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from clonewt import (
     Density,
@@ -390,6 +391,32 @@ class TestStratifiedMonteCarlo:
         est = union_volume(pts, r, samples=samples, seed=seed)
         assert (est.value, est.half_width) == _ref_union_volume(np.array(pts), r, samples, seed)
 
+    @pytest.mark.parametrize("make", [
+        lambda: np.random.SeedSequence(0),
+        lambda: np.random.SeedSequence(1),
+        lambda: np.random.SeedSequence(2**32 + 1),
+        lambda: np.random.SeedSequence(2**128 + 5),
+        lambda: np.random.SeedSequence([1, 2]),
+        lambda: np.random.SeedSequence(7).spawn(3)[1].spawn(64)[63],
+    ], ids=["0", "1", "2**32+1", "2**128+5", "[1,2]", "nested-child"])
+    @pytest.mark.parametrize("spawned", [0, 5])
+    def test_child_states_equal_spawn_and_default_rng(self, make, spawned):
+        """The seed words and the draws of every stratum are numpy's own
+        for one, two and five entropy words, a sequence entropy, a nested
+        child and a parent that has spawned before.  Should numpy change
+        ``SeedSequence`` or ``PCG64`` seeding, this test fails first."""
+        seq, ref = make(), make()
+        seq.spawn(spawned)
+        children = ref.spawn(spawned + 64)[spawned:]
+        states = euclid._child_states(seq, 64)
+        assert states.dtype == np.uint64 and states.shape == (64, 4)
+        assert np.array_equal(states, [c.generate_state(4, np.uint64) for c in children])
+        for words, child in zip(states, children):
+            got = np.random.Generator(np.random.PCG64(euclid._Words(words)))
+            want = np.random.default_rng(child)
+            for length in (1, 62, 624):
+                assert np.array_equal(got.random(length), want.random(length))
+
     def test_sampled_dominance_witness(self):
         """z on the far side of x is not dominated by y; the witness is the
         first sample in B(x) and B(z) but outside B(y)."""
@@ -418,6 +445,35 @@ class TestRadiusIntegrated:
         assert m.chi == tuple(
             tuple(chi_fnu(pts, density, x, y) for y in range(n)) for x in range(n)
         )
+
+    def test_nu_per_piece_equals_nu_per_node(self):
+        """nu is constant between consecutive cuts, so one value per piece
+        gives the floats of evaluating it at every quadrature node, also at
+        the non-dyadic knots 1/3 and 2/3 and on a piece where nu is zero."""
+        density = Density.piecewise_linear_cdf([
+            (0, 0), (Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 3), Fraction(1, 2)), (1, 1)
+        ])
+        pts = [[Fraction(0)], [Fraction(3, 10)], [Fraction(9, 20)], [Fraction(7, 4)]]
+        cloud = euclid._Cloud(pts)
+        cuts = euclid._radius_pieces(cloud.coords, density)
+
+        def per_node(value_at):
+            total = 0.0
+            for lo, hi in zip(cuts, cuts[1:]):
+                total += integrate.quad(
+                    lambda rf: float(density.pdf(rf)) * float(value_at(Fraction(rf))),
+                    lo, hi, epsabs=euclid._QUAD_BUDGET / (4 * len(cuts)), limit=200,
+                )[0]
+            return total
+
+        m = sharing_matrix(pts, family="fnu", density=density)
+        for x in range(len(pts)):
+            assert m.weights[x] == per_node(lambda r: euclid._g_1d(cloud, r, x))
+            assert m.chi[x][x] == per_node(lambda r: euclid._chi_diag_1d(cloud, r, x))
+            for y in range(x + 1, len(pts)):
+                if not cloud.apart(x, y, density.alpha):
+                    assert m.chi[x][y] == per_node(
+                        lambda r: euclid._chi_offdiag_1d(cloud, r, x, y))
 
     def test_touching_balls_are_disjoint(self):
         """Centres exactly 2r apart share no volume: g_r is exactly 1/2, and

@@ -23,7 +23,7 @@ from clonewt import (
     load_instance,
     random_instance,
 )
-from clonewt.metric import _fraction
+from clonewt.metric import DEFAULT_TRIANGLE_TOL, _fraction, _rounding_slack, _validate
 
 
 class TestLoadInstance:
@@ -101,6 +101,28 @@ class TestLoadInstance:
     def test_invalid_matrices_are_rejected(self, distances, message):
         with pytest.raises(MetricError, match=message):
             load_instance({"kind": "matrix", "distances": distances})
+
+    @staticmethod
+    def _collinear_clouds():
+        """Seeded 6-point clouds on y = 2x with x in [1e6, 1e7)."""
+        rng = np.random.default_rng(2026)
+        return [np.sort(rng.uniform(1e6, 1e7, 6)) for _ in range(100)]
+
+    def test_large_collinear_point_clouds_load(self):
+        """The rounding of a computed distance grows with its size: an
+        absolute 1e-9 tolerance rejected most of these exact metrics."""
+        for xs in self._collinear_clouds():
+            inst = load_instance({"kind": "points", "points": [[x, 2 * x] for x in xs.tolist()]})
+            assert inst.tol == DEFAULT_TRIANGLE_TOL
+
+    def test_genuine_violation_at_that_scale_is_rejected(self):
+        """The rounding allowance stays far below a real 1e-3 violation."""
+        for xs in self._collinear_clouds()[:10]:
+            pts = [[x, 2 * x] for x in xs.tolist()]
+            d = load_instance({"kind": "points", "points": pts}).dist.copy()
+            d[0, -1] = d[-1, 0] = d[0, -1] + 1e-3  # the end points, around the middle ones
+            with pytest.raises(MetricError, match="triangle inequality violated"):
+                _validate(d, DEFAULT_TRIANGLE_TOL + _rounding_slack(d, 2))
 
     def test_document_round_trip(self, three_points):
         doc = three_points.to_document()
