@@ -79,32 +79,33 @@ def _emit_json(doc, args) -> None:
     _emit(json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n", args.output)
 
 
-def _read_instance(args) -> MetricInstance:
+def _read_instance(args, doc=None) -> MetricInstance:
+    """The --input instance; ``doc`` is its exact JSON document when the
+    caller has already parsed it (``_exact_document``)."""
+    path = _input_path(args)
+    tol = {"tol": float(args.tol)} if getattr(args, "tol", None) is not None else {}
+    if doc is None:
+        doc = _exact_document(args)
+    return load_instance(path if doc is None else doc, **tol)
+
+
+def _input_path(args) -> Path:
     if not args.input:
         raise _CLIError("this command needs --input")
     path = Path(args.input)
     if not path.exists():
         raise _CLIError(f"input file {path} does not exist")
-    tol = {"tol": float(args.tol)} if getattr(args, "tol", None) is not None else {}
-    if getattr(args, "exact", False) and path.suffix.lower() == ".json":
-        with open(path) as fh:
-            doc = json.load(fh, parse_float=Fraction)
-        return load_instance(doc, **tol)
-    return load_instance(path, **tol)
+    return path
 
 
-def _exact_point_rows(args) -> list[list] | None:
-    """Exact coordinate rows from a points document, when --exact applies."""
-    if not getattr(args, "exact", False) or not args.input:
-        return None
-    path = Path(args.input)
-    if path.suffix.lower() != ".json":
+def _exact_document(args):
+    """The --input JSON document with decimals parsed as their exact
+    values, when --exact applies to it; otherwise None."""
+    path = _input_path(args)
+    if not getattr(args, "exact", False) or path.suffix.lower() != ".json":
         return None
     with open(path) as fh:
-        doc = json.load(fh, parse_float=Fraction)
-    if not isinstance(doc, dict) or doc.get("kind") != "points":
-        return None
-    return [list(row) for row in doc["points"]]
+        return json.load(fh, parse_float=Fraction)
 
 
 def _read_graph(path_str: str) -> Graph:
@@ -244,10 +245,12 @@ def _cmd_share(args) -> int:
         _emit_json({"rule": name, "vertices": rows}, args)
         return OK
 
-    inst = _read_instance(args)
+    doc = _exact_document(args)
+    inst = _read_instance(args, doc)
     if inst.points is None:
         raise _CLIError("Euclidean sharing needs a point-cloud instance (kind 'points')")
-    points = _exact_point_rows(args) or [list(row) for row in inst.points]
+    # exact coordinates where the document has them, the float points otherwise
+    points = [list(row) for row in (doc["points"] if doc is not None else inst.points)]
     if args.family == "gr":
         if args.r is None:
             raise _CLIError("--family gr needs --r")

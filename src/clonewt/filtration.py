@@ -10,6 +10,8 @@ are built around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from fractions import Fraction
 
 import numpy as np
@@ -40,12 +42,47 @@ def _bits(mask: int):
         mask ^= low
 
 
+class _Deferred:
+    """Attributes computed once, on first read.
+
+    ``_lazy`` builds an instance without running ``__init__``: the ``known``
+    attributes are set at once, and each of ``thunks`` (dataclass fields
+    included) is called the first time its attribute is read.  ``_derived``
+    maps further attribute names to functions of the instance, for values
+    that every instance derives from its fields.  Either way the value is
+    then stored on the instance, so later reads are plain lookups.
+    """
+
+    _derived: dict = {}
+
+    @classmethod
+    def _lazy(cls, known: dict, thunks: dict):
+        obj = object.__new__(cls)
+        for name, value in known.items():
+            object.__setattr__(obj, name, value)
+        object.__setattr__(obj, "_thunks", thunks)
+        return obj
+
+    def __getattr__(self, name: str):
+        thunks = self.__dict__.get("_thunks", {})
+        if name in thunks:
+            value = thunks[name]()
+        elif name in self._derived:
+            value = self._derived[name](self)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
+
 @dataclass(frozen=True)
-class Graph:
+class Graph(_Deferred):
     """Undirected graph on vertices 0..n-1 with bitmask adjacency.
 
     ``nbrs[v]`` is the open neighborhood of v as a bitmask (no self-bit).
     Instances are hashable, so they can key caches and appear in test tables.
+    A sweep graph also carries its duplicate classes (``_twins``), which
+    ``equivalence_classes`` and ``quotient`` read instead of recomputing.
     """
 
     n: int
@@ -209,15 +246,158 @@ class Filtration:
 
     def graphs(self):
         """Yield (r, G_r) for r = 0 and then for each radius in turn; the
-        graph is constant from r up to the next radius."""
-        n = self.n
-        masks = [0] * n
+        graph is constant from r up to the next radius.  Each graph carries
+        its duplicate classes, kept up to date across the events."""
+        twins = _TwinState(self.n)
         zero = Fraction(0) if self.exact else 0.0
         for r, pairs in zip([zero, *self.radii], [self.base, *self.pairs]):
-            for u, v in pairs:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            yield r, Graph._trusted(n, tuple(masks), self.labels)
+            twins.add(pairs)
+            yield r, twins.graph(self.labels)
+
+
+class _TwinState:
+    """A graph that only gains edges, and its duplicate classes.
+
+    Vertices with equal closed neighbourhoods (true twins) share a class
+    id.  Adding the edge uv changes only N[u] and N[v], so only u and v can
+    change class: each leaves its class and joins the class keyed by its new
+    closed neighbourhood, or a fresh one.  That is a few dict and list
+    operations per endpoint, plus re-sorting the members of the classes
+    involved.  Ids of emptied classes are reused, so ids stay below n.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.masks = [0] * n  # open neighbourhoods
+        self.cid = list(range(n))  # class id of each vertex
+        self.size = [1] * n  # members of each class id
+        self.rep = list(range(n))  # a member of each class id
+        self.key = [1 << v for v in range(n)]  # closed neighbourhood of each class id
+        self.by_key = {key: c for c, key in enumerate(self.key)}
+        self.multi: dict[int, tuple[int, ...]] = {}  # sorted members of classes of 2+
+        self.free: list[int] = []  # ids of empty classes
+        self.names: dict[tuple[int, ...], str] = {}  # quotient labels built so far
+
+    def add(self, pairs: list[tuple[int, int]]) -> None:
+        """Add the edges of ``pairs``, none of them present yet.
+
+        Each endpoint moves once, after all masks have changed.  A vertex
+        that has not moved yet may sit in a class keyed by its old closed
+        neighbourhood, but a moving vertex only joins the class keyed by its
+        new one, so once all have moved every class holds exactly the
+        vertices whose closed neighbourhood is its key.
+        """
+        masks = self.masks
+        for u, v in pairs:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        for w in dict.fromkeys(chain.from_iterable(pairs)):
+            self._move(w)
+
+    def _move(self, w: int) -> None:
+        a = self.cid[w]
+        new = self.masks[w] | 1 << w
+        b = self.by_key.get(new)
+        if self.size[a] == 1:
+            del self.by_key[self.key[a]]
+            if b is None:  # still a singleton: the class keeps its id
+                self.key[a] = new
+                self.by_key[new] = a
+                return
+            self.free.append(a)
+        else:
+            self.size[a] -= 1
+            members = self.multi.pop(a)
+            rest = tuple(m for m in members if m != w)
+            if len(rest) > 1:
+                self.multi[a] = rest
+            self.rep[a] = rest[0]
+        if b is None:
+            b = self.free.pop()  # w left a class of 2+, so an id is free
+            self.key[b] = new
+            self.by_key[new] = b
+            self.size[b] = 1
+            self.rep[b] = w
+        else:
+            self.size[b] += 1
+            self.multi[b] = tuple(sorted((*self.multi.get(b, (self.rep[b],)), w)))
+        self.cid[w] = b
+
+    def graph(self, labels: tuple[str, ...]) -> "Graph":
+        """The current graph, carrying a copy of the current classes."""
+        twins = _Twins(
+            tuple(self.cid), tuple(self.size), tuple(self.rep), dict(self.multi),
+            len(self.by_key), self.names,
+        )
+        known = {"n": self.n, "nbrs": tuple(self.masks), "labels": labels, "_twins": twins}
+        return Graph._lazy(known, {"_classes": twins.partition})
+
+
+class _Twins:
+    """The duplicate classes of one sweep graph, as ``_TwinState`` held them.
+
+    Copying the state is a few C-level passes; the class order (by least
+    member), ``class_of`` and the quotient are derived from the copy only
+    when read.  Each class has one representative member: the
+    representatives adjacent to one of them are exactly those of the
+    adjacent classes, because adjacency between true-twin classes is all
+    or nothing.  Nothing here
+    refers back to the graph or its partition, so a sweep leaves no
+    reference cycles behind.
+    """
+
+    def __init__(self, cid, size, rep, multi, count, names) -> None:
+        self.cid, self.size, self.rep, self.multi = cid, size, rep, multi
+        self.count, self.names = count, names
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        # the first occurrence of a class id is at the class's least member
+        return tuple(dict.fromkeys(self.cid))
+
+    @cached_property
+    def rank(self) -> dict[int, int]:
+        return dict(zip(self.order, range(self.count)))
+
+    def partition(self) -> "ClassPartition":
+        size, multi, rep = self.size, self.multi, self.rep
+        return ClassPartition._lazy({"count": self.count}, {
+            "classes": lambda: tuple(multi.get(c) or (rep[c],) for c in self.order),
+            "class_of": lambda: tuple(map(self.rank.__getitem__, self.cid)),
+            "sizes": lambda: tuple(map(size.__getitem__, self.order)),
+            "size_of": lambda: tuple(map(size.__getitem__, self.cid)),
+        })
+
+    def quotient(self, graph: "Graph") -> "QuotientGraph":
+        reps = tuple(map(self.rep.__getitem__, self.order))
+
+        def masks() -> tuple[int, ...]:
+            nbrs, rank = graph.nbrs, dict(zip(reps, range(self.count)))
+            mask = sum(map((1).__lshift__, reps))
+            out = []
+            for a in reps:
+                adjacent, hit = nbrs[a] & mask, 0
+                while adjacent:
+                    low = adjacent & -adjacent
+                    hit |= 1 << rank[low.bit_length() - 1]
+                    adjacent ^= low
+                out.append(hit)
+            return tuple(out)
+
+        def labels() -> tuple[str, ...]:
+            # every graph of a sweep has the same labels, so the joined
+            # labels of its classes are shared across the sweep
+            names, joined = graph.labels, self.names
+            out = list(map(names.__getitem__, reps))
+            for c, members in self.multi.items():
+                label = joined.get(members)
+                if label is None:
+                    label = joined[members] = "+".join(map(names.__getitem__, members))
+                out[self.rank[c]] = label
+            return tuple(out)
+
+        qgraph = Graph._lazy({"n": self.count}, {"nbrs": masks, "labels": labels})
+        return QuotientGraph(qgraph, equivalence_classes(graph))
 
 
 def threshold_radii(
@@ -232,24 +412,40 @@ def threshold_radii(
 
 
 @dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(_Deferred):
     """Duplicate classes of a graph: vertices with equal closed neighborhoods.
 
     Classes are ordered by their smallest vertex; each class induces a clique
     (equal closed neighborhoods containing both endpoints force the edge).
+    ``count`` is the number of classes, ``sizes[c]`` the size of class c
+    and ``size_of[v]`` that of v's class.
     """
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
 
+    _derived = {
+        "count": lambda part: len(part.classes),
+        "sizes": lambda part: tuple(map(len, part.classes)),
+        "size_of": lambda part: tuple(map(part.sizes.__getitem__, part.class_of)),
+    }
+
     def members(self, v: int) -> tuple[int, ...]:
         return self.classes[self.class_of[v]]
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return self.count
 
 
 def equivalence_classes(graph: Graph) -> ClassPartition:
+    """The duplicate classes of ``graph``: those a sweep graph carries, or
+    computed from its closed neighbourhoods."""
+    if "_twins" in graph.__dict__:
+        return graph._classes
+    return _classes_from_scratch(graph)
+
+
+def _classes_from_scratch(graph: Graph) -> ClassPartition:
     by_closed: dict[int, list[int]] = {}
     for v, mask in enumerate(graph.nbrs):
         by_closed.setdefault(mask | 1 << v, []).append(v)
@@ -273,11 +469,20 @@ def quotient(graph: Graph) -> QuotientGraph:
     """Quotient by the duplicate-class partition.
 
     Two classes are adjacent iff their members are adjacent; member choice
-    cannot matter (equal closed neighborhoods), which is re-checked here
-    because the rules build on it: each class's closed neighborhood must be
-    a union of whole classes.
+    cannot matter (equal closed neighborhoods).  A sweep graph's quotient
+    is read off one representative per class.  Otherwise the classes are computed
+    here and re-checked, because the rules build on it: each class's closed
+    neighborhood must be a union of whole classes.  The quotient's labels
+    join the member labels with ``+`` and are built when read.
     """
-    part = equivalence_classes(graph)
+    twins = graph.__dict__.get("_twins")
+    if twins is not None:
+        return twins.quotient(graph)
+    return _quotient_from_scratch(graph)
+
+
+def _quotient_from_scratch(graph: Graph) -> QuotientGraph:
+    part = _classes_from_scratch(graph)
     class_mask = [0] * len(part)
     for v, c in enumerate(part.class_of):
         class_mask[c] |= 1 << v
@@ -297,8 +502,10 @@ def quotient(graph: Graph) -> QuotientGraph:
                 f"is not well-defined; classes are not true duplicates"
             )
         masks.append(hit & ~(1 << a))
-    labels = tuple("+".join(graph.labels[v] for v in cls) for cls in part.classes)
-    return QuotientGraph(Graph._trusted(len(part), tuple(masks), labels), part)
+    names = graph.labels
+    labels = lambda: tuple("+".join(map(names.__getitem__, cls)) for cls in part.classes)
+    qgraph = Graph._lazy({"n": len(part), "nbrs": tuple(masks)}, {"labels": labels})
+    return QuotientGraph(qgraph, part)
 
 
 def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:

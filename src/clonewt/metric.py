@@ -64,7 +64,9 @@ def _validate(d: np.ndarray, tol: float) -> None:
         raise MetricError(f"nonzero diagonal d({i},{i}) = {d[i, i]}")
     slack = np.empty_like(d)
     for k in range(n):
-        np.add(d[:, k : k + 1], d[k : k + 1, :], out=slack)
+        # a sum past the float range is +inf, which no distance exceeds
+        with np.errstate(over="ignore"):
+            np.add(d[:, k : k + 1], d[k : k + 1, :], out=slack)
         np.subtract(d, slack, out=slack)
         if slack.max() > tol:
             i, j = np.argwhere(slack > tol)[0]
@@ -155,11 +157,31 @@ def _rounding_slack(dist: np.ndarray, dim: int) -> float:
     return (3 * (dim + 3) + 4) * (np.finfo(float).eps / 2) * float(dist.max(initial=0.0))
 
 
+def _point_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix of a point cloud.
+
+    The plain pass squares the coordinate differences, which overflows once
+    a distance exceeds about 1e154.  Only the entries where it does are
+    recomputed with scaling: halve the coordinates (so their difference
+    cannot overflow), divide by the largest difference and scale back.  The
+    other entries keep the plain pass's value, bit for bit.
+    """
+    with np.errstate(over="ignore"):
+        diffs = points[:, None, :] - points[None, :, :]
+        dist = np.sqrt((diffs**2).sum(axis=-1))
+    i, j = np.nonzero(~np.isfinite(dist))
+    if i.size:
+        half = points[i] / 2 - points[j] / 2
+        scale = np.abs(half).max(axis=1)
+        with np.errstate(over="ignore"):
+            dist[i, j] = 2 * scale * np.sqrt(((half / scale[:, None]) ** 2).sum(axis=1))
+    return dist
+
+
 def _instance_from_points(
     labels: tuple[str, ...], points: np.ndarray, raw_coords: list | None, tol: float
 ) -> MetricInstance:
-    diffs = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diffs**2).sum(axis=-1))
+    dist = _point_distances(points)
     _validate(dist, tol + _rounding_slack(dist, points.shape[1]))
     dist_exact = None
     if points.shape[1] == 1:

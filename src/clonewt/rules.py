@@ -64,7 +64,8 @@ class WeightVector:
             raise ValueError("weight vector over an empty vertex set")
         if self.exact:
             # integer arithmetic over the lcm of the distinct denominators
-            distinct = distinct_values(self.values)
+            distinct = dict(zip(map(id, self.values), self.values))
+            object.__setattr__(self, "distinct", distinct)
             if any(v.numerator < 0 for v in distinct.values()):
                 raise ValueError(f"negative weight in {self.values}")
             common = math.lcm(*{v.denominator for v in distinct.values()})
@@ -82,6 +83,14 @@ class WeightVector:
         total = sum(self.values)
         if abs(float(total) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {float(total)!r}, expected 1 within 1e-12")
+
+    @cached_property
+    def distinct(self) -> dict[int, object]:
+        """The distinct value objects, keyed by ``id``.  Rules share one
+        value object per class, so this is usually far shorter than
+        ``values``; equal values held by different objects stay separate.
+        The exact check of ``__post_init__`` stores it as it goes."""
+        return dict(zip(map(id, self.values), self.values))
 
     @property
     def exact(self) -> bool:
@@ -106,13 +115,6 @@ class WeightVector:
 
     def as_dict(self) -> dict[str, object]:
         return dict(zip(self.labels, self.values))
-
-
-def distinct_values(values) -> dict[int, object]:
-    """The distinct objects in ``values``, keyed by ``id``.  Rules share one
-    value object per class, so this is usually far shorter than ``values``;
-    equal values held by different objects stay separate."""
-    return dict(zip(map(id, values), values))
 
 
 def _shared_fractions(pairs) -> tuple[Fraction, ...]:
@@ -147,22 +149,26 @@ def w_cu(graph: Graph) -> WeightVector:
     evenly inside each class, i.e. w(x) = 1 / (#classes * |class(x)|)."""
     _require_nonempty(graph)
     part = equivalence_classes(graph)
-    k = len(part)
-    share = {size: Fraction(1, k * size) for size in {len(cls) for cls in part.classes}}
-    shares = [share[len(cls)] for cls in part.classes]
-    return WeightVector(tuple([shares[c] for c in part.class_of]), graph.labels)
+    k, size_of = len(part), part.size_of
+    share = {size: Fraction(1, k * size) for size in set(size_of)}
+    return WeightVector(tuple(map(share.__getitem__, size_of)), graph.labels)
 
 
 def lift_quotient(base: Rule) -> Rule:
     """Lift a rule through the duplicate-class quotient:
-    w~(x) = base(G/~)([x]) / |[x]|."""
+    w~(x) = base(G/~)([x]) / |[x]|, one division per distinct
+    (base value, class size) pair."""
 
     def rule(graph: Graph) -> WeightVector:
         _require_nonempty(graph)
         q = quotient(graph)
-        base_w = base(q.graph)
-        shares = [base_w[c] / len(cls) for c, cls in enumerate(q.partition.classes)]
-        return WeightVector(tuple(shares[c] for c in q.partition.class_of), graph.labels)
+        base_values = base(q.graph).values
+        keys = list(zip(map(id, base_values), q.partition.sizes))
+        made = {key: v / key[1] for key, v in dict(zip(keys, base_values)).items()}
+        shares = list(map(made.__getitem__, keys))
+        return WeightVector(
+            tuple(map(shares.__getitem__, q.partition.class_of)), graph.labels
+        )
 
     rule.__name__ = f"lift_{getattr(base, '__name__', 'rule')}"
     return rule
@@ -240,13 +246,20 @@ def w_degree(graph: Graph) -> WeightVector:
 class CliqueCover:
     """All maximal cliques of a graph plus the derived per-vertex counts.
 
-    ``membership[v]`` is the number of maximal cliques containing v;
-    ``participation[k]`` is the sum over members of 1/membership, the total
-    "attention" clique k receives from its vertices (computed when read).
+    ``masks`` holds the cliques as vertex bitmasks, in enumeration order;
+    ``cliques`` the same cliques as sorted vertex tuples in lexicographic
+    order (built when read).  ``membership[v]`` is the number of maximal
+    cliques containing v; ``participation[k]`` is the sum over the members
+    of ``cliques[k]`` of 1/membership, the total "attention" that clique
+    receives from its vertices (computed when read).
     """
 
-    cliques: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     membership: tuple[int, ...]
+
+    @cached_property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(tuple(_bits(m)) for m in self.masks))
 
     @cached_property
     def participation(self) -> tuple[Fraction, ...]:
@@ -300,12 +313,13 @@ def maximal_cliques(graph: Graph, cap: int | None = None) -> CliqueCover:
     _require_nonempty(graph)
     limit = cap if cap is not None else default_caps().cliques
     masks = _maximal_clique_masks(graph.nbrs, limit)
-    cliques = sorted(tuple(_bits(m)) for m in masks)
     membership = [0] * graph.n
-    for clique in cliques:
-        for v in clique:
-            membership[v] += 1
-    return CliqueCover(tuple(cliques), tuple(membership))
+    for m in masks:
+        while m:
+            low = m & -m
+            membership[low.bit_length() - 1] += 1
+            m ^= low
+    return CliqueCover(tuple(masks), tuple(membership))
 
 
 def w_mcca(graph: Graph, cap: int | None = None) -> WeightVector:
@@ -315,14 +329,17 @@ def w_mcca(graph: Graph, cap: int | None = None) -> WeightVector:
     Over L = lcm of the clique sizes, w(v) = (sum over C containing v of
     L/|C|) / (#cliques * L): integer sums, one ``Fraction`` per value.
     """
-    cover = maximal_cliques(graph, cap)
-    common = math.lcm(*{len(clique) for clique in cover.cliques})
+    masks = maximal_cliques(graph, cap).masks
+    sizes = list(map(int.bit_count, masks))
+    common = math.lcm(*set(sizes))
     nums = [0] * graph.n
-    for clique in cover.cliques:
-        share = common // len(clique)
-        for v in clique:
-            nums[v] += share
-    den = len(cover.cliques) * common
+    for m, size in zip(masks, sizes):
+        share = common // size
+        while m:
+            low = m & -m
+            nums[low.bit_length() - 1] += share
+            m ^= low
+    den = len(masks) * common
     return WeightVector(_shared_fractions((t, den) for t in nums), graph.labels)
 
 
@@ -338,17 +355,26 @@ def w_mccp(graph: Graph, cap: int | None = None) -> WeightVector:
     per distinct (T_v, m_v).
     """
     cover = maximal_cliques(graph, cap)
-    membership = cover.membership
+    masks, membership = cover.masks, cover.membership
     m_lcm = math.lcm(*set(membership))
     inverse = [m_lcm // m for m in membership]
-    sums = [sum(inverse[u] for u in clique) for clique in cover.cliques]
+    sums = []
+    for m in masks:
+        s = 0
+        while m:
+            low = m & -m
+            s += inverse[low.bit_length() - 1]
+            m ^= low
+        sums.append(s)
     d_lcm = math.lcm(*set(sums))
     totals = [0] * graph.n
-    for clique, s in zip(cover.cliques, sums):
+    for m, s in zip(masks, sums):
         share = d_lcm // s
-        for v in clique:
-            totals[v] += share
-    scale = len(cover.cliques) * d_lcm
+        while m:
+            low = m & -m
+            totals[low.bit_length() - 1] += share
+            m ^= low
+    scale = len(masks) * d_lcm
     return WeightVector(
         _shared_fractions((m_lcm * t, scale * m) for t, m in zip(totals, membership)),
         graph.labels,

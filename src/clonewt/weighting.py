@@ -15,7 +15,7 @@ import numpy as np
 
 from .filtration import Filtration, neighborhood_graph
 from .metric import MetricInstance, _fraction
-from .rules import Rule, WeightVector, distinct_values, parse_rule, rule_is_rational
+from .rules import Rule, WeightVector, parse_rule, rule_is_rational
 
 __all__ = [
     "Density",
@@ -141,13 +141,16 @@ class MetricWeighting:
 
 
 def _sweep(inst: MetricInstance, mw: MetricWeighting, exact: bool):
-    """Yield (graph, cdf increment) per constant piece of the filtration."""
+    """Yield (graph, cdf increment) per constant piece of the filtration;
+    the CDF is evaluated once per radius."""
     density = mw.density
     alpha = density.alpha if exact else float(density.alpha)
     cdf = density.cdf if exact else (lambda r: float(density.cdf(r)))
     filtration = Filtration(inst, density.alpha, exact=exact)
-    for (r, graph), r_next in zip(filtration.graphs(), [*filtration.radii, alpha]):
-        increment = cdf(r_next) - cdf(r)
+    below = cdf(0)
+    for (_, graph), r_next in zip(filtration.graphs(), [*filtration.radii, alpha]):
+        above = cdf(r_next)
+        increment, below = above - below, above
         if increment != 0:
             yield graph, increment
 
@@ -172,33 +175,30 @@ def evaluate_all(
         for graph, increment in _sweep(inst, mw, exact):
             # elementwise multiply-then-add in vertex order: the same float
             # operations as a per-vertex loop, so the result is bit-identical
-            acc += increment * np.array(_floats(mw.rule(graph).values))
+            acc += increment * np.array(_floats(mw.rule(graph)))
         return WeightVector(tuple(acc.tolist()), inst.labels)
 
     # exact: one Fraction product per distinct rule value and one sum per
     # distinct (running total, value) pair.  Rules share one value object per
-    # class, and vertices with equal histories share their running total.
+    # class, and vertices with equal histories share their running total, so
+    # only the grouping by id pairs runs over every vertex, in C-level passes.
     acc = [Fraction(0)] * n
     for graph, increment in _sweep(inst, mw, exact):
-        values = mw.rule(graph).values
-        terms = {key: increment * v for key, v in distinct_values(values).items()}
-        sums: dict[tuple[int, int], Fraction] = {}
-        new_acc = []
-        for total, v in zip(acc, values):
-            key = (id(total), id(v))
-            if key not in sums:
-                sums[key] = total + terms[id(v)]
-            new_acc.append(sums[key])
-        acc = new_acc
+        weights = mw.rule(graph)
+        terms = {key: increment * v for key, v in weights.distinct.items()}
+        keys = list(zip(map(id, acc), map(id, weights.values)))
+        totals = dict(zip(keys, acc))
+        sums = {key: total + terms[key[1]] for key, total in totals.items()}
+        acc = list(map(sums.__getitem__, keys))
     return WeightVector(tuple(acc), inst.labels)
 
 
-def _floats(values) -> list[float]:
-    """``float(v)`` of each value, converting each distinct object once;
+def _floats(weights: WeightVector) -> list[float]:
+    """``float(v)`` of each weight, converting each distinct object once;
     ``numerator / denominator`` is exactly how ``float(Fraction)`` rounds."""
     conv = {key: v if isinstance(v, float) else v.numerator / v.denominator
-            for key, v in distinct_values(values).items()}
-    return list(map(conv.__getitem__, map(id, values)))
+            for key, v in weights.distinct.items()}
+    return list(map(conv.__getitem__, map(id, weights.values)))
 
 
 def evaluate(

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from clonewt.cli import OK, USAGE_ERROR, VIOLATIONS, main
+from clonewt.euclid import sharing_matrix
 
 
 @pytest.fixture
@@ -319,6 +320,23 @@ class TestShare:
         assert doc["half_widths"] is None
         assert [Fraction(w) for w in doc["weights"]] == [Fraction(1, 2), Fraction(1, 2)]
         assert Fraction(doc["chi"][0][1]) == Fraction(1, 6)
+
+    def test_points_mode_exact_parses_the_document_once(self, capsys, tmp_path, monkeypatch):
+        doc_path = tmp_path / "p.json"
+        doc_path.write_text(json.dumps({"kind": "points", "points": [[0], [0.1], [1]]}))
+        loads = []
+        original = json.load
+        monkeypatch.setattr(json, "load", lambda *a, **k: loads.append(1) or original(*a, **k))
+        code, out, _ = run(
+            capsys, "share", "--input", str(doc_path), "--family", "gr", "--r", "1/2",
+            "--exact",
+        )
+        assert code == OK
+        assert len(loads) == 1
+        # computed from the literal decimal 0.1, not from its binary float
+        want = sharing_matrix([[Fraction(0)], [Fraction(1, 10)], [Fraction(1)]],
+                              family="gr", r=Fraction(1, 2))
+        assert [Fraction(w) for w in json.loads(out)["weights"]] == list(want.weights)
 
     def test_points_mode_monte_carlo_echoes_the_seed(self, capsys, tmp_path):
         doc_path = tmp_path / "planar.json"

@@ -29,6 +29,7 @@ from clonewt import (
     random_instance,
     threshold_radii,
 )
+from clonewt import filtration
 from clonewt.audit import add_vertex_clone, random_graph
 
 import numpy as np
@@ -214,6 +215,83 @@ class TestEquivalenceClasses:
     def test_complete_graph_is_one_class(self):
         part = equivalence_classes(complete_graph(5))
         assert part.classes == (tuple(range(5)),)
+
+
+def _planted_cloud(seed: int, dim: int, exact: bool):
+    """A seeded cloud on a half-integer grid, so many pairs share a
+    distance (multi-pair events), with exact copies planted (distance-0
+    base pairs)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 22))
+    pts = [[Fraction(int(c), 2) for c in rng.integers(0, 7, size=dim)] for _ in range(n)]
+    pts += [list(pts[int(i)]) for i in rng.integers(0, n, size=3)]
+    if not exact:
+        pts = [[float(c) for c in p] for p in pts]
+    return load_instance({"kind": "points", "points": pts})
+
+
+def _plain(graph: Graph) -> Graph:
+    """The same graph without the classes a sweep hands it."""
+    return Graph._trusted(graph.n, graph.nbrs, graph.labels)
+
+
+class TestMaintainedClasses:
+    """The classes and quotient a sweep keeps up to date equal the ones
+    computed from scratch, at every event."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_to_from_scratch_at_every_event(self, seed, dim, exact):
+        inst = _planted_cloud(seed, dim, exact)
+        filt = Filtration(inst, Fraction(5, 2), exact=exact)
+        assert filt.base, "the planted copies give distance-0 pairs"
+        assert any(len(pairs) > 1 for pairs in filt.pairs)
+        for r, g in filt.graphs():
+            part = equivalence_classes(g)
+            want = filtration._classes_from_scratch(_plain(g))
+            assert part == want, f"r={r}"
+            assert (len(part), part.sizes, part.size_of) == (
+                len(want), want.sizes, want.size_of)
+            q, q_want = quotient(g), filtration._quotient_from_scratch(_plain(g))
+            assert q.graph == q_want.graph and q.partition == want, f"r={r}"
+
+    def test_vertex_joining_a_class_below_its_least_member(self):
+        """At r=2 vertex 0 gains 3 and joins {1, 2}, whose least member it
+        becomes; then 3 joins too."""
+        inst = load_instance({"kind": "points", "points": [[0], [1], [1], [2]]})
+        *_, (r, g) = Filtration(inst, 2).graphs()
+        assert r == 2.0
+        assert equivalence_classes(g).classes == ((0, 1, 2, 3),)
+        steps = [(r, equivalence_classes(g).classes, quotient(g).graph.labels)
+                 for r, g in Filtration(inst, 2).graphs()]
+        assert steps == [
+            (0.0, ((0,), (1, 2), (3,)), ("e0", "e1+e2", "e3")),
+            (1.0, ((0,), (1, 2), (3,)), ("e0", "e1+e2", "e3")),
+            (2.0, ((0, 1, 2, 3),), ("e0+e1+e2+e3",)),
+        ]
+
+    def test_graphs_kept_past_their_event_keep_their_classes(self):
+        inst = _planted_cloud(3, 2, False)
+        graphs = [g for _, g in Filtration(inst, 3).graphs()]
+        for g in graphs:
+            assert equivalence_classes(g) == filtration._classes_from_scratch(_plain(g))
+            assert quotient(g).graph == filtration._quotient_from_scratch(_plain(g)).graph
+
+    def test_class_order_and_labels_are_built_when_read(self):
+        inst = _planted_cloud(1, 2, False)
+        *_, (_, g) = Filtration(inst, 3).graphs()
+        part = equivalence_classes(g)
+        assert len(part) == len(set(g.closed(v) for v in range(g.n)))
+        assert "classes" not in vars(part) and "class_of" not in vars(part)
+        q = quotient(g)
+        assert "labels" not in vars(q.graph) and "nbrs" not in vars(q.graph)
+        assert q.graph.labels == tuple("+".join(g.labels[v] for v in c) for c in part.classes)
+
+    def test_scratch_quotient_labels_are_built_when_read(self, paw):
+        q = quotient(paw)
+        assert "labels" not in vars(q.graph)
+        assert q.graph.labels == ("a", "b", "c+d")
 
 
 class TestAutomorphisms:

@@ -124,6 +124,27 @@ class TestLoadInstance:
             with pytest.raises(MetricError, match="triangle inequality violated"):
                 _validate(d, DEFAULT_TRIANGLE_TOL + _rounding_slack(d, 2))
 
+    def test_clouds_with_distances_past_1e154_load(self):
+        """Squaring these differences overflows; the overflowing entries are
+        recomputed with scaling (a RuntimeWarning would fail this test)."""
+        inst = load_instance({"kind": "points", "points": [[0, 0], [1e200, 0]]})
+        assert inst.dist[0, 1] == inst.dist[1, 0] == 1e200
+        inst = load_instance({"kind": "points", "points": [[0, 0], [3e200, 4e200], [1, 0]]})
+        assert inst.dist[0, 1] == pytest.approx(5e200, rel=1e-15)
+        assert inst.dist[0, 2] == 1.0
+        inst = load_instance({"kind": "points", "points": [[-8e307], [8e307], [0]]})
+        assert inst.dist[0, 1] == 1.6e308
+        with pytest.raises(MetricError, match="non-finite"):
+            load_instance({"kind": "points", "points": [[-1e308], [1e308]]})
+
+    def test_ordinary_clouds_keep_the_plain_distances(self):
+        rng = np.random.default_rng(7)
+        for dim in (1, 2, 3):
+            pts = rng.uniform(-1e3, 1e3, size=(30, dim))
+            plain = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+            got = load_instance({"kind": "points", "points": pts.tolist()}).dist
+            assert np.array_equal(got, plain)
+
     def test_document_round_trip(self, three_points):
         doc = three_points.to_document()
         again = load_instance(json.loads(json.dumps(doc)))

@@ -35,6 +35,7 @@ from clonewt import (
     w_uniform,
 )
 from clonewt.audit import add_vertex_clone, random_graph
+from clonewt import rules
 from clonewt.filtration import _bits
 from clonewt.rules import _maximal_clique_masks
 
@@ -383,6 +384,22 @@ class TestIntegerArithmeticRules:
     def test_clique_enumeration_order_is_unchanged(self):
         for g in differential_graphs():
             assert _maximal_clique_masks(g.nbrs, 10**6) == reference_clique_masks(g.nbrs, 10**6)
+
+    def test_sorted_cliques_are_built_when_read(self, paw):
+        cover = maximal_cliques(paw)
+        assert "cliques" not in vars(cover)
+        assert sorted(cover.masks) == [0b0011, 0b1110]
+        assert cover.cliques == ((0, 1), (1, 2, 3))
+
+    @pytest.mark.parametrize("rule", [w_mcca, w_mccp])
+    def test_clique_rules_read_the_masks(self, rule, g8, monkeypatch):
+        covers = []
+        original = rules.maximal_cliques
+        monkeypatch.setattr(
+            rules, "maximal_cliques", lambda *a: covers.append(original(*a)) or covers[-1]
+        )
+        rule(g8)
+        assert len(covers) == 1 and "cliques" not in vars(covers[0])
 
     def test_participation_is_computed_when_read(self, paw):
         cover = maximal_cliques(paw)

@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 
 from clonewt import (
     Density,
+    Filtration,
+    Graph,
     MetricWeighting,
     add_clone,
     evaluate,
+    equivalence_classes,
     evaluate_all,
     load_instance,
     neighborhood_graph,
@@ -25,6 +28,7 @@ from clonewt import (
     riemann_oracle,
     sample_labels,
 )
+from clonewt import filtration, weighting
 
 
 class TestDensity:
@@ -197,6 +201,57 @@ class TestSweepAgainstPerEventReference:
             want = per_event_reference(inst, mw, exact)
             assert list(got) == want, f"{kind} seed={seed}"
             assert all(isinstance(v, Fraction if exact else float) for v in got)
+
+
+def _clouds():
+    """Seeded 1-D and 2-D clouds with exact copies and many tied distances."""
+    out = []
+    for seed, dim in [(1, 1), (2, 2), (3, 2), (4, 1)]:
+        rng = np.random.default_rng(seed)
+        pts = [[Fraction(int(c), 4) for c in rng.integers(0, 12, size=dim)]
+               for _ in range(16)]
+        pts += [list(pts[i]) for i in (0, 3, 3)]
+        out.append(load_instance({"kind": "points", "points": pts}))
+    return out
+
+
+class _PlainFiltration(Filtration):
+    """The sweep's graphs without the classes it keeps for them."""
+
+    def graphs(self):
+        for r, g in super().graphs():
+            yield r, Graph._trusted(g.n, g.nbrs, g.labels)
+
+
+class TestMaintainedClassesInTheSweep:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("rule", ["cu", "lift:uniform", "lift:cu", "smooth:cu"])
+    def test_equal_to_classes_from_scratch(self, rule, exact, monkeypatch):
+        """Equal ``Fraction``s in exact mode, equal floats otherwise."""
+        mw = MetricWeighting.from_names(rule, Density.uniform(Fraction(3, 2)))
+        for inst in _clouds():
+            got = evaluate_all(inst, mw, exact=exact).values
+            with monkeypatch.context() as m:
+                m.setattr(weighting, "Filtration", _PlainFiltration)
+                want = evaluate_all(inst, mw, exact=exact).values
+            assert got == want
+            assert all(type(v) is type(w) for v, w in zip(got, want))
+
+    @pytest.mark.parametrize("rule", ["cu", "lift:uniform"])
+    def test_sweep_never_builds_classes_from_scratch(self, rule, monkeypatch):
+        calls = []
+        for name in ("_classes_from_scratch", "_quotient_from_scratch"):
+            original = getattr(filtration, name)
+            monkeypatch.setattr(
+                filtration, name, lambda g, f=original, name=name: calls.append(name) or f(g)
+            )
+        mw = MetricWeighting.from_names(rule, Density.uniform(Fraction(3, 2)))
+        for inst in _clouds():
+            for exact in (False, True):
+                evaluate_all(inst, mw, exact=exact)
+        assert calls == []
+        equivalence_classes(Graph.from_edges(3, [(0, 1)]))
+        assert calls == ["_classes_from_scratch"]
 
 
 class TestMetricWeighting:
