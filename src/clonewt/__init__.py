@@ -24,6 +24,7 @@ from .filtration import (
     automorphisms,
     equivalence_classes,
     forbidden_intervals,
+    isometry_orbits,
     merge_intervals,
     neighborhood_graph,
     orbits,
@@ -96,7 +97,6 @@ from .audit import (
     add_vertex_clone,
     attack,
     conjecture_search,
-    matrix_self_isometries,
     paw_graph,
     planted_asymmetry_rule,
     random_graph,

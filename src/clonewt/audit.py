@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .filtration import Graph, equivalence_classes, orbits
+from .filtration import Graph, equivalence_classes, isometry_orbits, orbits
 from .metric import MetricInstance, add_clone, load_instance
 from .metric import random_instance as _random_instance
 from .render import jsonable
@@ -107,56 +107,6 @@ def planted_asymmetry_rule(graph: Graph) -> WeightVector:
     w[0] += bite
     w[-1] -= bite
     return WeightVector(tuple(w), graph.labels)
-
-
-# ---------------------------------------------------------------------------
-# Matrix self-isometries
-# ---------------------------------------------------------------------------
-
-
-def matrix_self_isometries(inst: MetricInstance, cap: int = 8) -> list[tuple[int, ...]]:
-    """Permutations fixing the distance matrix entry-for-entry.
-
-    Exhaustive backtracking up to ``cap`` elements; beyond that only
-    transpositions of identical rows (the symmetries our generators are able
-    to plant) are reported, since a guarantee does not need exhaustiveness
-    to be falsified.
-    """
-    n = inst.n
-    dist = inst.dist
-    if n > cap:
-        out = [tuple(range(n))]
-        for i in range(n):
-            for j in range(i + 1, n):
-                others = [k for k in range(n) if k not in (i, j)]
-                if all(dist[i, k] == dist[j, k] for k in others):
-                    perm = list(range(n))
-                    perm[i], perm[j] = j, i
-                    out.append(tuple(perm))
-        return out
-
-    signatures = [tuple(sorted(dist[v])) for v in range(n)]
-    candidates = [[w for w in range(n) if signatures[w] == signatures[v]] for v in range(n)]
-    out: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> None:
-        if v == n:
-            out.append(tuple(image))
-            return
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            if all(dist[v, u] == dist[w, image[u]] for u in range(v)):
-                image[v] = w
-                used[w] = True
-                extend(v + 1)
-                used[w] = False
-                image[v] = -1
-
-    extend(0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +215,14 @@ def run_def31_suite(
         context = f"instance {i} ({kind}, n={n}, seed={sub[0]})"
         target = n // 2
 
-        # Derived instances are shared by every rule under audit.
-        cloned = [
-            (eps, add_clone(inst, target, eps, sub[1]))
-            for eps in (0.0, float(rng.uniform(0.0, clone_eps * alpha_f)))
-        ]
+        # Derived instances and the isometry orbits of each instance are
+        # shared by every rule under audit; the largest instance is a clone
+        # of one with n_range[1] elements.
+        base_orbits = isometry_orbits(inst, cap=n_range[1] + 1)
+        cloned = []
+        for eps in (0.0, float(rng.uniform(0.0, clone_eps * alpha_f))):
+            inst2 = add_clone(inst, target, eps, sub[1])
+            cloned.append((eps, inst2, isometry_orbits(inst2, cap=n_range[1] + 1)))
         shifted = None
         if inst.points is not None:
             direction = rng.normal(size=inst.points.shape)
@@ -292,18 +245,23 @@ def run_def31_suite(
             if bad:
                 flag("positivity", name, context, f"non-positive weight at indices {bad}")
 
-            checks["symmetry"] += 1
-            for sigma in matrix_self_isometries(inst):
-                for v in range(inst.n):
-                    if abs(f_base[v] - f_base[sigma[v]]) > FLOAT_SLACK:
+            def check_symmetry(sub_inst: MetricInstance, f, sub_orbits, where: str) -> None:
+                # every pair within an orbit is related by some isometry, so
+                # the largest gap over the whole group is an orbit's max - min
+                checks["symmetry"] += 1
+                for orbit in sub_orbits:
+                    values = [f[v] for v in orbit]
+                    gap = max(values) - min(values)
+                    if gap > FLOAT_SLACK:
                         flag(
                             "symmetry",
                             name,
                             context,
-                            f"f({inst.labels[v]})={f_base[v]!r} != "
-                            f"f({inst.labels[sigma[v]]})={f_base[sigma[v]]!r} under {sigma}",
+                            f"{where}: f differs across the isometry orbit "
+                            f"{{{', '.join(sub_inst.labels[v] for v in orbit)}}} (gap {gap!r})",
                         )
-                        break
+
+            check_symmetry(inst, f_base, base_orbits, "base")
 
             def check_fairness(sub_inst: MetricInstance, f, where: str) -> None:
                 m = sub_inst.n
@@ -325,21 +283,10 @@ def run_def31_suite(
 
             check_fairness(inst, f_base, "base")
 
-            for eps, inst2 in cloned:
+            for eps, inst2, orbits2 in cloned:
                 f2 = evaluate_all(inst2, mw).as_floats()
                 check_fairness(inst2, f2, f"clone eps={eps:g}")
-
-                checks["symmetry"] += 1
-                for sigma in matrix_self_isometries(inst2):
-                    for v in range(inst2.n):
-                        if abs(f2[v] - f2[sigma[v]]) > FLOAT_SLACK:
-                            flag(
-                                "symmetry",
-                                name,
-                                context,
-                                f"clone eps={eps:g}: asymmetry at {inst2.labels[v]} under {sigma}",
-                            )
-                            break
+                check_symmetry(inst2, f2, orbits2, f"clone eps={eps:g}")
 
                 checks["locality"] += 1
                 z = inst2.n - 1  # the added element

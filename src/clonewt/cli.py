@@ -68,6 +68,18 @@ def _number(text: str) -> Fraction:
         raise _CLIError(f"expected a number, got {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """Parse a CLI count: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if value >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text)
@@ -443,12 +455,12 @@ def _build_parser() -> _Parser:
         choices=("metric", "graph", "demo", "conjecture", "axioms"),
     )
     audit.add_argument("--rule", action="append", default=None, help="repeatable rule spec")
-    audit.add_argument("--seeds", type=int, default=100, help="number of seeded cases")
+    audit.add_argument("--seeds", type=_count, default=100, help="number of seeded cases")
     audit.add_argument("--seed", type=int, default=0, help="base seed")
     audit.add_argument("--alpha", type=_number, default=None)
     audit.add_argument("--tol", type=float, default=None, help="allowed deviation (graph mode)")
     audit.add_argument("--target", default=None, help="conjecture target")
-    audit.add_argument("--budget", type=int, default=1000, help="conjecture search budget")
+    audit.add_argument("--budget", type=_count, default=1000, help="conjecture search budget")
     audit.add_argument("--input", dest="graph_file", default=None, help="edge-list file (axioms)")
     audit.add_argument("--axioms", default=None, help="comma list, e.g. 1,2,3,4")
     audit.add_argument("--report", dest="output", default=None, help="write report JSON here")
@@ -473,7 +485,7 @@ def _build_parser() -> _Parser:
     sample = commands.add_parser("sample", help="draw labels from a weighting")
     _add_common(sample, instance=True, density=True)
     sample.add_argument("--rule", default="cu")
-    sample.add_argument("--k", type=int, required=True)
+    sample.add_argument("--k", type=_count, required=True)
     sample.add_argument("--seed", type=int, required=True)
     sample.set_defaults(func=_cmd_sample)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
     "merge_intervals",
     "automorphisms",
     "orbits",
+    "isometry_orbits",
 ]
 
 
@@ -47,7 +48,9 @@ class _Deferred:
 
     ``_lazy`` builds an instance without running ``__init__``: the ``known``
     attributes are set at once, and each of ``thunks`` (dataclass fields
-    included) is called the first time its attribute is read.  ``_derived``
+    included) is called the first time its attribute is read.  The checks
+    of ``__post_init__`` are skipped too, so it is only for values valid by
+    construction: sweep graphs, quotients and subgraphs.  ``_derived``
     maps further attribute names to functions of the instance, for values
     that every instance derives from its fields.  Either way the value is
     then stored on the instance, so later reads are plain lookups.
@@ -105,17 +108,6 @@ class Graph(_Deferred):
                 if not self.nbrs[u] & (1 << v):
                     raise ValueError(f"edge {v}-{u} is not symmetric")
 
-    @classmethod
-    def _trusted(cls, n: int, nbrs: tuple[int, ...], labels: tuple[str, ...]) -> "Graph":
-        """A graph whose masks are valid by construction, built without the
-        checks of ``__post_init__``.  Only for masks derived from a symmetric
-        source: sweep events, quotients and subgraphs of a ``Graph``."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "nbrs", nbrs)
-        object.__setattr__(graph, "labels", labels)
-        return graph
-
     @staticmethod
     def from_edges(
         n: int, edges: list[tuple[int, int]], labels: tuple[str, ...] | None = None
@@ -168,7 +160,8 @@ class Graph(_Deferred):
                 if u in pos:
                     mask |= 1 << pos[u]
             masks.append(mask)
-        return Graph._trusted(len(keep), tuple(masks), tuple(self.labels[old] for old in keep))
+        labels = tuple(self.labels[old] for old in keep)
+        return Graph._lazy({"n": len(keep), "nbrs": tuple(masks), "labels": labels}, {})
 
 
 def neighborhood_graph(
@@ -176,21 +169,12 @@ def neighborhood_graph(
 ) -> Graph:
     """Graph with an edge between x != y iff d(x, y) <= r (inclusive)."""
     n = inst.n
+    r, d = (Fraction(r), inst.d_exact) if exact else (float(r), inst.dist.item)
     masks = [0] * n
-    if exact:
-        r_ex = r if isinstance(r, Fraction) else Fraction(r)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if inst.d_exact(i, j) <= r_ex:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-    else:
-        rf = float(r)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if inst.dist[i, j] <= rf:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
+    for i, j in combinations(range(n), 2):
+        if d(i, j) <= r:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
     return Graph(n, tuple(masks), inst.labels)
 
 
@@ -541,30 +525,40 @@ def forbidden_intervals(
     return merge_intervals(intervals)
 
 
-def _check_automorphism_cap(graph: Graph, cap: int | None) -> None:
+def _check_search_cap(n: int, cap: int | None) -> None:
     limit = cap if cap is not None else default_caps().automorphism_vertices
-    if graph.n > limit:
-        raise CapExceeded(
-            f"automorphism search on {graph.n} vertices", "automorphism_vertices", limit
-        )
+    if n > limit:
+        raise CapExceeded(f"automorphism search on {n} vertices", "automorphism_vertices", limit)
 
 
-def _signature_candidates(graph: Graph) -> list[list[int]]:
-    """For each vertex, the vertices with its degree and neighbour degrees:
-    the only possible images under an automorphism."""
-    sig = [
-        (graph.degree(v), tuple(sorted(graph.degree(u) for u in graph.neighbors(v))))
-        for v in range(graph.n)
-    ]
-    return [[w for w in range(graph.n) if sig[w] == sig[v]] for v in range(graph.n)]
+def _candidates(signatures: list) -> list[list[int]]:
+    """For each vertex, the vertices with its signature: the only possible
+    images under a permutation that preserves the relation."""
+    groups: dict = {}
+    for v, sig in enumerate(signatures):
+        groups.setdefault(sig, []).append(v)
+    return [groups[sig] for sig in signatures]
 
 
-def _automorphism_search(
-    graph: Graph, candidates: list[list[int]], order: list[int], limit: int | None = None
+def _graph_relation(graph: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """Adjacency bits per vertex, and candidates by degree and sorted
+    neighbour degrees."""
+    n, nbrs = graph.n, graph.nbrs
+    degree = [mask.bit_count() for mask in nbrs]
+    signatures = [(degree[v], tuple(sorted(map(degree.__getitem__, _bits(nbrs[v])))))
+                  for v in range(n)]
+    rows = [[mask >> u & 1 for u in range(n)] for mask in nbrs]
+    return rows, _candidates(signatures)
+
+
+def _permutation_search(
+    rows: list[list], candidates: list[list[int]], order: list[int], limit: int | None = None
 ) -> list[tuple[int, ...]]:
-    """Automorphisms that map every v into ``candidates[v]``, found by
-    backtracking over the vertices in ``order``; at most ``limit`` of them."""
-    n = graph.n
+    """Permutations sigma of a symmetric relation with
+    ``rows[sigma(v)][sigma(u)] == rows[v][u]`` off the diagonal and every
+    sigma(v) in ``candidates[v]``, found by backtracking over the vertices
+    in ``order``; at most ``limit`` of them."""
+    n = len(rows)
     image = [-1] * n
     used = [False] * n
     out: list[tuple[int, ...]] = []
@@ -575,11 +569,13 @@ def _automorphism_search(
             out.append(tuple(image))
             return len(out) == limit
         v = order[depth]
+        row_v, placed = rows[v], order[:depth]
         for w in candidates[v]:
             if used[w]:
                 continue
-            for u in order[:depth]:
-                if graph.has_edge(v, u) != graph.has_edge(w, image[u]):
+            row_w = rows[w]
+            for u in placed:
+                if row_v[u] != row_w[image[u]]:
                     break
             else:
                 image[v] = w
@@ -594,27 +590,16 @@ def _automorphism_search(
     return out
 
 
-def automorphisms(graph: Graph, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations, by backtracking.
+def _orbits(rows: list[list], candidates: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the permutations ``_permutation_search`` admits, ordered by
+    least vertex.
 
-    Exhaustive search is only allowed up to the ``automorphism_vertices``
-    cap (default 8); pass ``cap`` explicitly for known-small bigger graphs.
+    Needs one permutation per merge, not the whole group: for each vertex
+    that still leads its orbit and each candidate image outside it, search
+    for one permutation mapping the first to the second and merge along all
+    of its cycles.
     """
-    _check_automorphism_cap(graph, cap)
-    return _automorphism_search(graph, _signature_candidates(graph), list(range(graph.n)))
-
-
-def orbits(graph: Graph, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Vertex orbits under the automorphism group, ordered by least vertex.
-
-    Needs one automorphism per merge, not the whole group: for each vertex
-    that still leads its orbit and each same-signature vertex outside it,
-    search for one automorphism mapping the first to the second and merge
-    along all of its cycles.  The same cap as ``automorphisms`` applies.
-    """
-    _check_automorphism_cap(graph, cap)
-    n = graph.n
-    candidates = _signature_candidates(graph)
+    n = len(rows)
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -634,7 +619,7 @@ def orbits(graph: Graph, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
             if w <= v or find(w) == v:
                 continue
             pinned = candidates[:v] + [[w]] + candidates[v + 1 :]
-            for perm in _automorphism_search(graph, pinned, order, limit=1):
+            for perm in _permutation_search(rows, pinned, order, limit=1):
                 for u in range(n):
                     ra, rb = find(u), find(perm[u])
                     if ra != rb:
@@ -643,3 +628,31 @@ def orbits(graph: Graph, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return tuple(tuple(vs) for _, vs in sorted(groups.items()))
+
+
+def automorphisms(graph: Graph, cap: int | None = None) -> list[tuple[int, ...]]:
+    """All adjacency-preserving vertex permutations, by backtracking.
+
+    Exhaustive search is only allowed up to the ``automorphism_vertices``
+    cap (default 8); pass ``cap`` explicitly for known-small bigger graphs.
+    """
+    _check_search_cap(graph.n, cap)
+    return _permutation_search(*_graph_relation(graph), list(range(graph.n)))
+
+
+def orbits(graph: Graph, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Vertex orbits under the automorphism group, ordered by least vertex,
+    found without enumerating the group.  The same cap as ``automorphisms``
+    applies."""
+    _check_search_cap(graph.n, cap)
+    return _orbits(*_graph_relation(graph))
+
+
+def isometry_orbits(inst: MetricInstance, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Element orbits under the self-isometries of ``inst``: the
+    permutations that fix the float distance matrix entry for entry.
+    Ordered by least element; candidates share a sorted distance row.  The
+    same cap as ``automorphisms`` applies."""
+    _check_search_cap(inst.n, cap)
+    rows = inst.dist.tolist()
+    return _orbits(rows, _candidates([tuple(sorted(row)) for row in rows]))

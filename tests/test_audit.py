@@ -6,17 +6,19 @@ suite must catch the degree rule's locality violations.  The symbolic
 demo is checked stage by stage against its hand-derived value sequence.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from clonewt import (
+    CapExceeded,
     attack,
     automorphisms,
     conjecture_search,
     equivalence_classes,
-    matrix_self_isometries,
+    isometry_orbits,
     parse_rule,
     paw_graph,
     planted_asymmetry_rule,
@@ -26,9 +28,9 @@ from clonewt import (
     spider_graph,
     strict_locality_demo,
 )
-from clonewt.audit import add_vertex_clone
-from clonewt.metric import load_instance
-from clonewt.weighting import Density, MetricWeighting
+from clonewt.audit import FLOAT_SLACK, add_vertex_clone
+from clonewt.metric import add_clone, load_instance, random_instance
+from clonewt.weighting import Density, MetricWeighting, evaluate_all
 
 
 class TestGraphBuilders:
@@ -63,33 +65,46 @@ class TestGraphBuilders:
         assert a.edges() == b.edges()
 
 
-class TestSelfIsometries:
-    def test_clone_pair_is_swappable(self):
-        inst = load_instance(
-            {"kind": "matrix", "distances": [[0, 0, 1], [0, 0, 1], [1, 1, 0]]}
-        )
-        maps = matrix_self_isometries(inst)
-        assert (1, 0, 2) in maps
-        assert (0, 1, 2) in maps
+def _brute_force_isometries(inst) -> np.ndarray:
+    """Every permutation of the elements that fixes the float distance
+    matrix entry for entry, found by trying them all."""
+    d = inst.dist
+    perms = np.array(list(itertools.permutations(range(inst.n))), dtype=np.intp)
+    fixed = (d[perms[:, :, None], perms[:, None, :]] == d).all(axis=(1, 2))
+    return perms[fixed]
 
-    def test_generic_instance_has_identity_only(self):
-        inst = load_instance(
-            {
-                "kind": "matrix",
-                "distances": [
-                    [0, 1, 2],
-                    [1, 0, Fraction(6, 5)],
-                    [2, Fraction(6, 5), 0],
-                ],
-            }
-        )
-        assert matrix_self_isometries(inst) == [(0, 1, 2)]
 
-    def test_reversal_of_a_palindrome_is_found(self):
-        inst = load_instance(
-            {"kind": "matrix", "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
-        )
-        assert matrix_self_isometries(inst) == [(0, 1, 2), (2, 1, 0)]
+def _orbits_of(perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The orbit of each element is the set of its images."""
+    return tuple(sorted({tuple(sorted(set(images))) for images in perms.T.tolist()}))
+
+
+class TestIsometryOrbits:
+    @pytest.mark.parametrize(
+        "distances, want",
+        [
+            ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], ((0, 1), (2,))),  # a clone pair
+            ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], ((0, 2), (1,))),  # a palindrome
+            ([[0 if i == j else 1 for j in range(4)] for i in range(4)], ((0, 1, 2, 3),)),
+            ([[0, 1, 2], [1, 0, Fraction(6, 5)], [2, Fraction(6, 5), 0]], ((0,), (1,), (2,))),
+            # a hexagon's shortest-path metric: the dihedral group is transitive
+            ([[min(abs(i - j), 6 - abs(i - j)) for j in range(6)] for i in range(6)],
+             ((0, 1, 2, 3, 4, 5),)),
+        ],
+        ids=["clone-pair", "palindrome", "all-equal", "generic", "hexagon"],
+    )
+    def test_equal_to_a_brute_force_enumeration(self, distances, want):
+        inst = load_instance({"kind": "matrix", "distances": distances})
+        assert isometry_orbits(inst) == _orbits_of(_brute_force_isometries(inst)) == want
+
+    def test_reflection_past_eight_elements(self):
+        """The reflection of a palindromic row of points moves every
+        element; with the cap raised the search finds it."""
+        xs = (0, 1, 3, 7, 8, 12, 13, 17, 19, 20)
+        inst = load_instance({"kind": "points", "points": [[x] for x in xs]})
+        with pytest.raises(CapExceeded, match="automorphism_vertices"):
+            isometry_orbits(inst)
+        assert isometry_orbits(inst, cap=10) == ((0, 9), (1, 8), (2, 7), (3, 6), (4, 5))
 
 
 class TestMetricSuite:
@@ -115,6 +130,49 @@ class TestMetricSuite:
         assert doc["suite"] == "metric-axioms"
         assert doc["passed"] is True
         assert set(doc["max_slack"]) == {"fairness", "locality", "continuity"}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_orbit_check_equals_the_whole_group_check(self, seed):
+        """Symmetry checked once per isometry orbit flags the same cases as
+        comparing f(v) with f(sigma(v)) for every isometry sigma, on the
+        suite's own seeded instances."""
+        rules = {"cu": parse_rule("cu")[1], "planted": planted_asymmetry_rule}
+        for name, rule in rules.items():
+            report = run_def31_suite(
+                (name,), instances=16, seed=seed, n_range=(3, 6), rule_overrides=rules
+            )
+            flagged = {
+                (v.context, v.detail.split(":")[0])
+                for v in report.violations if v.check == "symmetry"
+            }
+            assert flagged == _whole_group_metric_reference(rule, 16, seed, (3, 6)), name
+            assert bool(flagged) == (name == "planted")
+
+
+def _whole_group_metric_reference(rule, instances, seed, n_range):
+    """The cases (instance context, base or clone) where the metric suite
+    must flag symmetry, found by comparing f(v) with f(sigma(v)) for every
+    isometry sigma of every instance it audits."""
+    mw = MetricWeighting(rule, Density.uniform(1))
+    flagged = set()
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(instances)):
+        rng = np.random.default_rng(child)
+        sub = [int(s) for s in child.generate_state(4)]
+        kind = ("euclidean", "shortest_path")[i % 2]
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        dim = {"dim": (1, 2, 3)[i % 3]} if kind == "euclidean" else {}
+        inst = random_instance(kind, n, sub[0], **dim)
+        context = f"instance {i} ({kind}, n={n}, seed={sub[0]})"
+        cases = [("base", inst)] + [
+            (f"clone eps={eps:g}", add_clone(inst, n // 2, eps, sub[1]))
+            for eps in (0.0, float(rng.uniform(0.0, 0.25)))
+        ]
+        for where, case in cases:
+            f = evaluate_all(case, mw).as_floats()
+            if any(abs(f[v] - f[sigma[v]]) > FLOAT_SLACK
+                   for sigma in _brute_force_isometries(case) for v in range(case.n)):
+                flagged.add((context, where))
+    return flagged
 
 
 class TestGraphSuite:

@@ -611,3 +611,19 @@ class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == USAGE_ERROR
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["audit", "metric", "--seeds", "-1"], "--seeds"),
+            (["audit", "graph", "--seeds", "-3"], "--seeds"),
+            (["audit", "graph", "--seeds", "two"], "--seeds"),
+            (["audit", "conjecture", "--target", "mcc_axiom2", "--budget", "-1"], "--budget"),
+            (["sample", "--alpha", "2", "--k", "-1", "--seed", "0"], "--k"),
+        ],
+    )
+    def test_negative_counts_name_their_flag(self, capsys, three_points_doc, argv, flag):
+        code, out, err = run(capsys, *argv, "--input", three_points_doc)
+        assert code == USAGE_ERROR and out == ""
+        assert f"argument {flag}: expected a non-negative integer" in err
+        assert "Traceback" not in err

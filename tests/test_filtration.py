@@ -7,6 +7,7 @@ enumeration backs the symmetry audits and is checked against groups whose
 order is known in closed form.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -81,7 +82,7 @@ class TestGraph:
         with pytest.raises(ValueError, match="label 'y' appears more than once"):
             Graph.from_edges(3, [(0, 1)], labels=("x", "y", "y"))
         # sweep graphs skip the checks by construction
-        assert Graph._trusted(2, (0, 0), ("a", "a")).labels == ("a", "a")
+        assert Graph._lazy({"n": 2, "nbrs": (0, 0), "labels": ("a", "a")}, {}).labels == ("a", "a")
 
 
 class TestNeighborhoodGraph:
@@ -208,7 +209,8 @@ class TestEquivalenceClasses:
     def test_quotient_rejects_classes_that_are_not_duplicates(self):
         # masks only a graph built without validation can have: 0 and 1
         # share N[] = {0, 1, 2}, but 2 sees only 0
-        broken = Graph._trusted(3, (0b110, 0b101, 0b001), ("a", "b", "c"))
+        masks = (0b110, 0b101, 0b001)
+        broken = Graph._lazy({"n": 3, "nbrs": masks, "labels": ("a", "b", "c")}, {})
         with pytest.raises(RuntimeError, match="not well-defined"):
             quotient(broken)
 
@@ -232,7 +234,7 @@ def _planted_cloud(seed: int, dim: int, exact: bool):
 
 def _plain(graph: Graph) -> Graph:
     """The same graph without the classes a sweep hands it."""
-    return Graph._trusted(graph.n, graph.nbrs, graph.labels)
+    return Graph._lazy({"n": graph.n, "nbrs": graph.nbrs, "labels": graph.labels}, {})
 
 
 class TestMaintainedClasses:
@@ -340,6 +342,21 @@ class TestAutomorphisms:
         for v in range(n):
             groups.setdefault(parent[v], []).append(v)
         assert orbits(g) == tuple(sorted(tuple(vs) for vs in groups.values()))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_automorphisms_equal_a_brute_force_filter(self, seed):
+        """Both list the group in lexicographic order."""
+        rng = np.random.default_rng(seed)
+        g = random_graph(1 + seed % 5, float(rng.uniform(0.1, 0.9)), rng)
+        if seed % 2:
+            g = add_vertex_clone(g, int(rng.integers(0, g.n)))
+        # a permutation that maps every edge to an edge maps non-edges to
+        # non-edges too, since the edge count is finite
+        want = [
+            sigma for sigma in itertools.permutations(range(g.n))
+            if all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
+        ]
+        assert automorphisms(g) == want
 
     @given(
         n=st.integers(min_value=2, max_value=7),

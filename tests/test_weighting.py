@@ -220,7 +220,7 @@ class _PlainFiltration(Filtration):
 
     def graphs(self):
         for r, g in super().graphs():
-            yield r, Graph._trusted(g.n, g.nbrs, g.labels)
+            yield r, Graph._lazy({"n": g.n, "nbrs": g.nbrs, "labels": g.labels}, {})
 
 
 class TestMaintainedClassesInTheSweep:
