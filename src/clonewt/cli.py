@@ -65,7 +65,7 @@ def _number(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _CLIError(f"expected a number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
 
 
 def _count(text: str) -> int:

@@ -262,8 +262,9 @@ class _TwinState:
         self.free: list[int] = []  # ids of empty classes
         self.names: dict[tuple[int, ...], str] = {}  # quotient labels built so far
 
-    def add(self, pairs: list[tuple[int, int]]) -> None:
-        """Add the edges of ``pairs``, none of them present yet.
+    def add(self, pairs: list[tuple[int, int]]) -> list[int]:
+        """Add the edges of ``pairs``, none of them present yet, and return
+        their endpoints: the only vertices that can have changed class.
 
         Each endpoint moves once, after all masks have changed.  A vertex
         that has not moved yet may sit in a class keyed by its old closed
@@ -275,8 +276,10 @@ class _TwinState:
         for u, v in pairs:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        for w in dict.fromkeys(chain.from_iterable(pairs)):
+        moved = list(dict.fromkeys(chain.from_iterable(pairs)))
+        for w in moved:
             self._move(w)
+        return moved
 
     def _move(self, w: int) -> None:
         a = self.cid[w]

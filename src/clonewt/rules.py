@@ -157,7 +157,8 @@ def w_cu(graph: Graph) -> WeightVector:
 def lift_quotient(base: Rule) -> Rule:
     """Lift a rule through the duplicate-class quotient:
     w~(x) = base(G/~)([x]) / |[x]|, one division per distinct
-    (base value, class size) pair."""
+    (base value, class size) pair.  The lifted rule's ``lifted`` attribute
+    is ``base``."""
 
     def rule(graph: Graph) -> WeightVector:
         _require_nonempty(graph)
@@ -171,6 +172,7 @@ def lift_quotient(base: Rule) -> Rule:
         )
 
     rule.__name__ = f"lift_{getattr(base, '__name__', 'rule')}"
+    rule.lifted = base
     return rule
 
 

@@ -8,14 +8,24 @@ to an exact finite sum of CDF increments times rule outputs.
 
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .filtration import Filtration, neighborhood_graph
+from .filtration import Filtration, _TwinState, neighborhood_graph
 from .metric import MetricInstance, _fraction
-from .rules import Rule, WeightVector, parse_rule, rule_is_rational
+from .rules import (
+    Rule,
+    WeightVector,
+    _shared_fractions,
+    parse_rule,
+    rule_is_rational,
+    w_cu,
+    w_uniform,
+)
 
 __all__ = [
     "Density",
@@ -140,19 +150,37 @@ class MetricWeighting:
         return self.rule_name == "custom" or rule_is_rational(self.rule_name)
 
 
-def _sweep(inst: MetricInstance, mw: MetricWeighting, exact: bool):
-    """Yield (graph, cdf increment) per constant piece of the filtration;
-    the CDF is evaluated once per radius."""
-    density = mw.density
+def _increments(filtration: Filtration, density: Density, exact: bool) -> list:
+    """The CDF increment of each constant piece of the filtration, from r = 0
+    up to the first radius and then from each radius to the next (or to
+    alpha); the CDF is evaluated once per radius."""
     alpha = density.alpha if exact else float(density.alpha)
     cdf = density.cdf if exact else (lambda r: float(density.cdf(r)))
-    filtration = Filtration(inst, density.alpha, exact=exact)
-    below = cdf(0)
-    for (_, graph), r_next in zip(filtration.graphs(), [*filtration.radii, alpha]):
-        above = cdf(r_next)
-        increment, below = above - below, above
+    values = [cdf(r) for r in [0, *filtration.radii, alpha]]
+    return [above - below for below, above in zip(values, values[1:])]
+
+
+def _sweep(inst: MetricInstance, mw: MetricWeighting, exact: bool):
+    """Yield (graph, cdf increment) per constant piece of the filtration
+    with a nonzero increment."""
+    filtration = Filtration(inst, mw.density.alpha, exact=exact)
+    increments = _increments(filtration, mw.density, exact)
+    for (_, graph), increment in zip(filtration.graphs(), increments):
         if increment != 0:
             yield graph, increment
+
+
+def _class_uniform(rule: Rule) -> bool:
+    """Whether ``rule`` is ``cu`` or ``lift:uniform``, wrapped or not.
+
+    Both give w(x) = 1 / (k * |[x]|) with k the number of duplicate
+    classes: ``lift:uniform`` puts 1/k on each class of the quotient and
+    divides it by the class size.  The rule is told by its callable, not by
+    its name, so that any other callable given one of these names is still
+    called.
+    """
+    fn = inspect.unwrap(rule)
+    return fn is w_cu or getattr(fn, "lifted", None) is w_uniform
 
 
 def evaluate_all(
@@ -162,13 +190,18 @@ def evaluate_all(
 
     With ``exact=True`` all radii, CDF increments and rule outputs are exact
     rationals and the result sums to 1 exactly; the rule must be
-    rational-valued (the entropy rule is not).
+    rational-valued (the entropy rule is not).  The class-uniform rules
+    (``cu``, ``lift:uniform``) are integrated from the duplicate classes the
+    sweep keeps, without a rule call per event; every other rule is called
+    on each event's graph.
     """
     if exact and not mw.exact_capable:
         raise ValueError(
             f"rule {mw.rule_name!r} does not produce rational weights; "
             "exact integration is unavailable"
         )
+    if _class_uniform(mw.rule):
+        return WeightVector(_class_uniform_sweep(inst, mw.density, exact), inst.labels)
     n = inst.n
     if not exact:
         acc = np.zeros(n)
@@ -191,6 +224,92 @@ def evaluate_all(
         sums = {key: total + terms[key[1]] for key, total in totals.items()}
         acc = list(map(sums.__getitem__, keys))
     return WeightVector(tuple(acc), inst.labels)
+
+
+def _class_uniform_sweep(inst: MetricInstance, density: Density, exact: bool) -> tuple:
+    """The integral of w(x) = 1 / (k * |[x]|) over the sweep, read off the
+    duplicate classes as the events are added.
+
+    Float mode adds increment * (1.0 / (k * s)) per vertex at each event:
+    k * s is an integer below 2**53, so ``1.0 / (k * s)`` is
+    ``float(Fraction(1, k * s))`` and the sums are those of the per-event
+    rule calls, bit for bit.  Exact mode works in integers; see
+    ``_ClassUniformSums``.
+    """
+    filtration = Filtration(inst, density.alpha, exact=exact)
+    increments = _increments(filtration, density, exact)
+    events = [filtration.base, *filtration.pairs]
+    n = inst.n
+    if not exact:
+        state, acc = _TwinState(n), np.zeros(n)
+        # numpy copies of state.cid and state.size, updated where they change
+        cid, size = np.arange(n), np.ones(n, dtype=np.int64)
+        for pairs, increment in zip(events, increments):
+            moved = state.add(pairs)
+            now = [state.cid[w] for w in moved]
+            changed = [*cid[moved].tolist(), *now]
+            cid[moved] = now
+            size[changed] = [state.size[c] for c in changed]
+            if increment != 0:
+                acc += increment * (1.0 / (len(state.by_key) * size[cid]))
+        return tuple(acc.tolist())
+
+    # increments over their common denominator D; P is kept in units of
+    # 1 / (D * L) and the integrals in units of 1 / (D * L**2)
+    common = math.lcm(*(f.denominator for f in increments))
+    state = _ClassUniformSums(n)
+    for pairs, increment in zip(events, increments):
+        state.add(pairs)
+        if increment != 0:
+            scaled = increment.numerator * (common // increment.denominator)
+            state.total += scaled * state.per[len(state.by_key)]
+    denominator = common * state.lcm**2
+    return _shared_fractions((num, denominator) for num in state.finish())
+
+
+class _ClassUniformSums(_TwinState):
+    """The duplicate classes of the sweep and each vertex's class-uniform
+    integral so far, in integers.
+
+    With P the running sum of increment / k, a vertex accrues
+    (change in P) / s while its class has s members.  Each class id keeps
+    ``accrued``, the sum of (change in P) * L / s over its life, settled up
+    to ``since`` (the value of P when last settled), with L = lcm(1..n) so
+    that every division by a class size is exact.  A vertex's integral is
+    the ``accrued`` of its class plus its ``offset``: on moving from class a
+    to class b it adds ``accrued[a] - accrued[b]``, both settled.  So an
+    event touches only the vertices that move and the classes they leave or
+    join, which are settled before their size changes.
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self.lcm = math.lcm(*range(1, n + 1))
+        self.per = [0] + [self.lcm // s for s in range(1, n + 1)]  # L / s
+        self.total = 0  # P, scaled to an integer by the caller
+        self.accrued = [0] * n  # per class id
+        self.since = [0] * n  # per class id
+        self.offset = [0] * n  # per vertex
+
+    def _settle(self, c: int) -> None:
+        self.accrued[c] += (self.total - self.since[c]) * self.per[self.size[c]]
+        self.since[c] = self.total
+
+    def _move(self, w: int) -> None:
+        a, b = self.cid[w], self.by_key.get(self.masks[w] | 1 << w)
+        self._settle(a)
+        if b is not None:
+            self._settle(b)
+        super()._move(w)
+        b = self.cid[w]
+        self._settle(b)  # a fresh class id starts accruing here
+        self.offset[w] += self.accrued[a] - self.accrued[b]
+
+    def finish(self) -> list[int]:
+        """Each vertex's integral, scaled as ``total`` is and by L."""
+        for c in self.by_key.values():
+            self._settle(c)
+        return list(map(int.__add__, map(self.accrued.__getitem__, self.cid), self.offset))
 
 
 def _floats(weights: WeightVector) -> list[float]:

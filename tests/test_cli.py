@@ -5,6 +5,8 @@ checks the exit code, the JSON/CSV payload, and determinism of the output.
 """
 
 import json
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -627,3 +629,30 @@ class TestTopLevel:
         assert code == USAGE_ERROR and out == ""
         assert f"argument {flag}: expected a non-negative integer" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["weigh", "--rule", "cu", "--alpha", "x"], "--alpha"),
+            (["graph", "--r", "1/0"], "--r"),
+            (["share", "--family", "gr", "--r", "one"], "--r"),
+            (["attack", "--eps", "1e"], "--eps"),
+        ],
+    )
+    def test_malformed_numbers_name_their_flag(self, capsys, three_points_doc, argv, flag):
+        code, out, err = run(capsys, *argv, "--input", three_points_doc)
+        assert code == USAGE_ERROR and out == ""
+        assert f"argument {flag}: expected a number, got {argv[-1]!r}" in err
+        assert "Traceback" not in err
+
+    def test_python_dash_m_runs_the_cli(self, capsys, monkeypatch, three_points_doc):
+        argv = ["weigh", "--input", three_points_doc, "--rule", "cu", "--alpha", "2"]
+        code, want, _ = run(capsys, *argv)
+        assert code == OK
+        monkeypatch.setattr(sys, "argv", ["clonewt", *argv])
+        # runpy warns when the module was imported before under its own name
+        monkeypatch.delitem(sys.modules, "clonewt.__main__", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("clonewt", run_name="__main__")
+        assert exc.value.code == OK
+        assert capsys.readouterr().out == want

@@ -6,6 +6,7 @@ independent slow path, and agreement between the two on random instances
 is the main correctness evidence for the integrator.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from clonewt import (
     random_instance,
     riemann_oracle,
     sample_labels,
+    w_uniform,
 )
 from clonewt import filtration, weighting
 
@@ -162,10 +164,10 @@ def per_event_reference(inst, mw, exact):
     return acc
 
 
-def _decimal_csv(path, seed):
+def _decimal_csv(path, seed, size=8):
     """A CSV matrix of two-decimal 1-D distances with a planted duplicate."""
     rng = np.random.default_rng(seed)
-    coords = [int(c) for c in rng.integers(0, 60, size=8)]
+    coords = [int(c) for c in rng.integers(0, 60, size=size)]
     coords.append(coords[0])
     rows = [",".join(f"e{i}" for i in range(len(coords)))]
     rows += [",".join(f"{abs(a - b) / 100:.2f}" for b in coords) for a in coords]
@@ -223,17 +225,48 @@ class _PlainFiltration(Filtration):
             yield r, Graph._lazy({"n": g.n, "nbrs": g.nbrs, "labels": g.labels}, {})
 
 
+def _plain(rule):
+    """``rule`` behind a callable that ``evaluate_all`` does not recognise,
+    so that it is called on every event's graph."""
+    return lambda graph: rule(graph)
+
+
+#: a CDF that is flat on [1/4, 1]: the events there have zero increments
+_FLAT_PIECE = [(0, 0), (Fraction(1, 4), Fraction(1, 2)), (1, Fraction(1, 2)), (Fraction(3, 2), 1)]
+
+
+def _sweep_cases(kind, tmp_path):
+    """Seeded (instance, density) pairs that stress the class bookkeeping."""
+    if kind == "clouds":
+        return [(inst, Density.uniform(Fraction(3, 2))) for inst in _clouds()]
+    if kind == "flat-cdf":
+        density = Density.piecewise_linear_cdf(_FLAT_PIECE)
+        return [(inst, density) for inst in _clouds()]
+    if kind == "dense-ties":  # 61 elements at 60 two-decimal positions
+        inst = _decimal_csv(tmp_path / "ties.csv", 5, size=60)
+        return [(inst, Density.uniform(Fraction(1, 4)))]
+    rng = np.random.default_rng(7)  # 110 points on a grid of 1/32
+    pts = [[Fraction(int(c), 32) for c in rng.integers(0, 64, size=2)] for _ in range(100)]
+    pts += [list(pts[i]) for i in range(0, 100, 10)]
+    inst = load_instance({"kind": "points", "points": pts})
+    return [(inst, Density.uniform(Fraction(1, 4)))]
+
+
 class TestMaintainedClassesInTheSweep:
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("rule", ["cu", "lift:uniform", "lift:cu", "smooth:cu"])
-    def test_equal_to_classes_from_scratch(self, rule, exact, monkeypatch):
-        """Equal ``Fraction``s in exact mode, equal floats otherwise."""
-        mw = MetricWeighting.from_names(rule, Density.uniform(Fraction(3, 2)))
-        for inst in _clouds():
+    @pytest.mark.parametrize("kind", ["clouds", "flat-cdf", "dense-ties", "n110"])
+    def test_equal_to_classes_from_scratch(self, kind, rule, exact, monkeypatch, tmp_path):
+        """Against the rule called on every event's graph, with the classes
+        computed from scratch: equal ``Fraction``s in exact mode, equal
+        floats otherwise."""
+        for inst, density in _sweep_cases(kind, tmp_path):
+            mw = MetricWeighting.from_names(rule, density)
             got = evaluate_all(inst, mw, exact=exact).values
+            slow = MetricWeighting(_plain(mw.rule), density, rule_name=rule)
             with monkeypatch.context() as m:
                 m.setattr(weighting, "Filtration", _PlainFiltration)
-                want = evaluate_all(inst, mw, exact=exact).values
+                want = evaluate_all(inst, slow, exact=exact).values
             assert got == want
             assert all(type(v) is type(w) for v, w in zip(got, want))
 
@@ -252,6 +285,41 @@ class TestMaintainedClassesInTheSweep:
         assert calls == []
         equivalence_classes(Graph.from_edges(3, [(0, 1)]))
         assert calls == ["_classes_from_scratch"]
+
+
+def _counting(rule, calls):
+    """``rule`` behind a ``functools.wraps`` wrapper that records each call."""
+
+    @functools.wraps(rule)
+    def counted(graph):
+        calls.append(graph)
+        return rule(graph)
+
+    return counted
+
+
+class TestClassUniformDispatch:
+    """``cu`` and ``lift:uniform`` are integrated without a rule call per
+    event; which path a sweep takes follows the callable, not the name."""
+
+    @pytest.mark.parametrize(
+        "rule, events", [("cu", 0), ("lift:uniform", 0), ("lift:cu", 3), ("smooth:cu", 3)]
+    )
+    def test_rule_calls_per_sweep(self, three_points, rule, events):
+        """A ``functools.wraps`` wrapper (as a tracer adds) keeps the path."""
+        mw = MetricWeighting.from_names(rule, Density.uniform(2))
+        calls = []
+        wrapped = MetricWeighting(_counting(mw.rule, calls), mw.density, rule_name=rule)
+        got = evaluate_all(three_points, wrapped, exact=True)
+        assert len(calls) == events
+        assert got == evaluate_all(three_points, mw, exact=True)
+
+    def test_another_callable_named_cu_is_called_per_event(self, three_points):
+        calls = []
+        mw = MetricWeighting(_counting(w_uniform, calls), Density.uniform(2), rule_name="cu")
+        w = evaluate_all(three_points, mw, exact=True)
+        assert len(calls) == 3
+        assert w.values == (Fraction(1, 3),) * 3
 
 
 class TestMetricWeighting:
