@@ -270,16 +270,21 @@ class CliqueCover:
         )
 
 
-def _maximal_clique_masks(nbrs: Sequence[int], cap: int) -> list[int]:
+def _maximal_clique_masks(nbrs: Sequence[int], cap: int, through: int | None = None) -> list[int]:
     """Bron-Kerbosch with Tomita pivoting over bitmask vertex sets.
 
     The pivot is the vertex of P | X with the most neighbours in P, ties to
     the lowest index; candidates P minus N(pivot) are expanded in ascending
-    order.
+    order.  With a vertex mask ``through`` = T, only the maximal cliques
+    that meet T are listed: each lies in T | N(T), which a clique meeting T
+    cannot be extended out of, and a branch whose R and P both miss T is
+    cut.  The default, every vertex, lists them all.
     """
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
+        if not (r | p) & through:
+            return
         if not p:
             if not x:
                 out.append(r)
@@ -306,22 +311,74 @@ def _maximal_clique_masks(nbrs: Sequence[int], cap: int) -> list[int]:
             x |= low
             cand ^= low
 
-    if nbrs:
-        expand(0, (1 << len(nbrs)) - 1, 0)
+    if through is None:
+        through = (1 << len(nbrs)) - 1
+    p, rest = through, through
+    while rest:
+        low = rest & -rest
+        p |= nbrs[low.bit_length() - 1]
+        rest ^= low
+    expand(0, p, 0)
     return out
+
+
+def _membership(masks: Sequence[int], n: int) -> list[int]:
+    """The number of masks that hold each of the n vertices."""
+    membership = [0] * n
+    for m in masks:
+        while m:
+            low = m & -m
+            membership[low.bit_length() - 1] += 1
+            m ^= low
+    return membership
 
 
 def maximal_cliques(graph: Graph, cap: int | None = None) -> CliqueCover:
     _require_nonempty(graph)
     limit = cap if cap is not None else default_caps().cliques
     masks = _maximal_clique_masks(graph.nbrs, limit)
-    membership = [0] * graph.n
-    for m in masks:
+    return CliqueCover(tuple(masks), tuple(_membership(masks, graph.n)))
+
+
+def _mcca_pairs(masks: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """``w_mcca`` of the cover ``masks`` of an n-vertex graph, as one
+    (numerator, denominator) pair per vertex."""
+    sizes = list(map(int.bit_count, masks))
+    common = math.lcm(*set(sizes))
+    nums = [0] * n
+    for m, size in zip(masks, sizes):
+        share = common // size
         while m:
             low = m & -m
-            membership[low.bit_length() - 1] += 1
+            nums[low.bit_length() - 1] += share
             m ^= low
-    return CliqueCover(tuple(masks), tuple(membership))
+    den = len(masks) * common
+    return [(t, den) for t in nums]
+
+
+def _mccp_pairs(masks: Sequence[int], membership: Sequence[int]) -> list[tuple[int, int]]:
+    """``w_mccp`` of the cover ``masks`` with the given per-vertex
+    membership counts, as one (numerator, denominator) pair per vertex."""
+    m_lcm = math.lcm(*set(membership))
+    inverse = [m_lcm // m for m in membership]
+    sums = []
+    for m in masks:
+        s = 0
+        while m:
+            low = m & -m
+            s += inverse[low.bit_length() - 1]
+            m ^= low
+        sums.append(s)
+    d_lcm = math.lcm(*set(sums))
+    totals = [0] * len(membership)
+    for m, s in zip(masks, sums):
+        share = d_lcm // s
+        while m:
+            low = m & -m
+            totals[low.bit_length() - 1] += share
+            m ^= low
+    scale = len(masks) * d_lcm
+    return [(m_lcm * t, scale * m) for t, m in zip(totals, membership)]
 
 
 def w_mcca(graph: Graph, cap: int | None = None) -> WeightVector:
@@ -332,17 +389,7 @@ def w_mcca(graph: Graph, cap: int | None = None) -> WeightVector:
     L/|C|) / (#cliques * L): integer sums, one ``Fraction`` per value.
     """
     masks = maximal_cliques(graph, cap).masks
-    sizes = list(map(int.bit_count, masks))
-    common = math.lcm(*set(sizes))
-    nums = [0] * graph.n
-    for m, size in zip(masks, sizes):
-        share = common // size
-        while m:
-            low = m & -m
-            nums[low.bit_length() - 1] += share
-            m ^= low
-    den = len(masks) * common
-    return WeightVector(_shared_fractions((t, den) for t in nums), graph.labels)
+    return WeightVector(_shared_fractions(_mcca_pairs(masks, graph.n)), graph.labels)
 
 
 def w_mccp(graph: Graph, cap: int | None = None) -> WeightVector:
@@ -357,30 +404,8 @@ def w_mccp(graph: Graph, cap: int | None = None) -> WeightVector:
     per distinct (T_v, m_v).
     """
     cover = maximal_cliques(graph, cap)
-    masks, membership = cover.masks, cover.membership
-    m_lcm = math.lcm(*set(membership))
-    inverse = [m_lcm // m for m in membership]
-    sums = []
-    for m in masks:
-        s = 0
-        while m:
-            low = m & -m
-            s += inverse[low.bit_length() - 1]
-            m ^= low
-        sums.append(s)
-    d_lcm = math.lcm(*set(sums))
-    totals = [0] * graph.n
-    for m, s in zip(masks, sums):
-        share = d_lcm // s
-        while m:
-            low = m & -m
-            totals[low.bit_length() - 1] += share
-            m ^= low
-    scale = len(masks) * d_lcm
-    return WeightVector(
-        _shared_fractions((m_lcm * t, scale * m) for t, m in zip(totals, membership)),
-        graph.labels,
-    )
+    pairs = _mccp_pairs(cover.masks, cover.membership)
+    return WeightVector(_shared_fractions(pairs), graph.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,22 @@ from fractions import Fraction
 
 import numpy as np
 
+from .caps import CapExceeded, default_caps
 from .filtration import Filtration, _TwinState, neighborhood_graph
 from .metric import MetricInstance, _fraction
 from .rules import (
     Rule,
     WeightVector,
+    _maximal_clique_masks,
+    _mcca_pairs,
+    _mccp_pairs,
+    _membership,
     _shared_fractions,
     parse_rule,
     rule_is_rational,
     w_cu,
+    w_mcca,
+    w_mccp,
     w_uniform,
 )
 
@@ -154,20 +161,53 @@ def _increments(filtration: Filtration, density: Density, exact: bool) -> list:
     """The CDF increment of each constant piece of the filtration, from r = 0
     up to the first radius and then from each radius to the next (or to
     alpha); the CDF is evaluated once per radius."""
-    alpha = density.alpha if exact else float(density.alpha)
-    cdf = density.cdf if exact else (lambda r: float(density.cdf(r)))
-    values = [cdf(r) for r in [0, *filtration.radii, alpha]]
+    radii = [0, *filtration.radii, density.alpha if exact else float(density.alpha)]
+    values = list(map(density.cdf, radii)) if exact else _float_cdf(density, radii)
     return [above - below for below, above in zip(values, values[1:])]
 
 
+def _float_cdf(density: Density, radii: list) -> list[float]:
+    """``float(density.cdf(r))`` for ascending floats (or ints) r, in integers.
+
+    On the knot piece from r0 to r1 the CDF is c + s * r, and with c and s
+    over a common denominator L, c0 / L and c1 / L, a radius p / q has the
+    value (c0 * q + c1 * p) / (L * q).  Knots and alpha are compared in
+    integers too, and the one ``int / int`` per radius rounds correctly,
+    as ``float(Fraction)`` does, so the floats are the same bit for bit.
+    """
+    pieces = []  # (right end, c0, c1, L) per knot piece
+    for (r0, f0), (r1, f1) in zip(density.knots, density.knots[1:]):
+        slope = (f1 - f0) / (r1 - r0)
+        start = f0 - slope * r0
+        common = math.lcm(start.denominator, slope.denominator)
+        pieces.append((r1, start.numerator * (common // start.denominator),
+                       slope.numerator * (common // slope.denominator), common))
+    alpha, k, out = density.alpha, 0, []
+    for r in radii:
+        p, q = r.as_integer_ratio()
+        if p <= 0:
+            out.append(0.0)
+        elif p * alpha.denominator >= alpha.numerator * q:
+            out.append(1.0)
+        else:
+            # the piece whose right end lies above r; radii ascend, so k does
+            while p * pieces[k][0].denominator >= pieces[k][0].numerator * q:
+                k += 1
+            _, c0, c1, common = pieces[k]
+            out.append((c0 * q + c1 * p) / (common * q))
+    return out
+
+
 def _sweep(inst: MetricInstance, mw: MetricWeighting, exact: bool):
-    """Yield (graph, cdf increment) per constant piece of the filtration
-    with a nonzero increment."""
+    """Yield (weights, increment) per constant piece of the filtration with
+    a nonzero increment, calling the rule on the piece's graph: its
+    ``WeightVector`` in exact mode, ``float(w(v))`` per vertex otherwise."""
     filtration = Filtration(inst, mw.density.alpha, exact=exact)
     increments = _increments(filtration, mw.density, exact)
     for (_, graph), increment in zip(filtration.graphs(), increments):
         if increment != 0:
-            yield graph, increment
+            weights = mw.rule(graph)
+            yield (weights if exact else _floats(weights)), increment
 
 
 def _class_uniform(rule: Rule) -> bool:
@@ -183,6 +223,19 @@ def _class_uniform(rule: Rule) -> bool:
     return fn is w_cu or getattr(fn, "lifted", None) is w_uniform
 
 
+def _clique_pairs(rule: Rule):
+    """For ``mcca`` or ``mccp``, wrapped or not, the function from a
+    clique cover (masks, n) to the rule's weights as integer (numerator,
+    denominator) pairs; ``None`` for every other rule.  As for
+    ``_class_uniform``, the rule is told by its callable, not its name."""
+    fn = inspect.unwrap(rule)
+    if fn is w_mcca:
+        return _mcca_pairs
+    if fn is w_mccp:
+        return lambda masks, n: _mccp_pairs(masks, _membership(masks, n))
+    return None
+
+
 def evaluate_all(
     inst: MetricInstance, mw: MetricWeighting, *, exact: bool = False
 ) -> WeightVector:
@@ -192,8 +245,9 @@ def evaluate_all(
     rationals and the result sums to 1 exactly; the rule must be
     rational-valued (the entropy rule is not).  The class-uniform rules
     (``cu``, ``lift:uniform``) are integrated from the duplicate classes the
-    sweep keeps, without a rule call per event; every other rule is called
-    on each event's graph.
+    sweep keeps, and the maximal-clique rules (``mcca``, ``mccp``) from the
+    clique cover it keeps, without a rule call per event; every other rule
+    is called on each event's graph.
     """
     if exact and not mw.exact_capable:
         raise ValueError(
@@ -202,13 +256,18 @@ def evaluate_all(
         )
     if _class_uniform(mw.rule):
         return WeightVector(_class_uniform_sweep(inst, mw.density, exact), inst.labels)
+    pairs = _clique_pairs(mw.rule)
+    if pairs is not None:
+        steps = _clique_sweep(inst, mw.density, exact, pairs)
+    else:
+        steps = _sweep(inst, mw, exact)
     n = inst.n
     if not exact:
         acc = np.zeros(n)
-        for graph, increment in _sweep(inst, mw, exact):
+        for weights, increment in steps:
             # elementwise multiply-then-add in vertex order: the same float
             # operations as a per-vertex loop, so the result is bit-identical
-            acc += increment * np.array(_floats(mw.rule(graph)))
+            acc += increment * np.array(weights)
         return WeightVector(tuple(acc.tolist()), inst.labels)
 
     # exact: one Fraction product per distinct rule value and one sum per
@@ -216,14 +275,53 @@ def evaluate_all(
     # class, and vertices with equal histories share their running total, so
     # only the grouping by id pairs runs over every vertex, in C-level passes.
     acc = [Fraction(0)] * n
-    for graph, increment in _sweep(inst, mw, exact):
-        weights = mw.rule(graph)
+    for weights, increment in steps:
         terms = {key: increment * v for key, v in weights.distinct.items()}
         keys = list(zip(map(id, acc), map(id, weights.values)))
         totals = dict(zip(keys, acc))
         sums = {key: total + terms[key[1]] for key, total in totals.items()}
         acc = list(map(sums.__getitem__, keys))
     return WeightVector(tuple(acc), inst.labels)
+
+
+def _clique_sweep(inst: MetricInstance, density: Density, exact: bool, pairs_of):
+    """What ``_sweep`` yields, for a maximal-clique rule whose weights
+    ``pairs_of`` reads off a clique cover, without a graph or rule call per
+    piece.  Float mode divides each distinct integer pair once; ``int /
+    int`` rounds as ``float(Fraction)`` does.
+
+    The cover is kept as bitmasks.  After edges are added, with T their
+    endpoints, a maximal clique that misses T is still maximal: a vertex
+    that could extend it would have gained an edge into it, so it would be
+    in T.  The new cover is therefore the old cliques that miss T plus the
+    cliques of the new graph that meet T, which Bron-Kerbosch lists from
+    T | N(T).  The cover is only brought up to date at the pieces that are
+    read, with T collected over the events since, so the ``cliques`` cap is
+    checked on the same graphs as a per-event rule call checks it.
+    """
+    filtration = Filtration(inst, density.alpha, exact=exact)
+    increments = _increments(filtration, density, exact)
+    n, labels, cap = inst.n, inst.labels, default_caps().cliques
+    nbrs, cover = [0] * n, []
+    touched = (1 << n) - 1  # the first cover read is enumerated in full
+    for pairs, increment in zip([filtration.base, *filtration.pairs], increments):
+        for u, v in pairs:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+            touched |= 1 << u | 1 << v
+        if increment == 0:
+            continue
+        cover = [c for c in cover if not c & touched]
+        cover += _maximal_clique_masks(nbrs, cap, touched)
+        if len(cover) > cap:
+            raise CapExceeded("maximal-clique enumeration", "cliques", cap)
+        touched = 0
+        weights = pairs_of(cover, n)
+        if exact:
+            yield WeightVector(_shared_fractions(weights), labels), increment
+        else:
+            made = {pair: pair[0] / pair[1] for pair in set(weights)}
+            yield list(map(made.__getitem__, weights)), increment
 
 
 def _class_uniform_sweep(inst: MetricInstance, density: Density, exact: bool) -> tuple:

@@ -385,6 +385,19 @@ class TestIntegerArithmeticRules:
         for g in differential_graphs():
             assert _maximal_clique_masks(g.nbrs, 10**6) == reference_clique_masks(g.nbrs, 10**6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=11), st.data())
+    def test_cliques_through_a_vertex_set(self, g, data):
+        """With ``through`` = T, the enumeration lists exactly the maximal
+        cliques that meet T, each once; T = every vertex lists them all,
+        in the same order as the default."""
+        through = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+        every = _maximal_clique_masks(g.nbrs, 10**6)
+        got = _maximal_clique_masks(g.nbrs, 10**6, through)
+        assert len(got) == len(set(got))
+        assert set(got) == {c for c in every if c & through}
+        assert _maximal_clique_masks(g.nbrs, 10**6, (1 << g.n) - 1) == every
+
     def test_sorted_cliques_are_built_when_read(self, paw):
         cover = maximal_cliques(paw)
         assert "cliques" not in vars(cover)

@@ -7,6 +7,7 @@ is the main correctness evidence for the integrator.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonewt import (
+    CapExceeded,
     Density,
     Filtration,
     Graph,
@@ -31,6 +33,7 @@ from clonewt import (
     w_uniform,
 )
 from clonewt import filtration, weighting
+from clonewt.rules import _maximal_clique_masks, _mcca_pairs
 
 
 class TestDensity:
@@ -231,12 +234,24 @@ def _plain(rule):
     return lambda graph: rule(graph)
 
 
+def _l1_lattice(seed, side=7):
+    """Jittered integer lattice points under the L1 metric, in multiples
+    of 1/16, with planted copies: many tied distances, so dense events."""
+    rng = np.random.default_rng(seed)
+    pts = [(2 * i + int(rng.integers(0, 2)), 2 * j + int(rng.integers(0, 2)))
+           for i in range(side) for j in range(side)]
+    pts += [pts[int(k)] for k in rng.integers(0, len(pts), size=4)]
+    dist = [[Fraction(abs(a - c) + abs(b - d), 16) for c, d in pts] for a, b in pts]
+    return load_instance({"kind": "matrix", "distances": dist})
+
+
 #: a CDF that is flat on [1/4, 1]: the events there have zero increments
 _FLAT_PIECE = [(0, 0), (Fraction(1, 4), Fraction(1, 2)), (1, Fraction(1, 2)), (Fraction(3, 2), 1)]
 
 
 def _sweep_cases(kind, tmp_path):
-    """Seeded (instance, density) pairs that stress the class bookkeeping."""
+    """Seeded (instance, density) pairs that stress the sweep's bookkeeping
+    of duplicate classes and clique covers."""
     if kind == "clouds":
         return [(inst, Density.uniform(Fraction(3, 2))) for inst in _clouds()]
     if kind == "flat-cdf":
@@ -245,6 +260,8 @@ def _sweep_cases(kind, tmp_path):
     if kind == "dense-ties":  # 61 elements at 60 two-decimal positions
         inst = _decimal_csv(tmp_path / "ties.csv", 5, size=60)
         return [(inst, Density.uniform(Fraction(1, 4)))]
+    if kind == "l1-lattice":  # events that add many pairs at once
+        return [(_l1_lattice(seed), Density.uniform(Fraction(1, 2))) for seed in (1, 2)]
     rng = np.random.default_rng(7)  # 110 points on a grid of 1/32
     pts = [[Fraction(int(c), 32) for c in rng.integers(0, 64, size=2)] for _ in range(100)]
     pts += [list(pts[i]) for i in range(0, 100, 10)]
@@ -252,14 +269,19 @@ def _sweep_cases(kind, tmp_path):
     return [(inst, Density.uniform(Fraction(1, 4)))]
 
 
+SWEEP_KINDS = ["clouds", "flat-cdf", "dense-ties", "l1-lattice", "n110"]
+
+
 class TestMaintainedClassesInTheSweep:
     @pytest.mark.parametrize("exact", [False, True])
-    @pytest.mark.parametrize("rule", ["cu", "lift:uniform", "lift:cu", "smooth:cu"])
-    @pytest.mark.parametrize("kind", ["clouds", "flat-cdf", "dense-ties", "n110"])
+    @pytest.mark.parametrize(
+        "rule", ["cu", "lift:uniform", "lift:cu", "smooth:cu", "mcca", "mccp"]
+    )
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_equal_to_classes_from_scratch(self, kind, rule, exact, monkeypatch, tmp_path):
         """Against the rule called on every event's graph, with the classes
-        computed from scratch: equal ``Fraction``s in exact mode, equal
-        floats otherwise."""
+        (and, for ``mcca`` and ``mccp``, the clique cover) computed from
+        scratch: equal ``Fraction``s in exact mode, equal floats otherwise."""
         for inst, density in _sweep_cases(kind, tmp_path):
             mw = MetricWeighting.from_names(rule, density)
             got = evaluate_all(inst, mw, exact=exact).values
@@ -299,11 +321,14 @@ def _counting(rule, calls):
 
 
 class TestClassUniformDispatch:
-    """``cu`` and ``lift:uniform`` are integrated without a rule call per
-    event; which path a sweep takes follows the callable, not the name."""
+    """``cu``, ``lift:uniform``, ``mcca`` and ``mccp`` are integrated
+    without a rule call per event; which path a sweep takes follows the
+    callable, not the name."""
 
     @pytest.mark.parametrize(
-        "rule, events", [("cu", 0), ("lift:uniform", 0), ("lift:cu", 3), ("smooth:cu", 3)]
+        "rule, events",
+        [("cu", 0), ("lift:uniform", 0), ("lift:cu", 3), ("smooth:cu", 3), ("mcca", 0),
+         ("mccp", 0), ("lift:mcca", 3), ("smooth:mcca", 3), ("lift:mccp", 3)],
     )
     def test_rule_calls_per_sweep(self, three_points, rule, events):
         """A ``functools.wraps`` wrapper (as a tracer adds) keeps the path."""
@@ -320,6 +345,144 @@ class TestClassUniformDispatch:
         w = evaluate_all(three_points, mw, exact=True)
         assert len(calls) == 3
         assert w.values == (Fraction(1, 3),) * 3
+
+    def test_another_callable_named_mcca_is_called_per_event(self, three_points):
+        calls = []
+        mw = MetricWeighting(_counting(w_uniform, calls), Density.uniform(2), rule_name="mcca")
+        w = evaluate_all(three_points, mw, exact=True)
+        assert len(calls) == 3
+        assert w.values == (Fraction(1, 3),) * 3
+
+
+@st.composite
+def densities(draw):
+    """Uniform densities and piecewise-linear CDFs (flat pieces included)
+    on [0, alpha] with rational knots."""
+    alpha = Fraction(draw(st.integers(1, 400)), draw(st.integers(1, 64)))
+    if draw(st.booleans()):
+        return Density.uniform(alpha)
+    cuts = draw(st.lists(st.integers(1, 999), min_size=1, max_size=5, unique=True))
+    levels = sorted(draw(st.lists(st.fractions(0, 1, max_denominator=50),
+                                  min_size=len(cuts), max_size=len(cuts))))
+    knots = [(0, 0), *((alpha * Fraction(c, 1000), f) for c, f in zip(sorted(cuts), levels)),
+             (alpha, 1)]
+    return Density.piecewise_linear_cdf(knots)
+
+
+class TestFloatCdf:
+    @settings(max_examples=300, deadline=None)
+    @given(densities(), st.lists(st.floats(-1, 1000, allow_nan=False), max_size=40))
+    def test_equal_to_the_fraction_cdf(self, density, drawn):
+        """Bit for bit ``float(density.cdf(r))``, at knot radii, 0,
+        ``float(alpha)`` and radii past alpha too."""
+        alpha = float(density.alpha)
+        knots = [float(r) for r in density.knot_radii()]
+        near = [math.nextafter(r, d) for r in knots for d in (0, math.inf)]
+        radii = sorted([0, 0.0, alpha, 2 * alpha, *knots, *near, *drawn])
+        got = weighting._float_cdf(density, radii)
+        assert got == [float(density.cdf(r)) for r in radii]
+        assert all(type(v) is float for v in got)
+
+
+def _read_graphs(inst, density, exact):
+    """The sweep graphs that the per-event loop passes to the rule."""
+    filt = Filtration(inst, density.alpha, exact=exact)
+    increments = weighting._increments(filt, density, exact)
+    return [g for (_, g), inc in zip(filt.graphs(), increments) if inc != 0]
+
+
+#: six points with d = 2 between the pairs (0, 1), (2, 3), (4, 5) and d = 1
+#: otherwise: G_r is edgeless, then the octahedron (8 maximal cliques), then K6
+_OCTAHEDRON = [[0 if i == j else 2 if i // 2 == j // 2 else 1 for j in range(6)]
+               for i in range(6)]
+#: a CDF flat on [1, 2], so the octahedron is never read
+_SKIP_OCTAHEDRON = [(0, 0), (1, Fraction(1, 2)), (2, Fraction(1, 2)), (3, 1)]
+
+
+class TestKeptCliqueCover:
+    """``mcca`` and ``mccp`` are integrated from a clique cover kept across
+    the sweep, re-enumerated only through the vertices the events touch."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_cover_equals_enumeration_from_scratch(self, kind, exact, tmp_path):
+        """At every read piece, as a set of masks, each clique once."""
+        for inst, density in _sweep_cases(kind, tmp_path):
+            covers = []
+
+            def record(masks, n):
+                covers.append(list(masks))
+                return _mcca_pairs(masks, n)
+
+            list(weighting._clique_sweep(inst, density, exact, record))
+            want = [set(_maximal_clique_masks(g.nbrs, 10**6))
+                    for g in _read_graphs(inst, density, exact)]
+            assert len(covers) == len(want)
+            assert all(len(c) == len(set(c)) for c in covers)
+            assert [set(c) for c in covers] == want
+
+    @pytest.mark.parametrize("rule", ["mcca", "mccp"])
+    def test_cap_raises_as_in_the_per_event_loop(self, rule, monkeypatch):
+        """Under every cap up to the largest cover read, the sweep raises
+        the loop's ``CapExceeded`` or gives its weights."""
+        inst, density = _clouds()[1], Density.uniform(Fraction(3, 2))
+        largest = max(len(_maximal_clique_masks(g.nbrs, 10**6))
+                      for g in _read_graphs(inst, density, False))
+        mw = MetricWeighting.from_names(rule, density)
+        slow = MetricWeighting(_plain(mw.rule), density, rule_name=rule)
+
+        def outcome(which, exact):
+            try:
+                return evaluate_all(inst, which, exact=exact)
+            except CapExceeded as error:
+                return str(error), error.cap_name, error.limit
+
+        raised = 0
+        for cap in range(1, largest + 1):
+            monkeypatch.setenv("CLONEWT_CAPS", f"cliques={cap}")
+            for exact in (False, True):
+                got = outcome(mw, exact)
+                assert got == outcome(slow, exact), f"cap {cap}"
+                raised += isinstance(got, tuple)
+        assert raised == 2 * (largest - 1)
+
+    @pytest.mark.parametrize("rule", ["mcca", "mccp"])
+    def test_cap_counts_the_kept_cliques(self, rule, monkeypatch):
+        """Closing the path 0-1-...-7 into a cycle makes 8 maximal cliques,
+        though only 3 of them meet the new edge's endpoints."""
+        n = 8
+        dist = [[min(abs(i - j), min(i, j) + Fraction(3, 2) + n - 1 - max(i, j))
+                 for j in range(n)] for i in range(n)]
+        inst = load_instance({"kind": "matrix", "distances": dist})
+        density = Density.piecewise_linear_cdf([(0, 0), (1, 0), (Fraction(7, 4), 1)])
+        read = _read_graphs(inst, density, False)
+        assert [len(_maximal_clique_masks(g.nbrs, 10**6)) for g in read] == [7, 8]
+        mw = MetricWeighting.from_names(rule, density)
+        monkeypatch.setenv("CLONEWT_CAPS", "cliques=7")
+        for exact in (False, True):
+            with pytest.raises(CapExceeded, match="cliques=7"):
+                evaluate_all(inst, mw, exact=exact)
+            with pytest.raises(CapExceeded, match="cliques=7"):
+                evaluate_all(inst, MetricWeighting(_plain(mw.rule), density), exact=exact)
+
+    @pytest.mark.parametrize("rule", ["mcca", "mccp"])
+    def test_cap_ignores_graphs_that_are_not_read(self, rule, monkeypatch):
+        """Only the unread octahedron has more than 7 maximal cliques."""
+        inst = load_instance({"kind": "matrix", "distances": _OCTAHEDRON})
+        density = Density.piecewise_linear_cdf(_SKIP_OCTAHEDRON)
+        filt = Filtration(inst, density.alpha)
+        sizes = [len(_maximal_clique_masks(g.nbrs, 10**6)) for _, g in filt.graphs()]
+        assert sizes == [6, 8, 1]
+        mw = MetricWeighting.from_names(rule, density)
+        slow = MetricWeighting(_plain(mw.rule), density, rule_name=rule)
+        monkeypatch.setenv("CLONEWT_CAPS", "cliques=7")
+        for exact in (False, True):
+            assert evaluate_all(inst, mw, exact=exact) == evaluate_all(inst, slow, exact=exact)
+        monkeypatch.setenv("CLONEWT_CAPS", "cliques=5")
+        with pytest.raises(CapExceeded, match="cliques=5"):
+            evaluate_all(inst, mw)
+        with pytest.raises(CapExceeded, match="cliques=5"):
+            evaluate_all(inst, slow)
 
 
 class TestMetricWeighting:
