@@ -401,7 +401,13 @@ def _cmd_sample(args) -> int:
 def _add_common(sub, *, instance=False, density=False, output=True):
     if instance:
         sub.add_argument("--input", help="instance document (JSON points/matrix or CSV)")
-        sub.add_argument("--tol", type=float, default=None, help="triangle tolerance")
+        sub.add_argument(
+            "--tol",
+            type=float,
+            default=None,
+            help="triangle tolerance for matrix and CSV input "
+            "(point clouds are metric by construction)",
+        )
     if density:
         sub.add_argument("--alpha", type=_number, default=None, help="disambiguation factor")
         sub.add_argument(

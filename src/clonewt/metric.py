@@ -45,6 +45,9 @@ def _fraction(value: Number) -> Fraction:
 
 
 def _validate(d: np.ndarray, tol: float) -> None:
+    """Reject ``d`` unless it is a pseudo-metric up to triangle slack ``tol``,
+    naming the first fault.  Point input skips this: ``_point_distances`` is
+    a metric by construction, up to a rounding bound that the tests check."""
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise MetricError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
@@ -144,19 +147,6 @@ def _exact_matrix_from_points_1d(coords: list[Number]) -> tuple[tuple[Fraction, 
     return tuple(tuple(abs(a - b) for b in pts) for a in pts)
 
 
-def _rounding_slack(dist: np.ndarray, dim: int) -> float:
-    """Bound on the triangle slack d_ij - d_ik - d_kj that rounding alone
-    gives distances computed from dim-dimensional float points.
-
-    A computed distance is within (dim + 3) unit roundoffs of itself (one
-    rounding per difference and square, dim - 1 in the sum, one in the
-    square root; Higham, Accuracy and Stability of Numerical Algorithms,
-    §3).  A slack adds three such errors and two roundings of at most
-    2 * max(d) each.
-    """
-    return (3 * (dim + 3) + 4) * (np.finfo(float).eps / 2) * float(dist.max(initial=0.0))
-
-
 def _point_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix of a point cloud.
 
@@ -164,7 +154,9 @@ def _point_distances(points: np.ndarray) -> np.ndarray:
     a distance exceeds about 1e154.  Only the entries where it does are
     recomputed with scaling: halve the coordinates (so their difference
     cannot overflow), divide by the largest difference and scale back.  The
-    other entries keep the plain pass's value, bit for bit.
+    other entries keep the plain pass's value, bit for bit.  The matrix is
+    exactly symmetric (d(j, i) squares the negated differences of d(i, j)),
+    non-negative and zero on the diagonal.
     """
     with np.errstate(over="ignore"):
         diffs = points[:, None, :] - points[None, :, :]
@@ -182,7 +174,8 @@ def _instance_from_points(
     labels: tuple[str, ...], points: np.ndarray, raw_coords: list | None, tol: float
 ) -> MetricInstance:
     dist = _point_distances(points)
-    _validate(dist, tol + _rounding_slack(dist, points.shape[1]))
+    if not np.isfinite(dist).all():
+        raise MetricError("distance matrix contains non-finite entries")
     dist_exact = None
     if points.shape[1] == 1:
         coords = [row[0] for row in raw_coords] if raw_coords is not None else list(points[:, 0])

@@ -164,6 +164,19 @@ class TestWeigh:
         assert code == USAGE_ERROR
         assert "expected a number" in err
 
+    def test_tol_admits_a_small_triangle_violation_in_a_matrix(self, capsys, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(
+            {"kind": "matrix", "distances": [[0, 1, 2.01], [1, 0, 1], [2.01, 1, 0]]}
+        ))
+        argv = ["weigh", "--input", str(path), "--rule", "cu", "--alpha", "1"]
+        code, _, err = run(capsys, *argv)
+        assert code == USAGE_ERROR
+        assert "triangle inequality violated by 1.000e-02 > tol=1e-09" in err
+        code, out, _ = run(capsys, *argv, "--tol", "0.1")
+        assert code == OK
+        assert set(json.loads(out)["weights"]) == {"e0", "e1", "e2"}
+
 
 class TestGraphExport:
     """`clonewt graph` writes the neighbourhood graph as labelled edge lines."""

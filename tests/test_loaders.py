@@ -217,8 +217,9 @@ def broken_csv_tables(draw):
     n = len(rows)
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     fault = draw(st.sampled_from(
-        ["header-only", "missing-row", "ragged", "cell"]
-        + (["asymmetric", "duplicate-labels"] if n > 1 else [])
+        ["header-only", "missing-row", "ragged", "cell", "diagonal"]
+        + (["asymmetric", "negative", "duplicate-labels"] if n > 1 else [])
+        + (["triangle"] if n > 2 else [])
     ))
     if fault == "header-only":
         return header, [], "expected a header row plus a square matrix"
@@ -231,10 +232,20 @@ def broken_csv_tables(draw):
     if fault == "cell":
         rows[i][j] = draw(st.sampled_from(["abc", "", "1/2", "nan", "inf", "0x10"]))
         return header, rows, "is not a finite decimal number"
-    if fault == "asymmetric":
+    if fault == "diagonal":
+        rows[i][i] = "1"
+        return header, rows, "nonzero diagonal"
+    if fault in ("asymmetric", "negative", "triangle"):
         i, j = draw(st.permutations(range(n)))[:2]
+    if fault == "asymmetric":
         rows[i][j] = "3"
         return header, rows, "asymmetric entries"
+    if fault == "negative":
+        rows[i][j] = rows[j][i] = "-1"
+        return header, rows, "negative distance"
+    if fault == "triangle":
+        rows[i][j] = rows[j][i] = "5"
+        return header, rows, "triangle inequality violated"
     header = ["dup"] + list(header[1:-1]) + ["dup"]
     return header, rows, "labels must be unique"
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clonewt import (
@@ -23,7 +23,51 @@ from clonewt import (
     load_instance,
     random_instance,
 )
-from clonewt.metric import DEFAULT_TRIANGLE_TOL, _fraction, _rounding_slack, _validate
+from clonewt.metric import DEFAULT_TRIANGLE_TOL, _fraction, _point_distances, _validate
+
+
+def _rounding_slack(dist: np.ndarray, dim: int) -> float:
+    """Bound on the triangle slack d_ij - d_ik - d_kj that rounding alone
+    gives distances computed from dim-dimensional float points.
+
+    A computed distance is within (dim + 3) unit roundoffs of itself (one
+    rounding per difference and square, dim - 1 in the sum, one in the
+    square root; Higham, Accuracy and Stability of Numerical Algorithms,
+    §3).  A slack adds three such errors and two roundings of at most
+    2 * max(d) each.
+    """
+    return (3 * (dim + 3) + 4) * (np.finfo(float).eps / 2) * float(dist.max(initial=0.0))
+
+
+@st.composite
+def point_clouds(draw):
+    """Uniform, collinear, and tight far-off clusters of 2-8 points in 1-4
+    dimensions, at coordinate scales from 1e-8 to 1e200: near-collinear
+    triples put the triangle slack at rounding level, and past 1e154 the
+    distances come from the rescaled pass of ``_point_distances``."""
+    dim, n = draw(st.integers(1, 4)), draw(st.integers(2, 8))
+    scale = 10.0 ** draw(st.integers(-8, 200))
+    shape = draw(st.sampled_from(["uniform", "collinear", "clusters"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "uniform":
+        return rng.uniform(-scale, scale, (n, dim))
+    if shape == "collinear":
+        along = rng.uniform(0, scale, (n, 1))
+        return rng.uniform(-scale, scale, dim) + along * rng.normal(size=dim)
+    centres = rng.uniform(-scale, scale, (draw(st.integers(1, 3)), dim))
+    spread = scale * 10.0 ** -draw(st.integers(3, 12))
+    return centres[rng.integers(len(centres), size=n)] + rng.uniform(-spread, spread, (n, dim))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def raw_point_clouds(draw):
+    """Any finite coordinates, subnormal to near the float maximum."""
+    dim = draw(st.integers(1, 4))
+    rows = st.lists(st.lists(FINITE, min_size=dim, max_size=dim), min_size=1, max_size=6)
+    return np.array(draw(rows))
 
 
 class TestLoadInstance:
@@ -114,6 +158,7 @@ class TestLoadInstance:
         for xs in self._collinear_clouds():
             inst = load_instance({"kind": "points", "points": [[x, 2 * x] for x in xs.tolist()]})
             assert inst.tol == DEFAULT_TRIANGLE_TOL
+            _validate(inst.dist, _rounding_slack(inst.dist, 2))
 
     def test_genuine_violation_at_that_scale_is_rejected(self):
         """The rounding allowance stays far below a real 1e-3 violation."""
@@ -150,6 +195,31 @@ class TestLoadInstance:
         again = load_instance(json.loads(json.dumps(doc)))
         assert again.labels == three_points.labels
         np.testing.assert_allclose(again.dist, three_points.dist)
+
+
+class TestPointCloudsAreMetric:
+    """Point input is not run through ``_validate``.  These tests check the
+    two facts that make that safe: the rounding bound on the triangle
+    slack, and the exact symmetry of ``_point_distances``."""
+
+    @given(point_clouds())
+    @settings(max_examples=300, deadline=None)
+    def test_loaded_distances_pass_the_triangle_check_within_the_rounding_bound(self, points):
+        """The full check at tol 0, so the bound alone absorbs the rounding."""
+        dist = load_instance({"kind": "points", "points": points.tolist()}).dist
+        _validate(dist, _rounding_slack(dist, points.shape[1]))
+
+    @given(raw_point_clouds())
+    @example(np.array([[0.0, 0.0], [3e200, 4e200], [1.0, 0.0]]))
+    @example(np.array([[-1e308], [1e308], [0.0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_point_distances_are_symmetric_non_negative_with_a_zero_diagonal(self, points):
+        """Also for the entries rescaled past 1e154 and those that overflow
+        to +inf, which loading then rejects as non-finite."""
+        d = _point_distances(points)
+        assert np.array_equal(d, d.T)
+        assert (np.diag(d) == 0).all()
+        assert (d >= 0).all()  # no negative entry and no NaN
 
 
 class TestAddClone:
