@@ -68,16 +68,22 @@ def _number(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
 
 
-def _count(text: str) -> int:
-    """Parse a CLI count: a non-negative integer."""
+def _count(text: str, least: int = 0) -> int:
+    """Parse a CLI count: an integer of at least ``least`` (0 or 1)."""
     try:
         value = int(text)
     except ValueError:
         pass
     else:
-        if value >= 0:
+        if value >= least:
             return value
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    kind = "positive" if least else "non-negative"
+    raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+
+
+def _positive(text: str) -> int:
+    """Parse a CLI count that must be at least 1."""
+    return _count(text, 1)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -448,7 +454,7 @@ def _build_parser() -> _Parser:
     share.add_argument("--rule", default="cu", help="graph rule for --graph mode")
     share.add_argument("--family", choices=("gr", "fnu"), default=None)
     share.add_argument("--r", type=_number, default=None, help="radius for --family gr")
-    share.add_argument("--samples", type=int, default=10**6)
+    share.add_argument("--samples", type=_positive, default=10**6)
     share.add_argument("--seed", type=int, default=None)
     share.add_argument("--exact", action="store_true", help="parse decimal inputs exactly")
     share.set_defaults(func=_cmd_share)

@@ -46,6 +46,9 @@ Z99 = 2.5758293035489004
 
 _QUAD_BUDGET = 1e-6
 
+#: midpoint radius cells of a Monte-Carlo ``f_nu`` estimate
+_RADIUS_CELLS = 64
+
 
 def _normalize(points):
     """Classify a point set as exact 1-D coordinates or an nd float array."""
@@ -274,7 +277,7 @@ def _child_states(seq: np.random.SeedSequence, n: int) -> np.ndarray:
 
     Unlike ``spawn``, this cannot advance ``seq.n_children_spawned``, which
     is read-only: a second call returns the same words, so pass each seed
-    to one estimate only.
+    to one set of draws only.
     """
     size = len(seq.pool)
     run, key = _words(seq.entropy), _words(seq.spawn_key)
@@ -317,16 +320,25 @@ class _Words(np.random.bit_generator.ISeedSequence):
 _BLOCK = 1 << 14
 
 
-def _stratified(balls: _Balls, samples: int, seed, *integrands) -> list[np.ndarray]:
-    """Each ``integrand(member, counts)`` at stratified uniform draws over
-    the balls' bounding box, as a (strata, draws per stratum) array.  Each
-    stratum draws from its own generator, seeded as ``default_rng`` seeds
-    it from its child of ``seed``, so the draws do not depend on how strata
-    are grouped into blocks."""
+def _check_draws(samples: int, seed) -> None:
     if seed is None:
         raise ValueError("Monte-Carlo estimates require an explicit seed")
     if samples <= 0:
         raise ValueError(f"need a positive sample count, got {samples}")
+
+
+def _stratified(balls: _Balls, samples: int, seed, integrands):
+    """Each ``integrand(member, counts)`` at stratified uniform draws over
+    the balls' bounding box, as a (strata, draws per stratum) array.  Each
+    stratum draws from its own generator, seeded as ``default_rng`` seeds
+    it from its child of ``seed``, so the draws do not depend on how strata
+    are grouped into blocks.
+
+    The draws are made and their membership taken now; the integrands are
+    evaluated lazily, one per step of the returned iterator, so a caller
+    with many integrands holds one float array at a time next to the
+    (samples, balls) membership and the counts."""
+    _check_draws(samples, seed)
     lo, hi = balls.box()
     shape = (max(1, round(64 ** (1.0 / balls.dim))),) * balls.dim  # about 64 strata
     n_strata = int(np.prod(shape))
@@ -335,17 +347,15 @@ def _stratified(balls: _Balls, samples: int, seed, *integrands) -> list[np.ndarr
     origins = lo + np.indices(shape).reshape(balls.dim, -1).T * cell
     states = _child_states(_as_seedseq(seed), n_strata)
     step = max(1, _BLOCK // (n_each * len(balls.centers)))
-    parts: list[list[np.ndarray]] = [[] for _ in integrands]
+    member = np.empty((n_strata * n_each, len(balls.centers)), dtype=bool)
     for first in range(0, n_strata, step):
         stop = min(first + step, n_strata)
         draws = [np.random.Generator(np.random.PCG64(_Words(states[s])))
                  .random((n_each, balls.dim)) for s in range(first, stop)]
         zs = np.repeat(origins[first:stop], n_each, axis=0) + np.concatenate(draws) * cell
-        member = balls.member(zs)
-        counts = member.sum(axis=1)
-        for part, integrand in zip(parts, integrands):
-            part.append(integrand(member, counts))
-    return [np.concatenate(part).reshape(n_strata, n_each) for part in parts]
+        member[first * n_each:stop * n_each] = balls.member(zs)
+    counts = member.sum(axis=1)
+    return (integrand(member, counts).reshape(n_strata, n_each) for integrand in integrands)
 
 
 def _hits(member, counts):
@@ -362,20 +372,32 @@ def _strata_variance(values: np.ndarray) -> float:
     return total
 
 
-def _mc_ratio(balls: _Balls, numer, samples: int, seed) -> Estimate:
-    """Estimate (integral of numer) / (union volume), stratified over the box.
+def _mc_ratios(balls: _Balls, numers, samples: int, seed) -> list[Estimate]:
+    """Estimate (integral of numer) / (union volume) for every numer, all
+    from one set of stratified draws over the box.
 
     ``numer(member, counts)`` maps the per-sample ball membership matrix and
     covering counts to integrand values.  The ratio estimator uses the
-    linearised residuals e = a - Q*b for the half-width.
+    linearised residuals e = a - Q*b for the half-width.  Since the draws
+    are shared, integrands that add up sample by sample give estimates that
+    add up to rounding.
     """
-    a, b = _stratified(balls, samples, seed, numer, _hits)
+    values = _stratified(balls, samples, seed, [_hits, *numers])
+    b = next(values)
     mean_b = float(b.mean())
     if mean_b == 0.0:
         raise RuntimeError("no sample hit the ball union; estimator degenerate")
-    q = float(a.mean()) / mean_b
-    hw = Z99 * math.sqrt(_strata_variance(a - q * b)) / len(a) / mean_b
-    return Estimate(q, hw, a.size, _seed_meta(seed), len(a))
+    estimates = []
+    for a in values:
+        q = float(a.mean()) / mean_b
+        hw = Z99 * math.sqrt(_strata_variance(a - q * b)) / len(a) / mean_b
+        estimates.append(Estimate(q, hw, a.size, _seed_meta(seed), len(a)))
+    return estimates
+
+
+def _mc_ratio(balls: _Balls, numer, samples: int, seed) -> Estimate:
+    """``_mc_ratios`` for one numerator."""
+    return _mc_ratios(balls, [numer], samples, seed)[0]
 
 
 def _numer_g(x: int):
@@ -396,6 +418,13 @@ def _numer_private(x: int):
 # Public radius-level operations
 
 
+def _radius(r: Number) -> Fraction:
+    r_ex = _fraction(r)
+    if r_ex <= 0:
+        raise ValueError(f"radius must be positive, got {r}")
+    return r_ex
+
+
 def g_r(points, r: Number, x: int, *, samples: int = 10**6, seed: int | None = None):
     """Normalised covered share of point x at radius r.
 
@@ -403,9 +432,7 @@ def g_r(points, r: Number, x: int, *, samples: int = 10**6, seed: int | None = N
     pairwise disjoint), otherwise a Monte-Carlo ``Estimate``.
     """
     cloud = _cloud(points)
-    r_ex = _fraction(r)
-    if r_ex <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    r_ex = _radius(r)
     if cloud.coords is not None:
         return _g_1d(cloud, r_ex, x)
     if cloud.gap >= 2 * float(r):
@@ -414,15 +441,18 @@ def g_r(points, r: Number, x: int, *, samples: int = 10**6, seed: int | None = N
 
 
 def chi_gr(points, r: Number, x: int, y: int, *, samples: int = 10**6, seed: int | None = None):
-    """Sharing coefficient of x and y at radius r (diagonal = private weight)."""
+    """Sharing coefficient of x and y at radius r (diagonal = private weight).
+
+    Exact, like ``g_r``, where the balls of x and y share no volume and, on
+    the diagonal, where all balls are pairwise disjoint."""
     cloud = _cloud(points)
-    r_ex = _fraction(r)
-    if r_ex <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    r_ex = _radius(r)
     if x != y and cloud.apart(x, y, r_ex):
         return Fraction(0)
     if cloud.coords is not None:
         return _chi_diag_1d(cloud, r_ex, x) if x == y else _chi_offdiag_1d(cloud, r_ex, x, y)
+    if x == y and cloud.gap >= 2 * float(r):
+        return Fraction(1, cloud.n)
     numer = _numer_private(x) if x == y else _numer_chi(x, y)
     return _mc_ratio(_Balls(cloud.arr, float(r)), numer, samples, seed)
 
@@ -435,7 +465,7 @@ def union_volume(points, r: Number, *, samples: int = 10**6, seed: int | None = 
     balls = _Balls(cloud.arr, float(r))
     lo, hi = balls.box()
     box_vol = float(np.prod(hi - lo))
-    (hits,) = _stratified(balls, samples, seed, _hits)
+    (hits,) = _stratified(balls, samples, seed, [_hits])
     means = 0.0
     for mean in hits.mean(axis=1):
         means += float(mean)
@@ -574,7 +604,7 @@ def _integrate_radial(cloud: _Cloud, density: Density, value_at) -> float:
 
 
 def f_nu(points, density: Density, x: int, *, samples: int = 10**6,
-         seed: int | None = None, radius_cells: int = 64):
+         seed: int | None = None, radius_cells: int = _RADIUS_CELLS):
     """Radius-integrated weight of x under the density nu."""
     cloud = _cloud(points)
     if cloud.coords is not None:
@@ -583,7 +613,7 @@ def f_nu(points, density: Density, x: int, *, samples: int = 10**6,
 
 
 def chi_fnu(points, density: Density, x: int, y: int, *, samples: int = 10**6,
-            seed: int | None = None, radius_cells: int = 64):
+            seed: int | None = None, radius_cells: int = _RADIUS_CELLS):
     """Radius-integrated sharing coefficient (diagonal = private weight)."""
     cloud = _cloud(points)
     if x != y and cloud.apart(x, y, density.alpha):
@@ -596,8 +626,11 @@ def chi_fnu(points, density: Density, x: int, y: int, *, samples: int = 10**6,
     return _radial_mc(cloud, density, numer, samples, seed, radius_cells)
 
 
-def _radial_mc(cloud: _Cloud, density: Density, numer, samples, seed, radius_cells) -> Estimate:
-    """Midpoint radius grid with one stratified spatial estimate per cell.
+def _radial_mcs(cloud: _Cloud, density: Density, numers, samples, seed,
+                radius_cells) -> list[Estimate]:
+    """Midpoint radius grid with one stratified spatial estimate per cell,
+    shared by the (one or more) numerators: cell k draws once, from child k
+    of ``seed``.
 
     The reported half-width combines the per-cell Monte-Carlo half-widths in
     quadrature; the radial discretisation bias is not included (use more
@@ -606,30 +639,38 @@ def _radial_mc(cloud: _Cloud, density: Density, numer, samples, seed, radius_cel
     by itself alone, so the ratio is the mean of ``numer`` over the identity
     membership matrix.
     """
-    if seed is None:
-        raise ValueError("Monte-Carlo estimates require an explicit seed")
+    _check_draws(samples, seed)
     alpha = float(density.alpha)
     width = alpha / radius_cells
     mids = (np.arange(radius_cells) + 0.5) * width
     children = _as_seedseq(seed).spawn(radius_cells)
     per_cell = max(1000, samples // radius_cells)
-    disjoint = float(numer(np.eye(cloud.n, dtype=bool), np.ones(cloud.n, dtype=int)).mean())
-    total = 0.0
-    var = 0.0
+    eye, ones = np.eye(cloud.n, dtype=bool), np.ones(cloud.n, dtype=int)
+    disjoint = [float(numer(eye, ones).mean()) for numer in numers]
+    totals = [0.0] * len(numers)
+    var = [0.0] * len(numers)
     used = 0
     strata = 0
     for k, (mid, nu) in enumerate(zip(mids, cloud.cell_nu(density, radius_cells))):
         if nu == 0.0:
             continue
         if 2 * mid <= cloud.gap:
-            total += nu * disjoint * width
+            for i, value in enumerate(disjoint):
+                totals[i] += nu * value * width
             continue
-        est = _mc_ratio(_Balls(cloud.arr, float(mid)), numer, per_cell, children[k])
-        total += nu * est.value * width
-        var += (nu * width * est.half_width) ** 2
-        used += est.samples
-        strata = est.strata
-    return Estimate(total, math.sqrt(var), used, _seed_meta(seed), strata * radius_cells)
+        ests = _mc_ratios(_Balls(cloud.arr, float(mid)), numers, per_cell, children[k])
+        for i, est in enumerate(ests):
+            totals[i] += nu * est.value * width
+            var[i] += (nu * width * est.half_width) ** 2
+        used += ests[0].samples
+        strata = ests[0].strata
+    return [Estimate(total, math.sqrt(v), used, _seed_meta(seed), strata * radius_cells)
+            for total, v in zip(totals, var)]
+
+
+def _radial_mc(cloud: _Cloud, density: Density, numer, samples, seed, radius_cells) -> Estimate:
+    """``_radial_mcs`` for one numerator."""
+    return _radial_mcs(cloud, density, [numer], samples, seed, radius_cells)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +763,32 @@ class SharingMatrix:
     seed: int | None
 
 
+def _mc_entries(cloud: _Cloud, pairs, family: str, r, density, samples, seed):
+    """The weights and the ``pairs`` entries of a Monte-Carlo matrix.  An
+    entry is exact where ``g_r``, ``chi_gr`` or ``chi_fnu`` alone returns
+    it exactly; the others are estimated together, by one ``_mc_ratios``
+    (gr) or ``_radial_mcs`` (fnu) call."""
+    n = cloud.n
+    if family == "gr":
+        reach, disjoint = r, cloud.gap >= 2 * float(r)
+        estimate = lambda numers: _mc_ratios(_Balls(cloud.arr, float(r)), numers, samples, seed)
+    else:  # _radial_mcs makes the disjoint radius cells exact itself
+        reach, disjoint = density.alpha, False
+        estimate = lambda numers: _radial_mcs(cloud, density, numers, samples, seed,
+                                                _RADIUS_CELLS)
+    # each entry's exact value, or the numerator that estimates it
+    values: dict = {x: Fraction(1, n) if disjoint else _numer_g(x) for x in range(n)}
+    for x, y in pairs:
+        if x == y:
+            values[x, y] = Fraction(1, n) if disjoint else _numer_private(x)
+        else:
+            values[x, y] = Fraction(0) if cloud.apart(x, y, reach) else _numer_chi(x, y)
+    sampled = [key for key, value in values.items() if not isinstance(value, Fraction)]
+    if sampled:
+        values.update(zip(sampled, estimate([values[key] for key in sampled])))
+    return [values[x] for x in range(n)], [values[pair] for pair in pairs]
+
+
 def sharing_matrix(
     points,
     *,
@@ -731,33 +798,46 @@ def sharing_matrix(
     samples: int = 10**6,
     seed: int | None = None,
 ) -> SharingMatrix:
+    """Every weight and sharing coefficient of the points under one family.
+
+    In 1-D each entry is exact and computed on its own from the cloud's
+    shared geometry.  In higher dimensions every sampled entry is estimated
+    from the same draws: one stratified set for ``gr``, one set per radius
+    cell for ``fnu`` (cell k from child k of ``seed``).  The integrands of
+    a row add up to its weight's at every draw, so each row sums to its
+    weight up to rounding.
+    """
     cloud = _cloud(points)
     n = cloud.n
 
     if family == "gr":
         if r is None:
             raise ValueError('family "gr" needs a radius r')
-        weight_fn = lambda x, s: g_r(cloud, r, x, samples=samples, seed=s)
-        chi_fn = lambda x, y, s: chi_gr(cloud, r, x, y, samples=samples, seed=s)
+        _radius(r)
+        weight_fn = lambda x: g_r(cloud, r, x)
+        chi_fn = lambda x, y: chi_gr(cloud, r, x, y)
         param = float(r)
     elif family == "fnu":
         if density is None:
             raise ValueError('family "fnu" needs a radius density')
-        weight_fn = lambda x, s: f_nu(cloud, density, x, samples=samples, seed=s)
-        chi_fn = lambda x, y, s: chi_fnu(cloud, density, x, y, samples=samples, seed=s)
+        weight_fn = lambda x: f_nu(cloud, density, x)
+        chi_fn = lambda x, y: chi_fnu(cloud, density, x, y)
         param = float(density.alpha)
     else:
         raise ValueError(f'unknown sharing family {family!r}; use "gr" or "fnu"')
 
     exact_mode = cloud.coords is not None
-    if not exact_mode and seed is None:
-        raise ValueError("Monte-Carlo sharing matrices require an explicit seed")
-    seeds = iter(np.random.SeedSequence(seed or 0).spawn(n + n * (n + 1) // 2))
-    weights = [weight_fn(x, None if exact_mode else next(seeds)) for x in range(n)]
+    pairs = [(x, y) for x in range(n) for y in range(x, n)]
+    if exact_mode:
+        weights = [weight_fn(x) for x in range(n)]
+        shared = [chi_fn(x, y) for x, y in pairs]
+    else:
+        if seed is None:
+            raise ValueError("Monte-Carlo sharing matrices require an explicit seed")
+        weights, shared = _mc_entries(cloud, pairs, family, r, density, samples, seed)
     chi = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            chi[i][j] = chi[j][i] = chi_fn(i, j, None if exact_mode else next(seeds))
+    for (x, y), value in zip(pairs, shared):
+        chi[x][y] = chi[y][x] = value
 
     exact = lambda v: v if isinstance(v, Fraction) else Fraction(float(v))
     residuals = []

@@ -436,6 +436,17 @@ class TestShare:
         assert code == USAGE_ERROR
         assert "seed" in err
 
+    @pytest.mark.parametrize("family", [["--family", "fnu", "--alpha", "1"],
+                                        ["--family", "gr", "--r", "1"]])
+    @pytest.mark.parametrize("samples", ["0", "-5", "many"])
+    def test_non_positive_samples_name_the_flag(self, capsys, tmp_path, family, samples):
+        doc_path = tmp_path / "planar.json"
+        doc_path.write_text(json.dumps({"kind": "points", "points": [[0, 0], [1, 0]]}))
+        code, out, err = run(capsys, "share", "--input", str(doc_path), *family,
+                             "--samples", samples, "--seed", "1")
+        assert code == USAGE_ERROR and out == ""
+        assert f"argument --samples: expected a positive integer, got '{samples}'" in err
+
     def test_family_gr_needs_a_radius(self, capsys, three_points_doc):
         code, _, err = run(
             capsys, "share", "--input", three_points_doc, "--family", "gr"

@@ -491,3 +491,143 @@ class TestRadiusIntegrated:
         est = f_nu(pts, Density.uniform(1), 0, samples=64_000, seed=1)
         assert est.samples > 0 and est.half_width > 0.0
         assert abs(est.value - 0.5) <= 4 * est.half_width + 1e-3
+
+
+def _partly_separated(dim: int, seed: int) -> list[list[float]]:
+    """Four points in a 0.3-wide cube and one at 0.65 along the first axis:
+    at reach 1/4 some pairs are apart and some overlap."""
+    rng = np.random.default_rng(seed)
+    far = [0.65] + [0.15] * (dim - 1)
+    return (rng.random((4, dim)) * 0.3).tolist() + [far]
+
+
+_FAMILIES = {
+    "gr": (dict(family="gr", r=0.25), 40_000),
+    "fnu": (dict(family="fnu", density=Density.uniform(Fraction(1, 4))), 64_000),
+}
+
+
+def _alone(pts, family, x, y, samples, seed):
+    """The entry (x, y) of a matrix (y None for the weight) from its own
+    single-entry function."""
+    kw = dict(samples=samples, seed=seed)
+    if family == "gr":
+        return g_r(pts, 0.25, x, **kw) if y is None else chi_gr(pts, 0.25, x, y, **kw)
+    d = _FAMILIES["fnu"][0]["density"]
+    return f_nu(pts, d, x, **kw) if y is None else chi_fnu(pts, d, x, y, **kw)
+
+
+class TestSharedDraws:
+    """A Monte-Carlo matrix estimates all its entries from one set of draws
+    (gr) or one per radius cell (fnu)."""
+
+    @pytest.mark.parametrize("dim, seed", [(2, 1), (3, 2)])
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_entries_agree_with_separate_estimates(self, family, dim, seed):
+        kw, samples = _FAMILIES[family]
+        pts = _partly_separated(dim, seed)
+        cloud = euclid._Cloud(pts)
+        m = sharing_matrix(pts, samples=samples, seed=seed, **kw)
+        assert m == sharing_matrix(pts, samples=samples, seed=seed, **kw)
+        n = len(pts)
+        apart = [(x, y) for x in range(n) for y in range(x + 1, n) if cloud.apart(x, y, 0.25)]
+        assert apart and len(apart) < n * (n - 1) // 2
+        entries = [(x, None) for x in range(n)] + [
+            (x, y) for x in range(n) for y in range(x, n) if (x, y) not in apart
+        ]
+        for x, y in apart:
+            assert m.chi[x][y] == m.chi[y][x] == Fraction(0)
+            assert isinstance(m.chi[x][y], Fraction) and m.half_widths[x][y] == 0.0
+        for x, y in entries:
+            got, hw = (m.weights[x], m.weight_half_widths[x]) if y is None else (
+                m.chi[x][y], m.half_widths[x][y])
+            alone = _alone(pts, family, x, y, samples, seed + 100)
+            assert hw > 0.0 and alone.half_width > 0.0
+            assert abs(got - alone.value) <= 4 * (hw + alone.half_width), (x, y)
+
+    @pytest.mark.parametrize("dim, seed", [(2, 3), (3, 4)])
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_rows_sum_to_their_weights(self, family, dim, seed):
+        """Each draw splits its weight integrand exactly into the row's
+        integrands, so only rounding separates a row from its weight."""
+        kw, samples = _FAMILIES[family]
+        m = sharing_matrix(_partly_separated(dim, seed), samples=samples, seed=seed, **kw)
+        assert max(abs(res) for res in m.row_residuals) <= 1e-12
+
+    def test_entries_are_the_one_numerator_estimates_of_the_seed(self):
+        """A gr entry is ``_mc_ratio`` of its numerator at the matrix seed,
+        an fnu entry ``_radial_mc``, bit for bit."""
+        pts = _partly_separated(2, 5)
+        cloud = euclid._Cloud(pts)
+        density = _FAMILIES["fnu"][0]["density"]
+        gr = sharing_matrix(pts, family="gr", r=0.25, samples=20_000, seed=5)
+        fnu = sharing_matrix(pts, family="fnu", density=density, samples=64_000, seed=5)
+        gr_alone = lambda numer: euclid._mc_ratio(euclid._Balls(cloud.arr, 0.25), numer,
+                                                  20_000, 5).value
+        fnu_alone = lambda numer: euclid._radial_mc(cloud, density, numer, 64_000, 5, 64).value
+        for m, alone in ((gr, gr_alone), (fnu, fnu_alone)):
+            for x in range(len(pts)):
+                assert m.weights[x] == alone(euclid._numer_g(x))
+                assert m.chi[x][x] == alone(euclid._numer_private(x))
+                for y in range(x + 1, len(pts)):
+                    if not cloud.apart(x, y, 0.25):
+                        assert m.chi[x][y] == alone(euclid._numer_chi(x, y))
+
+    def test_membership_not_integrands_is_held(self):
+        """Integrands are evaluated one at a time: fifteen numerators cost
+        about the memory of one, not fifteen float arrays."""
+        import tracemalloc
+
+        balls = euclid._Balls(np.array(_partly_separated(2, 6)), 0.25)
+        numers = [euclid._numer_g(x) for x in range(5)] + [
+            euclid._numer_chi(x, y) for x in range(5) for y in range(x + 1, 5)
+        ]
+        peaks = []
+        for some in (numers[:1], numers):
+            tracemalloc.start()
+            euclid._mc_ratios(balls, some, 100_000, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_chi_gr_diagonal_is_exact_on_disjoint_balls(self, monkeypatch):
+        """Pairwise disjoint balls (touching counts) cover their own ball
+        alone: the private weight is 1/n like g_r, and a matrix draws
+        nothing."""
+        pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert chi_gr(pts, 0.5, 0, 0) == Fraction(1, 3)
+        assert isinstance(chi_gr(pts, 0.6, 0, 0, samples=1000, seed=1), euclid.Estimate)
+
+        def no_draws(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(euclid, "_stratified", no_draws)
+        m = sharing_matrix(pts, family="gr", r=0.4, samples=1000, seed=1)
+        third = Fraction(1, 3)
+        assert m.weights == (third,) * 3
+        assert m.chi == tuple(tuple(third if i == j else 0 for j in range(3)) for i in range(3))
+        assert m.row_residuals == (0.0,) * 3
+        assert m.weight_half_widths == (0.0,) * 3
+        assert m.half_widths == ((0.0,) * 3,) * 3
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_non_positive_samples_are_rejected(self, samples):
+        """Also where every radius cell is disjoint and nothing is drawn."""
+        near, far = [[0.0, 0.0], [0.3, 0.0]], [[0.0, 0.0], [5.0, 0.0]]
+        d = Density.uniform(1)
+        kw = dict(samples=samples, seed=1)
+        calls = [
+            lambda: f_nu(near, d, 0, **kw),
+            lambda: f_nu(far, d, 0, **kw),
+            lambda: chi_fnu(near, d, 0, 0, **kw),
+            lambda: chi_fnu(near, d, 0, 1, **kw),
+            lambda: euclid._radial_mc(euclid._Cloud(near), d, euclid._numer_g(0),
+                                      samples, 1, 64),
+            lambda: sharing_matrix(near, family="fnu", density=d, **kw),
+            lambda: sharing_matrix(far, family="fnu", density=d, **kw),
+            lambda: sharing_matrix(near, family="gr", r=1, **kw),
+            lambda: g_r(near, 1, 0, **kw),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"need a positive sample count, got {samples}"):
+                call()
