@@ -16,7 +16,7 @@ from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate  # noqa: F401 - benchmarks/tracing.py patches euclid.integrate
 
 from .metric import _fraction
 from .weighting import Density
@@ -44,8 +44,6 @@ Number = int | float | Fraction
 #: two-sided 99% normal quantile
 Z99 = 2.5758293035489004
 
-_QUAD_BUDGET = 1e-6
-
 #: midpoint radius cells of a Monte-Carlo ``f_nu`` estimate
 _RADIUS_CELLS = 64
 
@@ -69,14 +67,14 @@ def _normalize(points):
 class _Cloud:
     """A normalised point set with the geometry computed on it so far.
     ``sharing_matrix`` hands one cloud to every entry, so each radius's 1-D
-    table, the least pair distance and the density on the radius pieces and
-    cells are computed once per matrix."""
+    table, the radius cuts, the least pair distance and the density on the
+    radius cells are computed once per matrix."""
 
     def __init__(self, points):
         self.coords, self.arr = _normalize(points)
         self.n = len(self.coords) if self.coords is not None else self.arr.shape[0]
         self._tables: dict[Fraction, _Table1D] = {}
-        self._pieces: dict[Density, list[tuple[float, float, float]]] = {}
+        self._cuts: dict[Density, list[Fraction]] = {}
         self._cell_nu: dict[tuple[Density, int], list[float]] = {}
 
     def table(self, r: Fraction) -> _Table1D:
@@ -84,15 +82,10 @@ class _Cloud:
             self._tables[r] = _Table1D(self.coords, r)
         return self._tables[r]
 
-    def pieces(self, density: Density) -> list[tuple[float, float, float]]:
-        """(lo, hi, nu) for consecutive 1-D quadrature cuts.  Every knot is
-        a cut, so nu is constant on a piece: a float node strictly between
-        two cuts lies strictly between the same two exact knots."""
-        if density not in self._pieces:
-            cuts = _radius_pieces(self.coords, density)
-            self._pieces[density] = [(lo, hi, float(density.pdf((lo + hi) / 2)))
-                                     for lo, hi in zip(cuts, cuts[1:])]
-        return self._pieces[density]
+    def cuts(self, density: Density) -> list[Fraction]:
+        if density not in self._cuts:
+            self._cuts[density] = _radius_pieces(self.coords, density)
+        return self._cuts[density]
 
     def cell_nu(self, density: Density, cells: int) -> list[float]:
         """nu at the midpoints of ``cells`` equal radius cells of (0, alpha]."""
@@ -185,16 +178,22 @@ def private_volume_1d(points, r) -> list[Fraction]:
     return list(cloud.table(_fraction(r)).private)
 
 
-def _chi_diag_1d(cloud: _Cloud, r: Fraction, x: int) -> Fraction:
-    others = (y for y in range(cloud.n) if y != x)
-    total = _g_1d(cloud, r, x) - sum(_chi_offdiag_1d(cloud, r, x, y) for y in others)
-    table = cloud.table(r)
-    direct = table.private[x] / table.volume
+def _private_1d(table: _Table1D, x: int) -> Fraction:
+    """x's private length, checked against its decomposition: the share of
+    x less every pair integral of x."""
+    others = (y for y in range(len(table.share)) if y != x)
+    total = table.share[x] - sum(table.pair.get((min(x, y), max(x, y)), 0) for y in others)
+    direct = table.private[x]
     if total != direct:  # pragma: no cover - internal consistency guard
         raise RuntimeError(
             f"private weight mismatch: decomposition {total} vs direct integral {direct}"
         )
     return total
+
+
+def _chi_diag_1d(cloud: _Cloud, r: Fraction, x: int) -> Fraction:
+    table = cloud.table(r)
+    return _private_1d(table, x) / table.volume
 
 
 def intersection_volume_1d(r: Number, dist: Number) -> Fraction:
@@ -527,8 +526,7 @@ def removal_effect_gr(
     rf = float(r)
     rest_arr = np.delete(arr, x, axis=0)
     children = np.random.SeedSequence(seed).spawn(3 * (n - 1) + 1)
-    per = max(1, samples)
-    diag = _mc_ratio(_Balls(arr, rf), _numer_private(x), per, children[0])
+    diag = _mc_ratio(_Balls(arr, rf), _numer_private(x), samples, children[0])
     chi_xx = diag.value
     eta = chi_xx / (1.0 - chi_xx)
     eta_hw = diag.half_width / (1.0 - chi_xx) ** 2
@@ -539,10 +537,10 @@ def removal_effect_gr(
     for y in range(n):
         if y == x:
             continue
-        before = _mc_ratio(_Balls(arr, rf), _numer_g(y), per, children[slot])
-        chi = chi_gr(cloud, rf, x, y, samples=per, seed=children[slot + 1])
+        before = _mc_ratio(_Balls(arr, rf), _numer_g(y), samples, children[slot])
+        chi = chi_gr(cloud, rf, x, y, samples=samples, seed=children[slot + 1])
         y_new = y - 1 if y > x else y
-        after = _mc_ratio(_Balls(rest_arr, rf), _numer_g(y_new), per, children[slot + 2])
+        after = _mc_ratio(_Balls(rest_arr, rf), _numer_g(y_new), samples, children[slot + 2])
         slot += 3
         chi_val, chi_hw = float(chi), getattr(chi, "half_width", 0.0)
         predicted = (before.value + chi_val) * (1.0 + eta)
@@ -562,45 +560,41 @@ def removal_effect_gr(
 # Radius-integrated weights
 
 
-def _radius_pieces(coords: list[Fraction], density: Density) -> list[float]:
-    alpha = float(density.alpha)
-    cuts = {0.0, alpha}
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            half = float(abs(coords[i] - coords[j])) / 2.0
-            if 0.0 < half < alpha:
-                cuts.add(half)
-    for knot in density.knot_radii():
-        kf = float(knot)
-        if 0.0 < kf < alpha:
-            cuts.add(kf)
-    return sorted(cuts)
+def _radius_pieces(coords: list[Fraction], density: Density) -> list[Fraction]:
+    """0, alpha, and every pair half-distance and density knot between them:
+    between consecutive cuts nu is constant and the order of the interval
+    ends does not change."""
+    alpha = density.alpha
+    halves = (abs(a - b) / 2 for i, a in enumerate(coords) for b in coords[i + 1:])
+    inner = {r for r in (*halves, *density.knot_radii()) if 0 < r < alpha}
+    return [Fraction(0), *sorted(inner), alpha]
 
 
-def _integrate_radial(cloud: _Cloud, density: Density, value_at) -> float:
-    """Adaptive quadrature of nu(r) * value_at(r) over (0, alpha], piecewise
-    between structural breakpoints, with a certified error budget.  Every
-    entry of a matrix integrates over the same pieces, so most quadrature
-    nodes recur, and the cloud builds each node's table and each piece's
-    nu once."""
-    total = 0.0
-    err = 0.0
-    pieces = cloud.pieces(density)
-    for lo, hi, nu in pieces:
-        if nu == 0.0:
+def _integrate_radial(cloud: _Cloud, density: Density, numer) -> float:
+    """Integral over (0, alpha] of nu(r) * numer(t) / t.volume, with t the
+    1-D table at r, in closed form.
+
+    On a piece between consecutive cuts every table entry is linear in r,
+    and continuous at the cuts, so numer = q * volume + rest with constant q
+    and rest, and the piece integrates to q * dr + rest * dr / dV * log(V_hi
+    / V_lo).  The union length grows at twice its number of components, so
+    dV > 0; at r = 0 numer and volume vanish, so rest = 0 there.  The
+    rational parts are summed exactly and rounded once."""
+    rational, logs = Fraction(0), 0.0
+    cuts = cloud.cuts(density)
+    for lo, hi in zip(cuts, cuts[1:]):
+        nu = density.pdf(lo)
+        if nu == 0:
             continue
-        val, est_err = integrate.quad(
-            lambda rf: nu * float(value_at(_fraction(rf))),
-            lo,
-            hi,
-            epsabs=_QUAD_BUDGET / (4 * (len(pieces) + 1)),  # 4 x the number of cuts
-            limit=200,
-        )
-        total += val
-        err += est_err
-    if err > _QUAD_BUDGET:
-        raise RuntimeError(f"quadrature error {err:.2e} exceeds the 1e-6 budget")
-    return total
+        t_lo, t_hi = cloud.table(lo), cloud.table(hi)
+        n_lo, v_lo = numer(t_lo), t_lo.volume
+        dr, dv = hi - lo, t_hi.volume - v_lo
+        q = (numer(t_hi) - n_lo) / dv
+        rational += nu * q * dr
+        rest = n_lo - q * v_lo
+        if rest:
+            logs += float(nu * rest * dr / dv) * math.log1p(float(dv / v_lo))
+    return float(rational) + logs
 
 
 def f_nu(points, density: Density, x: int, *, samples: int = 10**6,
@@ -608,7 +602,7 @@ def f_nu(points, density: Density, x: int, *, samples: int = 10**6,
     """Radius-integrated weight of x under the density nu."""
     cloud = _cloud(points)
     if cloud.coords is not None:
-        return _integrate_radial(cloud, density, lambda r: _g_1d(cloud, r, x))
+        return _integrate_radial(cloud, density, lambda t: t.share[x])
     return _radial_mc(cloud, density, _numer_g(x), samples, seed, radius_cells)
 
 
@@ -620,8 +614,9 @@ def chi_fnu(points, density: Density, x: int, y: int, *, samples: int = 10**6,
         return 0.0 if cloud.coords is not None else Fraction(0)
     if cloud.coords is not None:
         if x == y:
-            return _integrate_radial(cloud, density, lambda r: _chi_diag_1d(cloud, r, x))
-        return _integrate_radial(cloud, density, lambda r: _chi_offdiag_1d(cloud, r, x, y))
+            return _integrate_radial(cloud, density, lambda t: _private_1d(t, x))
+        key = (min(x, y), max(x, y))
+        return _integrate_radial(cloud, density, lambda t: t.pair.get(key, Fraction(0)))
     numer = _numer_private(x) if x == y else _numer_chi(x, y)
     return _radial_mc(cloud, density, numer, samples, seed, radius_cells)
 

@@ -130,15 +130,15 @@ class TestDensityFamily:
         d = Density.uniform(1)
         assert f_nu(TWO, d, 0) == pytest.approx(f_nu(TWO, d, 1), abs=1e-9)
 
-    def test_fnu_normalizes_within_the_quadrature_budget(self):
+    def test_fnu_weights_sum_to_one(self):
         d = Density.uniform(2)
         total = f_nu(TWO, d, 0) + f_nu(TWO, d, 1)
-        assert total == pytest.approx(1.0, abs=2e-6)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_chi_fnu_row_decomposition(self):
         d = Density.uniform(1)
         row = chi_fnu(TWO, d, 0, 0) + chi_fnu(TWO, d, 0, 1)
-        assert row == pytest.approx(f_nu(TWO, d, 0), abs=2e-6)
+        assert row == pytest.approx(f_nu(TWO, d, 0), abs=1e-12)
 
     def test_chi_fnu_zero_beyond_reach(self):
         d = Density.uniform(1)
@@ -431,6 +431,63 @@ class TestStratifiedMonteCarlo:
         assert rep.witness == tuple(float(c) for c in zs[bad][0])
 
 
+def _thirds(alpha) -> Density:
+    """Half the mass on (0, alpha/3], none on (alpha/3, 2 alpha/3], half on
+    the rest: non-dyadic knots and a piece where nu is zero."""
+    a = Fraction(alpha)
+    half = Fraction(1, 2)
+    return Density.piecewise_linear_cdf([(0, 0), (a / 3, half), (2 * a / 3, half), (a, 1)])
+
+
+@st.composite
+def _clouds_with_duplicates(draw):
+    """1-D clouds on a 1/10 lattice with at least one exact duplicate, and
+    either any alpha or one below the smallest half-gap of distinct points."""
+    ks = draw(st.lists(st.integers(0, 20), min_size=1, max_size=5))
+    ks.append(draw(st.sampled_from(ks)))
+    coords = [Fraction(k, 10) for k in ks]
+    gaps = [abs(a - b) for a in coords for b in coords if a != b]
+    if gaps and draw(st.booleans()):
+        alpha = min(gaps) / 2 * Fraction(draw(st.integers(1, 9)), 10)
+    else:
+        alpha = Fraction(draw(st.integers(1, 25)), 10)
+    return coords, draw(st.sampled_from([Density.uniform(alpha), _thirds(alpha)]))
+
+
+def _per_node_quad(coords, density, value_at) -> float:
+    """Adaptive quadrature of nu(r) * value_at(r) over (0, alpha], piece by
+    piece between the pair half-distances and the knots, with nu and the
+    exact radius-r value taken at every node."""
+    alpha = density.alpha
+    halves = {abs(a - b) / 2 for a in coords for b in coords}
+    cuts = sorted({0, alpha} | {r for r in halves | set(density.knot_radii()) if 0 < r < alpha})
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += integrate.quad(
+            lambda rf: float(density.pdf(rf)) * float(value_at(Fraction(rf))),
+            float(lo), float(hi), epsabs=1e-12, limit=200,
+        )[0]
+    return total
+
+
+def _check_against_quadrature(coords, density) -> None:
+    """Every entry of a 1-D fnu matrix within 1e-9 of per-node quadrature of
+    its exact radius-r value, and every row summing to its weight."""
+    pts = [[c] for c in coords]
+    m = sharing_matrix(pts, family="fnu", density=density)
+    cloud = euclid._Cloud(pts)
+    at = lambda value_at: _per_node_quad(coords, density, value_at)
+    for x in range(len(pts)):
+        assert m.weights[x] == pytest.approx(at(lambda r: g_r(cloud, r, x)), abs=1e-9)
+        for y in range(x, len(pts)):
+            if x != y and abs(coords[x] - coords[y]) >= 2 * density.alpha:
+                assert m.chi[x][y] == 0.0
+                continue
+            ref = at(lambda r: chi_gr(cloud, r, x, y))
+            assert m.chi[x][y] == pytest.approx(ref, abs=1e-9)
+    assert all(abs(res) <= 1e-12 for res in m.row_residuals)
+
+
 class TestRadiusIntegrated:
     @pytest.mark.parametrize("density", [
         Density.uniform(Fraction(1, 2)),
@@ -446,34 +503,37 @@ class TestRadiusIntegrated:
             tuple(chi_fnu(pts, density, x, y) for y in range(n)) for x in range(n)
         )
 
-    def test_nu_per_piece_equals_nu_per_node(self):
-        """nu is constant between consecutive cuts, so one value per piece
-        gives the floats of evaluating it at every quadrature node, also at
-        the non-dyadic knots 1/3 and 2/3 and on a piece where nu is zero."""
-        density = Density.piecewise_linear_cdf([
-            (0, 0), (Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 3), Fraction(1, 2)), (1, 1)
-        ])
-        pts = [[Fraction(0)], [Fraction(3, 10)], [Fraction(9, 20)], [Fraction(7, 4)]]
-        cloud = euclid._Cloud(pts)
-        cuts = euclid._radius_pieces(cloud.coords, density)
+    def test_closed_form_equals_per_node_quadrature(self):
+        """Also at the non-dyadic knots 1/3 and 2/3 and on a piece where nu
+        is zero."""
+        coords = [Fraction(0), Fraction(3, 10), Fraction(9, 20), Fraction(7, 4)]
+        _check_against_quadrature(coords, _thirds(1))
 
-        def per_node(value_at):
-            total = 0.0
-            for lo, hi in zip(cuts, cuts[1:]):
-                total += integrate.quad(
-                    lambda rf: float(density.pdf(rf)) * float(value_at(Fraction(rf))),
-                    lo, hi, epsabs=euclid._QUAD_BUDGET / (4 * len(cuts)), limit=200,
-                )[0]
-            return total
+    @given(case=_clouds_with_duplicates())
+    @settings(max_examples=25, deadline=None)
+    def test_closed_form_equals_per_node_quadrature_on_clouds(self, case):
+        _check_against_quadrature(*case)
 
-        m = sharing_matrix(pts, family="fnu", density=density)
-        for x in range(len(pts)):
-            assert m.weights[x] == per_node(lambda r: euclid._g_1d(cloud, r, x))
-            assert m.chi[x][x] == per_node(lambda r: euclid._chi_diag_1d(cloud, r, x))
-            for y in range(x + 1, len(pts)):
-                if not cloud.apart(x, y, density.alpha):
-                    assert m.chi[x][y] == per_node(
-                        lambda r: euclid._chi_offdiag_1d(cloud, r, x, y))
+    @given(case=_clouds_with_duplicates())
+    @settings(max_examples=60, deadline=None)
+    def test_tables_are_linear_between_cuts(self, case):
+        """The premise of the closed form: between consecutive cuts every
+        entry of the 1-D table is linear in r, so the table at a point of
+        the piece mixes the two cut tables, as exact Fractions."""
+        coords, density = case
+        cloud = euclid._Cloud([[c] for c in coords])
+        cuts = cloud.cuts(density)
+        assert cuts[0] == 0 and cuts[-1] == density.alpha and cuts == sorted(set(cuts))
+        for lo, hi in zip(cuts, cuts[1:]):
+            t_lo, t_hi = cloud.table(lo), cloud.table(hi)
+            for s in (Fraction(1, 2), Fraction(1, 3)):
+                t = cloud.table(lo + s * (hi - lo))
+                mix = lambda a, b: (1 - s) * a + s * b
+                assert t.volume == mix(t_lo.volume, t_hi.volume)
+                assert t.share == [mix(a, b) for a, b in zip(t_lo.share, t_hi.share)]
+                assert t.private == [mix(a, b) for a, b in zip(t_lo.private, t_hi.private)]
+                for key in t.pair.keys() | t_lo.pair.keys() | t_hi.pair.keys():
+                    assert t.pair.get(key, 0) == mix(t_lo.pair.get(key, 0), t_hi.pair.get(key, 0))
 
     def test_touching_balls_are_disjoint(self):
         """Centres exactly 2r apart share no volume: g_r is exactly 1/2, and
@@ -610,7 +670,7 @@ class TestSharedDraws:
         assert m.weight_half_widths == (0.0,) * 3
         assert m.half_widths == ((0.0,) * 3,) * 3
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -1, -5])
     def test_non_positive_samples_are_rejected(self, samples):
         """Also where every radius cell is disjoint and nothing is drawn."""
         near, far = [[0.0, 0.0], [0.3, 0.0]], [[0.0, 0.0], [5.0, 0.0]]
@@ -627,6 +687,7 @@ class TestSharedDraws:
             lambda: sharing_matrix(far, family="fnu", density=d, **kw),
             lambda: sharing_matrix(near, family="gr", r=1, **kw),
             lambda: g_r(near, 1, 0, **kw),
+            lambda: removal_effect_gr([[0, 0], [0.5, 0], [0.2, 0.3]], 0.5, 0, **kw),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=f"need a positive sample count, got {samples}"):
