@@ -22,7 +22,10 @@ decimal values and weights are printed as ``p/q`` strings that round-trip.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -87,10 +90,24 @@ def _positive(text: str) -> int:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
+    """Write ``text`` to stdout, or over the file ``output`` in place.
+
+    The file is opened without ``O_TRUNC`` and its old tail is cut after
+    the write: on some filesystems truncating a non-empty file at open()
+    blocks for tens of milliseconds, an in-place write for well under one.
+    Only regular files are truncated (pipes, ttys and devices cannot be);
+    the truncate runs also when the write fails, so no old bytes remain.
+    """
+    if not output:
         sys.stdout.write(text)
+        return
+    fd = os.open(output, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        try:
+            fh.write(text)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
 
 
 def _emit_json(doc, args) -> None:
@@ -423,7 +440,10 @@ def _add_common(sub, *, instance=False, density=False, output=True):
         sub.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and no default is a shared mutable value."""
     parser = _Parser(prog="clonewt", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 

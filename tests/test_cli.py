@@ -5,12 +5,15 @@ checks the exit code, the JSON/CSV payload, and determinism of the output.
 """
 
 import json
+import os
 import runpy
+import stat
 import sys
 from fractions import Fraction
 
 import pytest
 
+from clonewt import cli
 from clonewt.cli import OK, USAGE_ERROR, VIOLATIONS, main
 from clonewt.euclid import sharing_matrix
 
@@ -680,3 +683,93 @@ class TestTopLevel:
             runpy.run_module("clonewt", run_name="__main__")
         assert exc.value.code == OK
         assert capsys.readouterr().out == want
+
+    def test_the_parser_is_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_consecutive_calls_match_a_fresh_parser(self, capsys, three_points_doc):
+        """The cached parser carries nothing from one call into the next:
+        an appended --rule list or a store_true flag does not leak."""
+        weigh = ["weigh", "--input", three_points_doc, "--rule", "cu", "--alpha", "2"]
+        calls = [
+            ["audit", "graph", "--rule", "cu", "--rule", "mccp", "--seeds", "3"],
+            ["audit", "graph", "--seeds", "3"],
+            weigh + ["--exact"],
+            weigh,
+        ]
+        warm = [run(capsys, *argv) for argv in calls]
+        for argv, got in zip(calls, warm):
+            cli._build_parser.cache_clear()
+            assert run(capsys, *argv) == got, f"cached parser differs for {argv}"
+        assert warm[0][1] != warm[1][1] and warm[2][1] != warm[3][1]
+        parser = cli._build_parser()
+        parser.parse_args(calls[0])
+        assert parser.parse_args(calls[1]).rule is None
+        parser.parse_args(calls[2])
+        assert parser.parse_args(calls[3]).exact is False
+
+
+class TestOutputFile:
+    """--output and --report overwrite the named file in place."""
+
+    def write(self, capsys, graph, target):
+        """Run `cliques` to stdout and to ``target``; the stdout bytes."""
+        code, want, _ = run(capsys, "cliques", "--graph", graph)
+        assert code == OK
+        assert main(["cliques", "--graph", graph, "--output", str(target)]) == OK
+        capsys.readouterr()
+        return want
+
+    def test_a_shorter_output_leaves_no_old_tail(self, capsys, paw_edges, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("x" * 5000 + "\n")
+        want = self.write(capsys, paw_edges, target)
+        assert len(want) < 5000
+        assert target.read_text() == want
+
+    def test_the_file_keeps_its_inode_and_mode(self, capsys, paw_edges, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("stale\n" * 1000)
+        target.chmod(0o640)
+        inode = target.stat().st_ino
+        want = self.write(capsys, paw_edges, target)
+        assert target.read_text() == want
+        assert target.stat().st_ino == inode
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_a_symlink_is_followed(self, capsys, paw_edges, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("stale\n" * 1000)
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        want = self.write(capsys, paw_edges, link)
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == want
+
+    def test_the_null_device(self, capsys, paw_edges):
+        assert main(["cliques", "--graph", paw_edges, "--output", os.devnull]) == OK
+        assert capsys.readouterr().out == ""
+
+    def test_a_failed_write_leaves_none_of_the_old_bytes(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("stale\n" * 1000)
+        with pytest.raises(UnicodeEncodeError):
+            cli._emit("\ud800", str(target))
+        assert target.read_bytes() == b""
+
+    def test_the_file_is_never_truncated_at_open(self, capsys, paw_edges, tmp_path, monkeypatch):
+        """Truncating a non-empty file at open() can block for tens of
+        milliseconds; the old tail is cut after the write instead."""
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        target = tmp_path / "out.json"
+        target.write_text("stale\n" * 1000)
+        monkeypatch.setattr(os, "open", spy)
+        want = self.write(capsys, paw_edges, target)
+        assert target.read_text() == want
+        assert flags and all(not flag & os.O_TRUNC for flag in flags), flags
