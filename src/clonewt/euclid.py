@@ -249,72 +249,6 @@ def _seed_meta(seed) -> int:
     return int(seed)
 
 
-#: Hash and mix constants of NumPy's ``SeedSequence`` (NEP 19), whose
-#: streams NumPy keeps stable across versions
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(value) -> int:
-    """Number of uint32 words ``SeedSequence`` assembles from an entropy or
-    spawn-key value: each integer takes max(1, ceil(bits / 32))."""
-    if isinstance(value, (int, np.integer)):
-        return max(1, -(-int(value).bit_length() // 32))
-    return sum(_words(v) for v in value)
-
-
-def _child_states(seq: np.random.SeedSequence, n: int) -> np.ndarray:
-    """``[c.generate_state(4, np.uint64) for c in seq.spawn(n)]`` as an
-    (n, 4) uint64 array, in one vectorised pass.
-
-    A child's assembled entropy is its parent's (the run entropy padded to
-    the pool size) followed by the child's index, so its pool is the
-    parent's pool after one more mixing round over that index word.  The
-    round's hash constant is INIT_A * MULT_A**k, with k the hashes the
-    parent's entropy took.  ``generate_state``'s hash then yields the words.
-
-    Unlike ``spawn``, this cannot advance ``seq.n_children_spawned``, which
-    is read-only: a second call returns the same words, so pass each seed
-    to one set of draws only.
-    """
-    size = len(seq.pool)
-    run, key = _words(seq.entropy), _words(seq.spawn_key)
-    length = (max(run, size) if key else run) + key
-    k = size * size + size * max(0, length - size)
-    u32 = np.uint32
-    hash_a = u32(_INIT_A * pow(_MULT_A, k, 1 << 32) % (1 << 32))
-    index = np.arange(seq.n_children_spawned, seq.n_children_spawned + n, dtype=u32)
-    pool = np.empty((n, size), dtype=u32)
-    words = np.empty((n, 8), dtype=u32)
-    with np.errstate(over="ignore"):
-        for j in range(size):
-            value = index ^ hash_a
-            hash_a *= u32(_MULT_A)
-            value *= hash_a
-            value ^= value >> u32(16)
-            mixed = u32(_MIX_L) * seq.pool[j] - u32(_MIX_R) * value
-            pool[:, j] = mixed ^ (mixed >> u32(16))
-        hash_b = u32(_INIT_B)
-        for j in range(8):
-            value = pool[:, j % size] ^ hash_b
-            hash_b *= u32(_MULT_B)
-            value *= hash_b
-            words[:, j] = value ^ (value >> u32(16))
-    return words.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _Words(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose state words are known: the four uint64 words
-    that ``PCG64`` asks for."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
 #: Sample-ball pairs per block of strata (128 KiB of floats per temporary)
 _BLOCK = 1 << 14
 
@@ -328,10 +262,9 @@ def _check_draws(samples: int, seed) -> None:
 
 def _stratified(balls: _Balls, samples: int, seed, integrands):
     """Each ``integrand(member, counts)`` at stratified uniform draws over
-    the balls' bounding box, as a (strata, draws per stratum) array.  Each
-    stratum draws from its own generator, seeded as ``default_rng`` seeds
-    it from its child of ``seed``, so the draws do not depend on how strata
-    are grouped into blocks.
+    the balls' bounding box, as a (strata, draws per stratum) array.  One
+    ``default_rng(seed)`` draws for every stratum in turn, in ``np.ndindex``
+    order, so the draws do not depend on how strata are grouped into blocks.
 
     The draws are made and their membership taken now; the integrands are
     evaluated lazily, one per step of the returned iterator, so a caller
@@ -344,14 +277,13 @@ def _stratified(balls: _Balls, samples: int, seed, integrands):
     n_each = max(1, samples // n_strata)
     cell = (hi - lo) / np.array(shape, dtype=float)
     origins = lo + np.indices(shape).reshape(balls.dim, -1).T * cell
-    states = _child_states(_as_seedseq(seed), n_strata)
+    rng = np.random.default_rng(seed)
     step = max(1, _BLOCK // (n_each * len(balls.centers)))
     member = np.empty((n_strata * n_each, len(balls.centers)), dtype=bool)
     for first in range(0, n_strata, step):
         stop = min(first + step, n_strata)
-        draws = [np.random.Generator(np.random.PCG64(_Words(states[s])))
-                 .random((n_each, balls.dim)) for s in range(first, stop)]
-        zs = np.repeat(origins[first:stop], n_each, axis=0) + np.concatenate(draws) * cell
+        draws = rng.random(((stop - first) * n_each, balls.dim))
+        zs = np.repeat(origins[first:stop], n_each, axis=0) + draws * cell
         member[first * n_each:stop * n_each] = balls.member(zs)
     counts = member.sum(axis=1)
     return (integrand(member, counts).reshape(n_strata, n_each) for integrand in integrands)
@@ -658,8 +590,8 @@ def _radial_mcs(cloud: _Cloud, density: Density, numers, samples, seed,
             totals[i] += nu * est.value * width
             var[i] += (nu * width * est.half_width) ** 2
         used += ests[0].samples
-        strata = ests[0].strata
-    return [Estimate(total, math.sqrt(v), used, _seed_meta(seed), strata * radius_cells)
+        strata += ests[0].strata
+    return [Estimate(total, math.sqrt(v), used, _seed_meta(seed), strata)
             for total, v in zip(totals, var)]
 
 

@@ -317,17 +317,16 @@ def _ref_member(centers, r, zs):
 
 
 def _ref_strata(centers, r, samples, seed):
-    """Per-stratum draws and memberships, one stratum at a time."""
+    """Per-stratum draws and memberships, one stratum at a time, all from
+    one generator."""
     lo, hi = centers.min(axis=0) - r, centers.max(axis=0) + r
     dim = centers.shape[1]
     shape = (max(1, round(64 ** (1.0 / dim))),) * dim
     n_strata = int(np.prod(shape))
     n_each = max(1, samples // n_strata)
     cell = (hi - lo) / np.array(shape, dtype=float)
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = seq.spawn(n_strata)
-    for flat, idx in enumerate(np.ndindex(*shape)):
-        rng = np.random.default_rng(children[flat])
+    rng = np.random.default_rng(seed)
+    for idx in np.ndindex(*shape):
         origin = lo + np.array(idx, dtype=float) * cell
         member = _ref_member(centers, r, origin + rng.random((n_each, dim)) * cell)
         yield member, member.sum(axis=1)
@@ -356,7 +355,7 @@ def _ref_union_volume(centers, r, samples, seed):
             var_sum += float(hits.var(ddof=1)) / len(hits)
         n_strata += 1
     box = float(np.prod(centers.max(axis=0) - centers.min(axis=0) + 2 * r))
-    return box * means / n_strata, box * euclid.Z99 * math.sqrt(var_sum) / n_strata
+    return box * (means / n_strata), box * (euclid.Z99 * math.sqrt(var_sum) / n_strata)
 
 
 _CLOUDS = {
@@ -376,10 +375,9 @@ class TestStratifiedMonteCarlo:
             "chi": euclid._numer_chi(0, 1),
             "private": euclid._numer_private(3),
         }[kind]
-        # spawning advances a SeedSequence, so each side gets a fresh child
-        for fresh in (lambda: seed, lambda: np.random.SeedSequence(seed).spawn(2)[1]):
-            est = euclid._mc_ratio(euclid._Balls(centers, 0.35), numer, samples, fresh())
-            ref = _ref_mc_ratio(centers, 0.35, numer, samples, fresh())
+        for seq in (seed, np.random.SeedSequence(seed).spawn(2)[1]):  # an int and a child
+            est = euclid._mc_ratio(euclid._Balls(centers, 0.35), numer, samples, seq)
+            ref = _ref_mc_ratio(centers, 0.35, numer, samples, seq)
             assert (est.value, est.half_width) == ref
 
     @pytest.mark.parametrize("pts, r, samples, seed", [
@@ -391,31 +389,24 @@ class TestStratifiedMonteCarlo:
         est = union_volume(pts, r, samples=samples, seed=seed)
         assert (est.value, est.half_width) == _ref_union_volume(np.array(pts), r, samples, seed)
 
-    @pytest.mark.parametrize("make", [
-        lambda: np.random.SeedSequence(0),
-        lambda: np.random.SeedSequence(1),
-        lambda: np.random.SeedSequence(2**32 + 1),
-        lambda: np.random.SeedSequence(2**128 + 5),
-        lambda: np.random.SeedSequence([1, 2]),
-        lambda: np.random.SeedSequence(7).spawn(3)[1].spawn(64)[63],
-    ], ids=["0", "1", "2**32+1", "2**128+5", "[1,2]", "nested-child"])
-    @pytest.mark.parametrize("spawned", [0, 5])
-    def test_child_states_equal_spawn_and_default_rng(self, make, spawned):
-        """The seed words and the draws of every stratum are numpy's own
-        for one, two and five entropy words, a sequence entropy, a nested
-        child and a parent that has spawned before.  Should numpy change
-        ``SeedSequence`` or ``PCG64`` seeding, this test fails first."""
-        seq, ref = make(), make()
-        seq.spawn(spawned)
-        children = ref.spawn(spawned + 64)[spawned:]
-        states = euclid._child_states(seq, 64)
-        assert states.dtype == np.uint64 and states.shape == (64, 4)
-        assert np.array_equal(states, [c.generate_state(4, np.uint64) for c in children])
-        for words, child in zip(states, children):
-            got = np.random.Generator(np.random.PCG64(euclid._Words(words)))
-            want = np.random.default_rng(child)
-            for length in (1, 62, 624):
-                assert np.array_equal(got.random(length), want.random(length))
+    @pytest.mark.parametrize("block", [1, 1 << 40])
+    def test_block_grouping_does_not_change_the_draws(self, monkeypatch, block):
+        """One stratum per block and all strata in one block give the same
+        draws, so the same estimates bit for bit, as the default blocks."""
+        def estimates():
+            out = []
+            for centers in _CLOUDS.values():
+                balls = euclid._Balls(centers, 0.35)
+                for numer in (euclid._numer_g(1), euclid._numer_chi(0, 1)):
+                    est = euclid._mc_ratio(balls, numer, 20_000, 7)
+                    out.append((est.value, est.half_width))
+                est = union_volume(centers, 0.35, samples=20_000, seed=7)
+                out.append((est.value, est.half_width))
+            return out
+
+        default = estimates()
+        monkeypatch.setattr(euclid, "_BLOCK", block)
+        assert estimates() == default
 
     def test_sampled_dominance_witness(self):
         """z on the far side of x is not dominated by y; the witness is the
@@ -551,6 +542,13 @@ class TestRadiusIntegrated:
         est = f_nu(pts, Density.uniform(1), 0, samples=64_000, seed=1)
         assert est.samples > 0 and est.half_width > 0.0
         assert abs(est.value - 0.5) <= 4 * est.half_width + 1e-3
+
+    def test_strata_count_only_the_sampled_cells(self):
+        """Exact cells draw nothing and add no strata: 54 of the 64 cells
+        are sampled, each with 64 strata of 1000 // 64 draws."""
+        est = f_nu([[0, 0], [0.3, 0], [3, 3]], Density.uniform(1), 0, samples=64_000, seed=1)
+        assert est.strata == 54 * 64
+        assert est.samples == est.strata * (1000 // 64)
 
 
 def _partly_separated(dim: int, seed: int) -> list[list[float]]:
