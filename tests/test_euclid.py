@@ -316,9 +316,8 @@ def _ref_member(centers, r, zs):
     return d2 <= r * r
 
 
-def _ref_strata(centers, r, samples, seed):
-    """Per-stratum draws and memberships, one stratum at a time, all from
-    one generator."""
+def _ref_draws(centers, r, samples, seed):
+    """Per-stratum draws, one stratum at a time, all from one generator."""
     lo, hi = centers.min(axis=0) - r, centers.max(axis=0) + r
     dim = centers.shape[1]
     shape = (max(1, round(64 ** (1.0 / dim))),) * dim
@@ -328,7 +327,13 @@ def _ref_strata(centers, r, samples, seed):
     rng = np.random.default_rng(seed)
     for idx in np.ndindex(*shape):
         origin = lo + np.array(idx, dtype=float) * cell
-        member = _ref_member(centers, r, origin + rng.random((n_each, dim)) * cell)
+        yield origin + rng.random((n_each, dim)) * cell
+
+
+def _ref_strata(centers, r, samples, seed):
+    """Per-stratum memberships and covering counts."""
+    for zs in _ref_draws(centers, r, samples, seed):
+        member = _ref_member(centers, r, zs)
         yield member, member.sum(axis=1)
 
 
@@ -388,6 +393,34 @@ class TestStratifiedMonteCarlo:
     def test_union_volume_equals_the_per_stratum_loop(self, pts, r, samples, seed):
         est = union_volume(pts, r, samples=samples, seed=seed)
         assert (est.value, est.half_width) == _ref_union_volume(np.array(pts), r, samples, seed)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.random.SeedSequence(0),
+        lambda: np.random.SeedSequence(1),
+        lambda: np.random.SeedSequence(2**32 + 1),
+        lambda: np.random.SeedSequence(2**128 + 5),
+        lambda: np.random.SeedSequence([1, 2]),
+        lambda: np.random.SeedSequence(7).spawn(3)[1].spawn(64)[63],
+    ], ids=["0", "1", "2**32+1", "2**128+5", "[1,2]", "nested-child"])
+    @pytest.mark.parametrize("spawned", [0, 5])
+    def test_draws_are_default_rng_draws(self, make, spawned):
+        """The points drawn are numpy's own ``default_rng(seed)`` draws, in
+        ``np.ndindex`` order of the strata, for one, two and five entropy
+        words, a sequence entropy, a nested child and a parent that has
+        spawned before: spawning does not move a seed's draws."""
+        for centers in _CLOUDS.values():
+            seq, ref = make(), make()
+            seq.spawn(spawned)
+            seen = []
+
+            class Recording(euclid._Balls):
+                def member(self, zs):
+                    seen.append(zs)
+                    return super().member(zs)
+
+            list(euclid._stratified(Recording(centers, 0.35), 6_400, seq, [euclid._hits]))
+            want = np.concatenate(list(_ref_draws(centers, 0.35, 6_400, ref)))
+            assert np.array_equal(np.concatenate(seen), want)
 
     @pytest.mark.parametrize("block", [1, 1 << 40])
     def test_block_grouping_does_not_change_the_draws(self, monkeypatch, block):
