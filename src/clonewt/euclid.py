@@ -238,8 +238,17 @@ class _Balls:
         return self.centers.min(axis=0) - self.r, self.centers.max(axis=0) + self.r
 
 
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+def _spawn(seed, n: int) -> list[np.random.SeedSequence]:
+    """The first ``n`` children of ``seed``.  A caller's ``SeedSequence`` is
+    copied before spawning, so it is left as it was and the same object
+    gives the same children on every call."""
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+        )
+    else:
+        seed = np.random.SeedSequence(seed)
+    return seed.spawn(n)
 
 
 def _seed_meta(seed) -> int:
@@ -570,7 +579,7 @@ def _radial_mcs(cloud: _Cloud, density: Density, numers, samples, seed,
     alpha = float(density.alpha)
     width = alpha / radius_cells
     mids = (np.arange(radius_cells) + 0.5) * width
-    children = _as_seedseq(seed).spawn(radius_cells)
+    children = _spawn(seed, radius_cells)
     per_cell = max(1000, samples // radius_cells)
     eye, ones = np.eye(cloud.n, dtype=bool), np.ones(cloud.n, dtype=int)
     disjoint = [float(numer(eye, ones).mean()) for numer in numers]

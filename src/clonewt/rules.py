@@ -503,7 +503,10 @@ def _class_mass_matrices(graph: Graph, cap: int | None) -> list[np.ndarray]:
 
     Any clique partition's block masses, for a vector constant on duplicate
     classes, are a fixed linear image of the class masses; deduplicating the
-    matrices collapses the enumeration hugely.
+    matrices collapses the enumeration hugely.  A matrix is keyed by its
+    sorted rows of per-class vertex counts: entry (b, c) is count / |class c|,
+    and within a column the class size is fixed, so counts sort and compare
+    as the entries do.
     """
     part = equivalence_classes(graph)
     sizes = [len(cls) for cls in part.classes]
@@ -515,12 +518,28 @@ def _class_mass_matrices(graph: Graph, cap: int | None) -> list[np.ndarray]:
             row = [0] * len(part.classes)
             for v in block:
                 row[part.class_of[v]] += 1
-            rows.append(tuple(Fraction(c, s) for c, s in zip(row, sizes)))
+            rows.append(tuple(row))
         key = tuple(sorted(rows))
         if key not in seen:
             seen.add(key)
-            mats.append(np.array([[float(f) for f in row] for row in key]))
+            mats.append(np.array([[c / s for c, s in zip(row, sizes)] for row in key]))
     return mats
+
+
+def _group_by_blocks(mats: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The matrices stacked by row (block) count: one ``(m_r, r, k)`` array
+    per count r, with the positions of its matrices in ``mats``.
+
+    Each entropy over a stack is then summed over exactly its r blocks, in
+    the order one matrix at a time would sum them.  One zero-padded stack
+    would not: numpy adds fewer than 8 terms one by one and 8 or more in
+    interleaved partial sums, so padding moves the last bits of the
+    entropies and of the weights.
+    """
+    by_rows: dict[int, list[int]] = {}
+    for i, mat in enumerate(mats):
+        by_rows.setdefault(len(mat), []).append(i)
+    return [(np.array(idx), np.stack([mats[i] for i in idx])) for idx in by_rows.values()]
 
 
 def _entropy_and_grad(masses: np.ndarray) -> tuple[float, np.ndarray]:
@@ -553,6 +572,16 @@ def w_entropy(
     projected supergradient ascent finds the region, an epigraph-form SLSQP
     polish finishes, and every candidate is re-certified against the exact
     partition enumeration before it may win.
+
+    The partition entropies H(A q) are evaluated in one stacked pass per
+    point: the distinct class-mass matrices A are built once and stacked by
+    block count (see ``_group_by_blocks``), Phi(q) is the first minimum
+    over them, and each ascent step evaluates Phi and H at its new point
+    once, carrying both into the next step's supergradient.  The polish
+    takes all the epigraph bounds H(A q) >= t as one vector-valued
+    inequality constraint with its Jacobian matrix.  The arithmetic is that
+    of a loop over the matrices one at a time, so the weights are the same
+    bit for bit.
     """
     _require_nonempty(graph)
     budget = max_iter if max_iter is not None else default_caps().entropy_iterations
@@ -561,29 +590,37 @@ def w_entropy(
     part = equivalence_classes(graph)
     k = len(part.classes)
     mats = _class_mass_matrices(graph, cap)
+    groups = _group_by_blocks(mats)
     mu = tol
 
-    def phi(q: np.ndarray) -> tuple[float, np.ndarray]:
-        best, best_grad = math.inf, None
-        for mat in mats:
-            h, grad = _entropy_and_grad(mat @ q)
-            if h < best:
-                best, best_grad = h, mat.T @ grad
-        return best, best_grad
+    def block_masses(q: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        for idx, stack in groups:
+            yield idx, stack, np.maximum(stack @ q, 1e-300)
 
-    def objective(q: np.ndarray) -> float:
-        return phi(q)[0] + mu * _entropy_and_grad(q)[0]
+    def entropies(q: np.ndarray) -> np.ndarray:
+        """H(A q) for every matrix A, in the order of ``mats``."""
+        h = np.empty(len(mats))
+        for idx, _, c in block_masses(q):
+            h[idx] = -(c * np.log2(c)).sum(axis=1)
+        return h
+
+    def phi(q: np.ndarray) -> tuple[float, np.ndarray]:
+        i = int(np.argmin(entropies(q)))  # the first minimum
+        h, grad = _entropy_and_grad(mats[i] @ q)
+        return h, mats[i].T @ grad
 
     q = np.full(k, 1.0 / k)
-    best_q, best_val = q.copy(), objective(q)
+    phi_q, grad_phi = phi(q)
+    h_q, grad_h = _entropy_and_grad(q)
+    best_q, best_val = q.copy(), phi_q + mu * h_q
     ascent_iters = min(2000, budget)
     stall_needed = min(200, max(10, ascent_iters // 4))
     stall = 0
     for it in range(1, ascent_iters + 1):
-        _, grad_phi = phi(q)
-        grad = grad_phi + mu * _entropy_and_grad(q)[1]
-        q = _project_simplex(q + 0.25 / math.sqrt(it) * grad)
-        val = objective(q)
+        q = _project_simplex(q + 0.25 / math.sqrt(it) * (grad_phi + mu * grad_h))
+        phi_q, grad_phi = phi(q)
+        h_q, grad_h = _entropy_and_grad(q)
+        val = phi_q + mu * h_q
         if val > best_val + tol * 1e-3:
             best_val, best_q, stall = val, q.copy(), 0
         else:
@@ -600,20 +637,18 @@ def w_entropy(
         _, grad = _entropy_and_grad(z[:k])
         return np.concatenate([-mu * grad, [-1.0]])
 
+    def epigraph_jac(z: np.ndarray) -> np.ndarray:
+        """Row j: the gradient of H(A_j q) - t in z = (q, t)."""
+        jac = np.full((len(mats), k + 1), -1.0)
+        for idx, stack, c in block_masses(z[:k]):
+            jac[idx, :k] = ((-np.log2(c) - 1.0 / LN2)[:, None, :] @ stack)[:, 0]
+        return jac
+
     constraints = [
         {"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
          "jac": lambda z: np.concatenate([np.ones(k), [0.0]])},
+        {"type": "ineq", "fun": lambda z: entropies(z[:k]) - z[k], "jac": epigraph_jac},
     ]
-    for mat in mats:
-        constraints.append(
-            {
-                "type": "ineq",
-                "fun": lambda z, m=mat: _entropy_and_grad(m @ z[:k])[0] - z[k],
-                "jac": lambda z, m=mat: np.concatenate(
-                    [m.T @ _entropy_and_grad(m @ z[:k])[1], [-1.0]]
-                ),
-            }
-        )
     z0 = np.concatenate([best_q, [phi(best_q)[0]]])
     res = optimize.minimize(
         neg_obj,
@@ -629,8 +664,9 @@ def w_entropy(
         s = cand.sum()
         if s > 0:
             cand /= s
-            if objective(cand) > best_val:
-                best_val, best_q = objective(cand), cand
+            val = phi(cand)[0] + mu * _entropy_and_grad(cand)[0]
+            if val > best_val:
+                best_val, best_q = val, cand
     elif stall <= stall_needed:
         # neither the ascent stabilised nor the polish converged
         raise RuntimeError(

@@ -583,6 +583,19 @@ class TestRadiusIntegrated:
         assert est.strata == 54 * 64
         assert est.samples == est.strata * (1000 // 64)
 
+    @pytest.mark.parametrize("spawned", [0, 5])
+    def test_seed_sequence_is_not_spawned_from(self, spawned):
+        """Calls with one ``SeedSequence`` object draw the same points and
+        leave the object as it was; the draws are those of a fresh sequence
+        with the same entropy, and of its int seed."""
+        pts, d = [[0, 0], [0.3, 0], [3, 3]], Density.uniform(1)
+        seq = np.random.SeedSequence(3)
+        seq.spawn(spawned)
+        first = f_nu(pts, d, 0, samples=6400, seed=seq)
+        assert f_nu(pts, d, 0, samples=6400, seed=seq) == first
+        assert seq.n_children_spawned == spawned
+        assert f_nu(pts, d, 0, samples=6400, seed=3) == first
+
 
 def _partly_separated(dim: int, seed: int) -> list[list[float]]:
     """Four points in a 0.3-wide cube and one at 0.65 along the first axis:

@@ -34,12 +34,13 @@ from clonewt import (
     w_mccp,
     w_uniform,
 )
-from clonewt.audit import add_vertex_clone, random_graph
+from clonewt.audit import add_vertex_clone, conjecture_search, random_graph
 from clonewt import rules
-from clonewt.filtration import _bits
+from clonewt.filtration import _bits, equivalence_classes
 from clonewt.rules import _maximal_clique_masks
 
 import numpy as np
+from scipy import optimize
 
 
 def complete_graph(n: int) -> Graph:
@@ -462,3 +463,140 @@ class TestDegreeRule:
         w = w_degree(paw)
         assert sum(w) == Fraction(1)
         assert w[1] > w[2] == w[3] > w[0]
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the entropy rule against the per-matrix loop it
+# replaced, which evaluates every partition matrix one at a time and Phi
+# twice per ascent step.  The weights must be equal, not close.
+
+
+def reference_class_mass_matrices(graph: Graph) -> list[np.ndarray]:
+    part = equivalence_classes(graph)
+    sizes = [len(cls) for cls in part.classes]
+    seen: set[tuple] = set()
+    mats = []
+    for partition in clique_partitions(graph):
+        rows = []
+        for block in partition:
+            row = [0] * len(part.classes)
+            for v in block:
+                row[part.class_of[v]] += 1
+            rows.append(tuple(Fraction(c, s) for c, s in zip(row, sizes)))
+        key = tuple(sorted(rows))
+        if key not in seen:
+            seen.add(key)
+            mats.append(np.array([[float(f) for f in row] for row in key]))
+    return mats
+
+
+def reference_entropy(graph: Graph, tol: float = 1e-8) -> WeightVector:
+    entropy_and_grad, project = rules._entropy_and_grad, rules._project_simplex
+    budget = rules.default_caps().entropy_iterations
+    if graph.n == 1:
+        return WeightVector((1.0,), graph.labels)
+    part = equivalence_classes(graph)
+    k = len(part.classes)
+    mats = reference_class_mass_matrices(graph)
+    mu = tol
+
+    def phi(q):
+        best, best_grad = math.inf, None
+        for mat in mats:
+            h, grad = entropy_and_grad(mat @ q)
+            if h < best:
+                best, best_grad = h, mat.T @ grad
+        return best, best_grad
+
+    def objective(q):
+        return phi(q)[0] + mu * entropy_and_grad(q)[0]
+
+    q = np.full(k, 1.0 / k)
+    best_q, best_val = q.copy(), objective(q)
+    ascent_iters = min(2000, budget)
+    stall_needed = min(200, max(10, ascent_iters // 4))
+    stall = 0
+    for it in range(1, ascent_iters + 1):
+        _, grad_phi = phi(q)
+        grad = grad_phi + mu * entropy_and_grad(q)[1]
+        q = project(q + 0.25 / math.sqrt(it) * grad)
+        val = objective(q)
+        if val > best_val + tol * 1e-3:
+            best_val, best_q, stall = val, q.copy(), 0
+        else:
+            stall += 1
+        if stall > stall_needed:
+            break
+
+    constraints = [
+        {"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
+         "jac": lambda z: np.concatenate([np.ones(k), [0.0]])},
+    ]
+    for mat in mats:
+        constraints.append({
+            "type": "ineq",
+            "fun": lambda z, m=mat: entropy_and_grad(m @ z[:k])[0] - z[k],
+            "jac": lambda z, m=mat: np.concatenate(
+                [m.T @ entropy_and_grad(m @ z[:k])[1], [-1.0]]
+            ),
+        })
+    res = optimize.minimize(
+        lambda z: -(z[k] + mu * entropy_and_grad(z[:k])[0]),
+        np.concatenate([best_q, [phi(best_q)[0]]]),
+        jac=lambda z: np.concatenate([-mu * entropy_and_grad(z[:k])[1], [-1.0]]),
+        bounds=[(0.0, 1.0)] * k + [(0.0, math.log2(graph.n) + 1.0)],
+        constraints=constraints,
+        method="SLSQP",
+        options={"maxiter": 400, "ftol": 1e-14},
+    )
+    if res.success:
+        cand = np.maximum(res.x[:k], 0.0)
+        s = cand.sum()
+        if s > 0:
+            cand /= s
+            if objective(cand) > best_val:
+                best_val, best_q = objective(cand), cand
+
+    values = []
+    for v in range(graph.n):
+        cls = part.class_of[v]
+        values.append(max(float(best_q[cls]), 0.0) / len(part.classes[cls]))
+    total = sum(values)
+    return WeightVector(tuple(v / total for v in values), graph.labels)
+
+
+def entropy_differential_graphs() -> list[Graph]:
+    """Seeded random graphs of 2-9 vertices, each also with a planted clone."""
+    out = []
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        n = 2 + seed
+        g = random_graph(n, float(rng.uniform(0.2, 0.5)), rng)
+        out.append(g)
+        if n < 9:
+            out.append(add_vertex_clone(g, int(rng.integers(n))))
+    return out
+
+
+#: Partitions of 8 or 9 blocks next to ones of fewer: numpy sums 8 or more
+#: terms in another order than fewer, so zero-padding every partition to one
+#: block count moves these weights (by 1e-12 to 5e-8).
+MIXED_BLOCK_COUNTS = [
+    Graph.from_edges(8, [(0, 1), (0, 2), (1, 5)]),
+    Graph.from_edges(8, [(0, 3), (0, 6), (2, 4), (2, 5)]),
+    Graph.from_edges(9, [(0, 2), (3, 4), (3, 7)]),
+    Graph.from_edges(9, [(0, 1), (2, 5), (3, 7), (5, 6), (6, 7)]),
+]
+
+
+class TestStackedEntropyRule:
+    @pytest.mark.parametrize("graph", entropy_differential_graphs() + MIXED_BLOCK_COUNTS,
+                             ids=lambda g: f"n{g.n}-m{len(g.edges())}")
+    def test_equals_the_per_matrix_loop(self, graph):
+        assert tuple(w_entropy(graph)) == tuple(reference_entropy(graph))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_conjecture_search_unchanged(self, monkeypatch, seed):
+        stacked = conjecture_search("entropy_negative_chi", 10, seed).to_document()
+        monkeypatch.setattr(rules, "w_entropy", reference_entropy)
+        assert conjecture_search("entropy_negative_chi", 10, seed).to_document() == stacked
