@@ -881,7 +881,7 @@ def conjecture_search(
     budget unit each.  Findings are evidence only: the search never claims
     a proof.
     """
-    from .sharing import sharing_row
+    from .sharing import _fractions, _sharing_row
 
     if target not in ("mcc_axiom2", "entropy_negative_chi"):
         raise ValueError(
@@ -907,10 +907,11 @@ def conjecture_search(
         for rule_name in ("mcca", "mccp"):
             rule = parse_rule(rule_name)[1]
             weights = rule(graph)
+            before, exact = _fractions(weights), weights.exact
             for x in range(graph.n):
                 if not graph.nbrs[x]:
                     continue
-                row = sharing_row(graph, rule, x, weights)
+                row = _sharing_row(graph, rule, x, before, exact)
                 if row.chi is None:
                     skipped += 1
                     continue

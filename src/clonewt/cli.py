@@ -135,12 +135,14 @@ def _input_path(args) -> Path:
 
 def _exact_document(args):
     """The --input JSON document with decimals parsed as their exact
-    values, when --exact applies to it; otherwise None."""
+    values, when --exact applies to it; otherwise None.  A distance matrix
+    repeats its cells, so each distinct literal is parsed once and its
+    cells share the one ``Fraction``."""
     path = _input_path(args)
     if not getattr(args, "exact", False) or path.suffix.lower() != ".json":
         return None
     with open(path) as fh:
-        return json.load(fh, parse_float=Fraction)
+        return json.load(fh, parse_float=functools.cache(Fraction))
 
 
 def _read_graph(path_str: str) -> Graph:

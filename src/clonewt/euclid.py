@@ -303,13 +303,12 @@ def _hits(member, counts):
 
 
 def _strata_variance(values: np.ndarray) -> float:
-    """Sum over strata of the variance of a stratum's mean."""
+    """Sum over strata of the variance of a stratum's mean, added left to
+    right: ``np.cumsum`` adds in order, as a loop over the strata does."""
     n_each = values.shape[1]
-    total = 0.0
-    if n_each > 1:
-        for var in values.var(axis=1, ddof=1):
-            total += float(var) / n_each
-    return total
+    if n_each < 2:
+        return 0.0
+    return float(np.cumsum(values.var(axis=1, ddof=1) / n_each)[-1])
 
 
 def _mc_ratios(balls: _Balls, numers, samples: int, seed) -> list[Estimate]:

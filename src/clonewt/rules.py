@@ -176,55 +176,76 @@ def lift_quotient(base: Rule) -> Rule:
     return rule
 
 
+def _closed_sums(terms: Sequence, nbrs: Sequence[int], zero) -> list:
+    """For each vertex x, the sum of ``terms[y]`` over y in N[x], added in
+    vertex order, once per distinct closed neighbourhood (true twins share
+    theirs)."""
+    sums: dict[int, object] = {}
+    values = []
+    for x, mask in enumerate(nbrs):
+        closed = mask | (1 << x)
+        total = sums.get(closed)
+        if total is None:
+            total, rest = zero, closed
+            while rest:
+                low = rest & -rest
+                total += terms[low.bit_length() - 1]
+                rest ^= low
+            sums[closed] = total
+        values.append(total)
+    return values
+
+
+def _smooth_pairs(
+    base_pairs: Sequence[tuple[int, int]], nbrs: Sequence[int]
+) -> list[tuple[int, int]]:
+    """``smooth`` of the weights ``base_pairs``, one (numerator,
+    denominator) pair per vertex of the graph with open neighbourhoods
+    ``nbrs``, as (t_x, L) pairs over one common denominator L.
+
+    Vertex y spreads p / (q * (1 + deg y)); L is the lcm of those
+    denominators over the distinct (pair, degree) keys, and t_x sums the
+    spreads over N[x] scaled to L.  Mass is conserved, so the t_x sum to L
+    when the base pairs sum to 1.
+    """
+    keys = list(zip(base_pairs, map(int.bit_count, nbrs)))
+    spreads = {key: key[0][1] * (1 + key[1]) for key in set(keys)}
+    common = math.lcm(*set(spreads.values()))
+    scaled = {key: key[0][0] * (common // q) for key, q in spreads.items()}
+    return [(t, common) for t in _closed_sums(list(map(scaled.__getitem__, keys)), nbrs, 0)]
+
+
 def smooth(base: Rule) -> Rule:
     """One step of the lazy random walk applied to a rule's output:
     w^(x) = sum over y in N[x] of base(y) / (1 + deg(y)).
 
     Each vertex y spreads its mass evenly over its closed neighborhood, so
-    total mass is conserved.  The spread is computed once per (base value,
-    degree) and the sum once per distinct closed neighborhood (true twins
-    share theirs).  Exact bases are summed as integers over the lcm of the
-    spreads' denominators; float bases by the same float additions, in the
-    same order, as a per-vertex loop.
+    total mass is conserved.  Exact bases are summed as integers over one
+    common denominator (``_smooth_pairs``, which the weigh sweep shares);
+    float bases by the same float additions, in the same order, as a
+    per-vertex loop, with the spread computed once per (base value, degree).
+    The smoothed rule's ``smoothed`` attribute is ``base``.
     """
 
     def rule(graph: Graph) -> WeightVector:
         _require_nonempty(graph)
         base_w = base(graph)
-        exact = base_w.exact
-        made: dict[tuple[int, int], object] = {}
+        if base_w.exact:
+            conv = {key: (v.numerator, v.denominator) for key, v in base_w.distinct.items()}
+            pairs = _smooth_pairs(list(map(conv.__getitem__, map(id, base_w.values))), graph.nbrs)
+            return WeightVector(_shared_fractions(pairs), graph.labels)
+        made: dict[tuple[int, int], float] = {}
         spread = []
         for v, mask in zip(base_w.values, graph.nbrs):
             key = (id(v), mask.bit_count())
             s = made.get(key)
             if s is None:
-                d = 1 + key[1]
-                s = made[key] = Fraction(v.numerator, v.denominator * d) if exact else v / d
+                s = made[key] = v / (1 + key[1])
             spread.append(s)
-        if exact:
-            common = math.lcm(*{s.denominator for s in made.values()})
-            scaled = {id(s): s.numerator * (common // s.denominator) for s in made.values()}
-            terms, zero = [scaled[id(s)] for s in spread], 0
-        else:
-            terms, zero = spread, 0.0
-        sums: dict[int, object] = {}
-        values = []
-        for x, mask in enumerate(graph.nbrs):
-            closed = mask | (1 << x)
-            total = sums.get(closed)
-            if total is None:
-                total, rest = zero, closed
-                while rest:
-                    low = rest & -rest
-                    total += terms[low.bit_length() - 1]
-                    rest ^= low
-                sums[closed] = total
-            values.append(total)
-        if exact:
-            values = _shared_fractions((t, common) for t in values)
-        return WeightVector(tuple(values), graph.labels)
+        return WeightVector(tuple(_closed_sums(spread, graph.nbrs, 0.0)), graph.labels)
 
     rule.__name__ = f"smooth_{getattr(base, '__name__', 'rule')}"
+    rule.smoothed = base
     return rule
 
 

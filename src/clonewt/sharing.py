@@ -81,12 +81,24 @@ def sharing_row(graph: Graph, rule: Rule, x: int | str, weights=None) -> Sharing
     re-derived exactly whenever w(G) is rational (float rules sum to 1 only
     within 1e-12).
     """
-    if graph.n < 2:
-        raise ValueError("cannot remove a vertex from a single-vertex graph")
-    x = graph.index(x)
     if weights is None:
         weights = rule(graph)
-    before = [Fraction(v) for v in weights]
+    return _sharing_row(graph, rule, graph.index(x), _fractions(weights), weights.exact)
+
+
+def _fractions(weights) -> list[Fraction]:
+    """``Fraction(v)`` of each weight, converting each distinct object once."""
+    conv = {key: Fraction(v) for key, v in weights.distinct.items()}
+    return list(map(conv.__getitem__, map(id, weights.values)))
+
+
+def _sharing_row(
+    graph: Graph, rule: Rule, x: int, before: list[Fraction], exact: bool
+) -> SharingRow:
+    """``sharing_row`` at vertex index x, with w(G) converted to ``before``
+    once per graph by the caller; ``exact`` says whether w(G) is rational."""
+    if graph.n < 2:
+        raise ValueError("cannot remove a vertex from a single-vertex graph")
     survivors = [v for v in range(graph.n) if v != x]
     w_after = rule(graph.remove_vertex(x))
     after = {z: Fraction(w_after[i]) for i, z in enumerate(survivors)}
@@ -121,7 +133,7 @@ def sharing_row(graph: Graph, rule: Rule, x: int | str, weights=None) -> Sharing
             )
         chi[y] = value
     private = eta_x / (1 + eta_x)
-    if weights.exact and before[x] != private + sum(chi.values()):  # pragma: no cover - guard
+    if exact and before[x] != private + sum(chi.values()):  # pragma: no cover - guard
         raise RuntimeError(
             f"row identity failed at {graph.labels[x]}: "
             f"w = {before[x]} but chi(x,x) + row = {private + sum(chi.values())}"
@@ -133,7 +145,8 @@ def sharing_rows(graph: Graph, rule: Rule) -> list[SharingRow]:
     """The row of every vertex, indexed by vertex: one evaluation of w(G)
     plus one removal per vertex."""
     weights = rule(graph)
-    return [sharing_row(graph, rule, x, weights) for x in range(graph.n)]
+    before, exact = _fractions(weights), weights.exact
+    return [_sharing_row(graph, rule, x, before, exact) for x in range(graph.n)]
 
 
 def eta(graph: Graph, rule: Rule, x: int | str) -> RescaleReport:

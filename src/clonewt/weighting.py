@@ -12,6 +12,7 @@ import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .rules import (
     _mccp_pairs,
     _membership,
     _shared_fractions,
+    _smooth_pairs,
     parse_rule,
     rule_is_rational,
     w_cu,
@@ -210,30 +212,78 @@ def _sweep(inst: MetricInstance, mw: MetricWeighting, exact: bool):
             yield (weights if exact else _floats(weights)), increment
 
 
-def _class_uniform(rule: Rule) -> bool:
-    """Whether ``rule`` is ``cu`` or ``lift:uniform``, wrapped or not.
+@dataclass
+class _Kept:
+    """The state a pairs sweep keeps at a read piece: ``nbrs``, the open
+    neighbourhoods; ``twins``, the duplicate classes, when the reader reads
+    them; ``cover``, the maximal cliques as bitmasks, when it reads them."""
 
-    Both give w(x) = 1 / (k * |[x]|) with k the number of duplicate
-    classes: ``lift:uniform`` puts 1/k on each class of the quotient and
-    divides it by the class size.  The rule is told by its callable, not by
-    its name, so that any other callable given one of these names is still
-    called.
+    n: int
+    nbrs: list[int]
+    twins: _TwinState | None
+    cover: list[int] | None
+
+
+@dataclass(frozen=True)
+class _Reader:
+    """A rule's weights read off the state a sweep keeps: ``pairs`` maps a
+    ``_Kept`` to one integer (numerator, denominator) pair per vertex, and
+    the flags say whether it reads the classes and the clique cover."""
+
+    pairs: Callable[[_Kept], list[tuple[int, int]]]
+    classes: bool = False
+    cliques: bool = False
+
+
+def _class_uniform_pairs(kept: _Kept) -> list[tuple[int, int]]:
+    """w(x) = 1 / (k * |[x]|) with k the number of duplicate classes."""
+    twins = kept.twins
+    k, size = len(twins.by_key), twins.size
+    return [(1, k * size[c]) for c in twins.cid]
+
+
+def _smoothed(base: _Reader) -> _Reader:
+    """``smooth`` over the reader ``base``.  The smoothed pairs share one
+    denominator, so that the sweep keeps the check a ``WeightVector`` makes
+    in the per-event loop, in float mode too, as one integer sum."""
+
+    def pairs(kept: _Kept) -> list[tuple[int, int]]:
+        out = _smooth_pairs(base.pairs(kept), kept.nbrs)
+        total, common = sum(t for t, _ in out), out[0][1]
+        if total != common:
+            raise ValueError(f"smoothed weights sum to {Fraction(total, common)}, expected 1")
+        return out
+
+    return _Reader(pairs, base.classes, base.cliques)
+
+
+_CLASS_UNIFORM = _Reader(_class_uniform_pairs, classes=True)
+_MCCA = _Reader(lambda kept: _mcca_pairs(kept.cover, kept.n), cliques=True)
+_MCCP = _Reader(lambda kept: _mccp_pairs(kept.cover, _membership(kept.cover, kept.n)),
+                cliques=True)
+
+
+def _pairs_reader(rule: Rule) -> _Reader | None:
+    """The reader of ``rule``'s weights, or ``None`` when it has none and
+    is called on every event's graph.
+
+    ``cu`` and ``lift:uniform`` (which puts 1/k on each class of the
+    quotient and divides it by the class size) read the classes, ``mcca``
+    and ``mccp`` the clique cover, and ``smooth`` over any of these reads
+    what its base reads.  The rule is told by its callable, wrapped or not,
+    not by its name, so that any other callable given one of these names is
+    still called.
     """
     fn = inspect.unwrap(rule)
-    return fn is w_cu or getattr(fn, "lifted", None) is w_uniform
-
-
-def _clique_pairs(rule: Rule):
-    """For ``mcca`` or ``mccp``, wrapped or not, the function from a
-    clique cover (masks, n) to the rule's weights as integer (numerator,
-    denominator) pairs; ``None`` for every other rule.  As for
-    ``_class_uniform``, the rule is told by its callable, not its name."""
-    fn = inspect.unwrap(rule)
+    if fn is w_cu or getattr(fn, "lifted", None) is w_uniform:
+        return _CLASS_UNIFORM
     if fn is w_mcca:
-        return _mcca_pairs
+        return _MCCA
     if fn is w_mccp:
-        return lambda masks, n: _mccp_pairs(masks, _membership(masks, n))
-    return None
+        return _MCCP
+    base = getattr(fn, "smoothed", None)
+    reader = None if base is None else _pairs_reader(base)
+    return None if reader is None else _smoothed(reader)
 
 
 def evaluate_all(
@@ -245,20 +295,21 @@ def evaluate_all(
     rationals and the result sums to 1 exactly; the rule must be
     rational-valued (the entropy rule is not).  The class-uniform rules
     (``cu``, ``lift:uniform``) are integrated from the duplicate classes the
-    sweep keeps, and the maximal-clique rules (``mcca``, ``mccp``) from the
-    clique cover it keeps, without a rule call per event; every other rule
-    is called on each event's graph.
+    sweep keeps, and the maximal-clique rules (``mcca``, ``mccp``) and
+    ``smooth`` over any of these from the state it keeps, without a rule
+    call per event (see ``_pairs_reader``); every other rule is called on
+    each event's graph.
     """
     if exact and not mw.exact_capable:
         raise ValueError(
             f"rule {mw.rule_name!r} does not produce rational weights; "
             "exact integration is unavailable"
         )
-    if _class_uniform(mw.rule):
+    reader = _pairs_reader(mw.rule)
+    if reader is _CLASS_UNIFORM:
         return WeightVector(_class_uniform_sweep(inst, mw.density, exact), inst.labels)
-    pairs = _clique_pairs(mw.rule)
-    if pairs is not None:
-        steps = _clique_sweep(inst, mw.density, exact, pairs)
+    if reader is not None:
+        steps = _pairs_sweep(inst, mw.density, exact, reader)
     else:
         steps = _sweep(inst, mw, exact)
     n = inst.n
@@ -284,39 +335,47 @@ def evaluate_all(
     return WeightVector(tuple(acc), inst.labels)
 
 
-def _clique_sweep(inst: MetricInstance, density: Density, exact: bool, pairs_of):
-    """What ``_sweep`` yields, for a maximal-clique rule whose weights
-    ``pairs_of`` reads off a clique cover, without a graph or rule call per
-    piece.  Float mode divides each distinct integer pair once; ``int /
-    int`` rounds as ``float(Fraction)`` does.
+def _pairs_sweep(inst: MetricInstance, density: Density, exact: bool, reader: _Reader):
+    """What ``_sweep`` yields, for a rule whose weights ``reader`` reads off
+    the state the sweep keeps, without a graph or rule call per piece.
+    Float mode divides each distinct integer pair once; ``int / int``
+    rounds as ``float(Fraction)`` does.
 
-    The cover is kept as bitmasks.  After edges are added, with T their
-    endpoints, a maximal clique that misses T is still maximal: a vertex
-    that could extend it would have gained an edge into it, so it would be
-    in T.  The new cover is therefore the old cliques that miss T plus the
-    cliques of the new graph that meet T, which Bron-Kerbosch lists from
-    T | N(T).  The cover is only brought up to date at the pieces that are
-    read, with T collected over the events since, so the ``cliques`` cap is
-    checked on the same graphs as a per-event rule call checks it.
+    The duplicate classes are kept only when the reader reads them, and
+    the clique cover only when it reads that.  The cover is kept as
+    bitmasks.  After edges are added, with T their endpoints, a maximal
+    clique that misses T is still maximal: a vertex that could extend it
+    would have gained an edge into it, so it would be in T.  The new cover
+    is therefore the old cliques that miss T plus the cliques of the new
+    graph that meet T, which Bron-Kerbosch lists from T | N(T).  The cover
+    is only brought up to date at the pieces that are read, with T
+    collected over the events since, so the ``cliques`` cap is checked on
+    the same graphs as a per-event rule call checks it.
     """
     filtration = Filtration(inst, density.alpha, exact=exact)
     increments = _increments(filtration, density, exact)
     n, labels, cap = inst.n, inst.labels, default_caps().cliques
-    nbrs, cover = [0] * n, []
+    nbrs = [0] * n
+    kept = _Kept(n, nbrs, _TwinState(n) if reader.classes else None,
+                 [] if reader.cliques else None)
     touched = (1 << n) - 1  # the first cover read is enumerated in full
     for pairs, increment in zip([filtration.base, *filtration.pairs], increments):
         for u, v in pairs:
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
             touched |= 1 << u | 1 << v
+        if kept.twins is not None:
+            kept.twins.add(pairs)
         if increment == 0:
             continue
-        cover = [c for c in cover if not c & touched]
-        cover += _maximal_clique_masks(nbrs, cap, touched)
-        if len(cover) > cap:
-            raise CapExceeded("maximal-clique enumeration", "cliques", cap)
+        if reader.cliques:
+            cover = [c for c in kept.cover if not c & touched]
+            cover += _maximal_clique_masks(nbrs, cap, touched)
+            if len(cover) > cap:
+                raise CapExceeded("maximal-clique enumeration", "cliques", cap)
+            kept.cover = cover
         touched = 0
-        weights = pairs_of(cover, n)
+        weights = reader.pairs(kept)
         if exact:
             yield WeightVector(_shared_fractions(weights), labels), increment
         else:

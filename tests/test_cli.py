@@ -4,6 +4,7 @@ Every test drives ``clonewt.cli.main`` in-process with an argv list and
 checks the exit code, the JSON/CSV payload, and determinism of the output.
 """
 
+import argparse
 import json
 import os
 import runpy
@@ -166,6 +167,25 @@ class TestWeigh:
         )
         assert code == USAGE_ERROR
         assert "expected a number" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "matrix", "distances": [[0, 0.1, 0.25], [0.1, 0, 0.15], [0.25, 0.15, 0.0]]},
+        {"kind": "points", "points": [[0.5, 0.25], [0.5, 1.5], [0.25, 0.5]]},
+    ])
+    def test_exact_document_parses_each_literal_once(self, doc, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        got = cli._exact_document(argparse.Namespace(input=str(path), exact=True))
+        with open(path) as fh:
+            assert got == json.load(fh, parse_float=Fraction)
+        cells = [v for row in got.get("distances", got.get("points")) for v in row]
+        by_value = {}
+        for v in cells:
+            if isinstance(v, Fraction):
+                by_value.setdefault(v, set()).add(id(v))
+        assert len(by_value) >= 2
+        assert all(len(ids) == 1 for ids in by_value.values())
+        assert any(sum(v is w for w in cells) > 1 for v in by_value)
 
     def test_tol_admits_a_small_triangle_violation_in_a_matrix(self, capsys, tmp_path):
         path = tmp_path / "matrix.json"

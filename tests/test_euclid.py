@@ -385,6 +385,18 @@ class TestStratifiedMonteCarlo:
             ref = _ref_mc_ratio(centers, 0.35, numer, samples, seq)
             assert (est.value, est.half_width) == ref
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_strata_variance_equals_the_loop(self, seed):
+        """The left-to-right sum over strata, bit for bit."""
+        rng = np.random.default_rng(seed)
+        for n_each in (1, 2, 3, 50, 199):
+            values = rng.random((64, n_each)) * rng.choice([1e-9, 1.0, 1e6], size=(64, 1))
+            want = 0.0
+            if n_each > 1:
+                for var in values.var(axis=1, ddof=1):
+                    want += float(var) / n_each
+            assert euclid._strata_variance(values) == want
+
     @pytest.mark.parametrize("pts, r, samples, seed", [
         ([[0.0, 0.0], [1.0, 0.0]], 1.0, 200_000, 3),
         ([[0.0, 0.0], [0.5, 0.5]], 1.0, 50_000, 9),

@@ -275,13 +275,15 @@ SWEEP_KINDS = ["clouds", "flat-cdf", "dense-ties", "l1-lattice", "n110"]
 class TestMaintainedClassesInTheSweep:
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize(
-        "rule", ["cu", "lift:uniform", "lift:cu", "smooth:cu", "mcca", "mccp"]
+        "rule",
+        ["cu", "lift:uniform", "lift:cu", "smooth:cu", "mcca", "mccp", "smooth:mcca",
+         "smooth:mccp", "smooth:lift:uniform", "smooth:smooth:cu"],
     )
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_equal_to_classes_from_scratch(self, kind, rule, exact, monkeypatch, tmp_path):
         """Against the rule called on every event's graph, with the classes
-        (and, for ``mcca`` and ``mccp``, the clique cover) computed from
-        scratch: equal ``Fraction``s in exact mode, equal floats otherwise."""
+        (and, for the clique rules, the clique cover) computed from scratch:
+        equal ``Fraction``s in exact mode, equal floats otherwise."""
         for inst, density in _sweep_cases(kind, tmp_path):
             mw = MetricWeighting.from_names(rule, density)
             got = evaluate_all(inst, mw, exact=exact).values
@@ -321,14 +323,16 @@ def _counting(rule, calls):
 
 
 class TestClassUniformDispatch:
-    """``cu``, ``lift:uniform``, ``mcca`` and ``mccp`` are integrated
-    without a rule call per event; which path a sweep takes follows the
-    callable, not the name."""
+    """``cu``, ``lift:uniform``, ``mcca``, ``mccp`` and ``smooth`` over any
+    of them are integrated without a rule call per event; which path a
+    sweep takes follows the callable, not the name."""
 
     @pytest.mark.parametrize(
         "rule, events",
-        [("cu", 0), ("lift:uniform", 0), ("lift:cu", 3), ("smooth:cu", 3), ("mcca", 0),
-         ("mccp", 0), ("lift:mcca", 3), ("smooth:mcca", 3), ("lift:mccp", 3)],
+        [("cu", 0), ("lift:uniform", 0), ("lift:cu", 3), ("smooth:cu", 0), ("mcca", 0),
+         ("mccp", 0), ("lift:mcca", 3), ("smooth:mcca", 0), ("lift:mccp", 3),
+         ("smooth:mccp", 0), ("smooth:lift:uniform", 0), ("smooth:degree", 3),
+         ("smooth:lift:mcca", 3)],
     )
     def test_rule_calls_per_sweep(self, three_points, rule, events):
         """A ``functools.wraps`` wrapper (as a tracer adds) keeps the path."""
@@ -338,6 +342,15 @@ class TestClassUniformDispatch:
         got = evaluate_all(three_points, wrapped, exact=True)
         assert len(calls) == events
         assert got == evaluate_all(three_points, mw, exact=True)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_smoothed_weights_are_checked_to_sum_to_one(self, three_points, exact):
+        """As ``WeightVector`` checks them in the per-event loop, in float
+        mode too: a base whose pairs sum to 3/2 is refused."""
+        half = weighting._Reader(lambda kept: [(1, 2)] * kept.n)
+        reader = weighting._smoothed(half)
+        with pytest.raises(ValueError, match="smoothed weights sum to 3/2, expected 1"):
+            list(weighting._pairs_sweep(three_points, Density.uniform(2), exact, reader))
 
     def test_another_callable_named_cu_is_called_per_event(self, three_points):
         calls = []
@@ -400,8 +413,9 @@ _SKIP_OCTAHEDRON = [(0, 0), (1, Fraction(1, 2)), (2, Fraction(1, 2)), (3, 1)]
 
 
 class TestKeptCliqueCover:
-    """``mcca`` and ``mccp`` are integrated from a clique cover kept across
-    the sweep, re-enumerated only through the vertices the events touch."""
+    """``mcca``, ``mccp`` and ``smooth`` over them are integrated from a
+    clique cover kept across the sweep, re-enumerated only through the
+    vertices the events touch."""
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
@@ -410,18 +424,19 @@ class TestKeptCliqueCover:
         for inst, density in _sweep_cases(kind, tmp_path):
             covers = []
 
-            def record(masks, n):
-                covers.append(list(masks))
-                return _mcca_pairs(masks, n)
+            def record(kept):
+                covers.append(list(kept.cover))
+                return _mcca_pairs(kept.cover, kept.n)
 
-            list(weighting._clique_sweep(inst, density, exact, record))
+            reader = weighting._Reader(record, cliques=True)
+            list(weighting._pairs_sweep(inst, density, exact, reader))
             want = [set(_maximal_clique_masks(g.nbrs, 10**6))
                     for g in _read_graphs(inst, density, exact)]
             assert len(covers) == len(want)
             assert all(len(c) == len(set(c)) for c in covers)
             assert [set(c) for c in covers] == want
 
-    @pytest.mark.parametrize("rule", ["mcca", "mccp"])
+    @pytest.mark.parametrize("rule", ["mcca", "mccp", "smooth:mcca"])
     def test_cap_raises_as_in_the_per_event_loop(self, rule, monkeypatch):
         """Under every cap up to the largest cover read, the sweep raises
         the loop's ``CapExceeded`` or gives its weights."""
@@ -446,7 +461,7 @@ class TestKeptCliqueCover:
                 raised += isinstance(got, tuple)
         assert raised == 2 * (largest - 1)
 
-    @pytest.mark.parametrize("rule", ["mcca", "mccp"])
+    @pytest.mark.parametrize("rule", ["mcca", "mccp", "smooth:mcca"])
     def test_cap_counts_the_kept_cliques(self, rule, monkeypatch):
         """Closing the path 0-1-...-7 into a cycle makes 8 maximal cliques,
         though only 3 of them meet the new edge's endpoints."""
