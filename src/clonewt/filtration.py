@@ -10,7 +10,6 @@ are built around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations
 from fractions import Fraction
 
@@ -49,11 +48,12 @@ class _Deferred:
     ``_lazy`` builds an instance without running ``__init__``: the ``known``
     attributes are set at once, and each of ``thunks`` (dataclass fields
     included) is called the first time its attribute is read.  The checks
-    of ``__post_init__`` are skipped too, so it is only for values valid by
-    construction: sweep graphs, quotients and subgraphs.  ``_derived``
-    maps further attribute names to functions of the instance, for values
-    that every instance derives from its fields.  Either way the value is
-    then stored on the instance, so later reads are plain lookups.
+    of ``__post_init__`` are skipped too, so it is only for graphs valid by
+    construction: a sweep's graphs, quotients (whose labels are thunks) and
+    subgraphs.  ``_derived`` maps further attribute names to functions of
+    the instance, for values that every instance derives from its fields,
+    such as a ``ClassPartition``'s sizes.  Either way the value is then
+    stored on the instance, so later reads are plain lookups.
     """
 
     _derived: dict = {}
@@ -84,8 +84,6 @@ class Graph(_Deferred):
 
     ``nbrs[v]`` is the open neighborhood of v as a bitmask (no self-bit).
     Instances are hashable, so they can key caches and appear in test tables.
-    A sweep graph also carries its duplicate classes (``_twins``), which
-    ``equivalence_classes`` and ``quotient`` read instead of recomputing.
     """
 
     n: int
@@ -130,6 +128,8 @@ class Graph(_Deferred):
                 return self.labels.index(vertex)
             except ValueError:
                 raise KeyError(f"unknown vertex label {vertex!r}") from None
+        if not 0 <= vertex < self.n:
+            raise IndexError(f"vertex index {vertex} out of range for n={self.n}")
         return vertex
 
     def closed(self, v: int) -> int:
@@ -230,13 +230,14 @@ class Filtration:
 
     def graphs(self):
         """Yield (r, G_r) for r = 0 and then for each radius in turn; the
-        graph is constant from r up to the next radius.  Each graph carries
-        its duplicate classes, kept up to date across the events."""
-        twins = _TwinState(self.n)
+        graph is constant from r up to the next radius."""
+        n, labels, masks = self.n, self.labels, [0] * self.n
         zero = Fraction(0) if self.exact else 0.0
         for r, pairs in zip([zero, *self.radii], [self.base, *self.pairs]):
-            twins.add(pairs)
-            yield r, twins.graph(self.labels)
+            for u, v in pairs:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            yield r, Graph._lazy({"n": n, "nbrs": tuple(masks), "labels": labels}, {})
 
 
 class _TwinState:
@@ -246,21 +247,17 @@ class _TwinState:
     id.  Adding the edge uv changes only N[u] and N[v], so only u and v can
     change class: each leaves its class and joins the class keyed by its new
     closed neighbourhood, or a fresh one.  That is a few dict and list
-    operations per endpoint, plus re-sorting the members of the classes
-    involved.  Ids of emptied classes are reused, so ids stay below n.
+    operations per endpoint.  Ids of emptied classes are reused, so ids stay
+    below n.
     """
 
     def __init__(self, n: int) -> None:
-        self.n = n
         self.masks = [0] * n  # open neighbourhoods
         self.cid = list(range(n))  # class id of each vertex
         self.size = [1] * n  # members of each class id
-        self.rep = list(range(n))  # a member of each class id
         self.key = [1 << v for v in range(n)]  # closed neighbourhood of each class id
         self.by_key = {key: c for c, key in enumerate(self.key)}
-        self.multi: dict[int, tuple[int, ...]] = {}  # sorted members of classes of 2+
         self.free: list[int] = []  # ids of empty classes
-        self.names: dict[tuple[int, ...], str] = {}  # quotient labels built so far
 
     def add(self, pairs: list[tuple[int, int]]) -> list[int]:
         """Add the edges of ``pairs``, none of them present yet, and return
@@ -294,97 +291,14 @@ class _TwinState:
             self.free.append(a)
         else:
             self.size[a] -= 1
-            members = self.multi.pop(a)
-            rest = tuple(m for m in members if m != w)
-            if len(rest) > 1:
-                self.multi[a] = rest
-            self.rep[a] = rest[0]
         if b is None:
             b = self.free.pop()  # w left a class of 2+, so an id is free
             self.key[b] = new
             self.by_key[new] = b
             self.size[b] = 1
-            self.rep[b] = w
         else:
             self.size[b] += 1
-            self.multi[b] = tuple(sorted((*self.multi.get(b, (self.rep[b],)), w)))
         self.cid[w] = b
-
-    def graph(self, labels: tuple[str, ...]) -> "Graph":
-        """The current graph, carrying a copy of the current classes."""
-        twins = _Twins(
-            tuple(self.cid), tuple(self.size), tuple(self.rep), dict(self.multi),
-            len(self.by_key), self.names,
-        )
-        known = {"n": self.n, "nbrs": tuple(self.masks), "labels": labels, "_twins": twins}
-        return Graph._lazy(known, {"_classes": twins.partition})
-
-
-class _Twins:
-    """The duplicate classes of one sweep graph, as ``_TwinState`` held them.
-
-    Copying the state is a few C-level passes; the class order (by least
-    member), ``class_of`` and the quotient are derived from the copy only
-    when read.  Each class has one representative member: the
-    representatives adjacent to one of them are exactly those of the
-    adjacent classes, because adjacency between true-twin classes is all
-    or nothing.  Nothing here
-    refers back to the graph or its partition, so a sweep leaves no
-    reference cycles behind.
-    """
-
-    def __init__(self, cid, size, rep, multi, count, names) -> None:
-        self.cid, self.size, self.rep, self.multi = cid, size, rep, multi
-        self.count, self.names = count, names
-
-    @cached_property
-    def order(self) -> tuple[int, ...]:
-        # the first occurrence of a class id is at the class's least member
-        return tuple(dict.fromkeys(self.cid))
-
-    @cached_property
-    def rank(self) -> dict[int, int]:
-        return dict(zip(self.order, range(self.count)))
-
-    def partition(self) -> "ClassPartition":
-        size, multi, rep = self.size, self.multi, self.rep
-        return ClassPartition._lazy({"count": self.count}, {
-            "classes": lambda: tuple(multi.get(c) or (rep[c],) for c in self.order),
-            "class_of": lambda: tuple(map(self.rank.__getitem__, self.cid)),
-            "sizes": lambda: tuple(map(size.__getitem__, self.order)),
-            "size_of": lambda: tuple(map(size.__getitem__, self.cid)),
-        })
-
-    def quotient(self, graph: "Graph") -> "QuotientGraph":
-        reps = tuple(map(self.rep.__getitem__, self.order))
-
-        def masks() -> tuple[int, ...]:
-            nbrs, rank = graph.nbrs, dict(zip(reps, range(self.count)))
-            mask = sum(map((1).__lshift__, reps))
-            out = []
-            for a in reps:
-                adjacent, hit = nbrs[a] & mask, 0
-                while adjacent:
-                    low = adjacent & -adjacent
-                    hit |= 1 << rank[low.bit_length() - 1]
-                    adjacent ^= low
-                out.append(hit)
-            return tuple(out)
-
-        def labels() -> tuple[str, ...]:
-            # every graph of a sweep has the same labels, so the joined
-            # labels of its classes are shared across the sweep
-            names, joined = graph.labels, self.names
-            out = list(map(names.__getitem__, reps))
-            for c, members in self.multi.items():
-                label = joined.get(members)
-                if label is None:
-                    label = joined[members] = "+".join(map(names.__getitem__, members))
-                out[self.rank[c]] = label
-            return tuple(out)
-
-        qgraph = Graph._lazy({"n": self.count}, {"nbrs": masks, "labels": labels})
-        return QuotientGraph(qgraph, equivalence_classes(graph))
 
 
 def threshold_radii(
@@ -425,14 +339,8 @@ class ClassPartition(_Deferred):
 
 
 def equivalence_classes(graph: Graph) -> ClassPartition:
-    """The duplicate classes of ``graph``: those a sweep graph carries, or
-    computed from its closed neighbourhoods."""
-    if "_twins" in graph.__dict__:
-        return graph._classes
-    return _classes_from_scratch(graph)
-
-
-def _classes_from_scratch(graph: Graph) -> ClassPartition:
+    """The duplicate classes of ``graph``, computed from its closed
+    neighbourhoods."""
     by_closed: dict[int, list[int]] = {}
     for v, mask in enumerate(graph.nbrs):
         by_closed.setdefault(mask | 1 << v, []).append(v)
@@ -456,20 +364,12 @@ def quotient(graph: Graph) -> QuotientGraph:
     """Quotient by the duplicate-class partition.
 
     Two classes are adjacent iff their members are adjacent; member choice
-    cannot matter (equal closed neighborhoods).  A sweep graph's quotient
-    is read off one representative per class.  Otherwise the classes are computed
-    here and re-checked, because the rules build on it: each class's closed
-    neighborhood must be a union of whole classes.  The quotient's labels
-    join the member labels with ``+`` and are built when read.
+    cannot matter (equal closed neighborhoods).  The classes are re-checked
+    here, because the rules build on them: each class's closed neighborhood
+    must be a union of whole classes.  The quotient's labels join the member
+    labels with ``+`` and are built when read.
     """
-    twins = graph.__dict__.get("_twins")
-    if twins is not None:
-        return twins.quotient(graph)
-    return _quotient_from_scratch(graph)
-
-
-def _quotient_from_scratch(graph: Graph) -> QuotientGraph:
-    part = _classes_from_scratch(graph)
+    part = equivalence_classes(graph)
     class_mask = [0] * len(part)
     for v, c in enumerate(part.class_of):
         class_mask[c] |= 1 << v

@@ -298,7 +298,8 @@ def evaluate_all(
     sweep keeps, and the maximal-clique rules (``mcca``, ``mccp``) and
     ``smooth`` over any of these from the state it keeps, without a rule
     call per event (see ``_pairs_reader``); every other rule is called on
-    each event's graph.
+    each event's graph, and a rule that reads duplicate classes or the
+    quotient (``lift:mcca``, ``entropy``, ...) computes them from that graph.
     """
     if exact and not mw.exact_capable:
         raise ValueError(

@@ -76,6 +76,12 @@ class TestGraph:
         with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\).*n=3"):
             Graph.from_edges(3, [edge])
 
+    @pytest.mark.parametrize("vertex", [-1, 4])
+    def test_out_of_range_index_rejected(self, paw, vertex):
+        with pytest.raises(IndexError, match=rf"vertex index {vertex} out of range for n=4"):
+            paw.index(vertex)
+        assert [paw.index(v) for v in (0, 3, "d")] == [0, 3, 3]
+
     def test_repeated_labels_rejected_by_name(self):
         with pytest.raises(ValueError, match="label 'a' appears more than once"):
             Graph(2, (0, 0), ("a", "a"))
@@ -232,14 +238,9 @@ def _planted_cloud(seed: int, dim: int, exact: bool):
     return load_instance({"kind": "points", "points": pts})
 
 
-def _plain(graph: Graph) -> Graph:
-    """The same graph without the classes a sweep hands it."""
-    return Graph._lazy({"n": graph.n, "nbrs": graph.nbrs, "labels": graph.labels}, {})
-
-
 class TestMaintainedClasses:
-    """The classes and quotient a sweep keeps up to date equal the ones
-    computed from scratch, at every event."""
+    """The classes a sweep keeps up to date (``_TwinState``) equal the ones
+    computed from each event's graph, at every event."""
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -249,14 +250,17 @@ class TestMaintainedClasses:
         filt = Filtration(inst, Fraction(5, 2), exact=exact)
         assert filt.base, "the planted copies give distance-0 pairs"
         assert any(len(pairs) > 1 for pairs in filt.pairs)
-        for r, g in filt.graphs():
-            part = equivalence_classes(g)
-            want = filtration._classes_from_scratch(_plain(g))
-            assert part == want, f"r={r}"
-            assert (len(part), part.sizes, part.size_of) == (
-                len(want), want.sizes, want.size_of)
-            q, q_want = quotient(g), filtration._quotient_from_scratch(_plain(g))
-            assert q.graph == q_want.graph and q.partition == want, f"r={r}"
+        state = filtration._TwinState(inst.n)
+        for pairs, (r, g) in zip([filt.base, *filt.pairs], filt.graphs()):
+            state.add(pairs)
+            assert state.masks == list(g.nbrs), f"r={r}"
+            want = equivalence_classes(g)
+            grouped: dict[int, list[int]] = {}
+            for v, c in enumerate(state.cid):
+                grouped.setdefault(c, []).append(v)
+            assert sorted(map(tuple, grouped.values())) == sorted(want.classes), f"r={r}"
+            assert [state.size[c] for c in state.cid] == list(want.size_of), f"r={r}"
+            assert len(state.by_key) == want.count, f"r={r}"
 
     def test_vertex_joining_a_class_below_its_least_member(self):
         """At r=2 vertex 0 gains 3 and joins {1, 2}, whose least member it
@@ -272,23 +276,6 @@ class TestMaintainedClasses:
             (1.0, ((0,), (1, 2), (3,)), ("e0", "e1+e2", "e3")),
             (2.0, ((0, 1, 2, 3),), ("e0+e1+e2+e3",)),
         ]
-
-    def test_graphs_kept_past_their_event_keep_their_classes(self):
-        inst = _planted_cloud(3, 2, False)
-        graphs = [g for _, g in Filtration(inst, 3).graphs()]
-        for g in graphs:
-            assert equivalence_classes(g) == filtration._classes_from_scratch(_plain(g))
-            assert quotient(g).graph == filtration._quotient_from_scratch(_plain(g)).graph
-
-    def test_class_order_and_labels_are_built_when_read(self):
-        inst = _planted_cloud(1, 2, False)
-        *_, (_, g) = Filtration(inst, 3).graphs()
-        part = equivalence_classes(g)
-        assert len(part) == len(set(g.closed(v) for v in range(g.n)))
-        assert "classes" not in vars(part) and "class_of" not in vars(part)
-        q = quotient(g)
-        assert "labels" not in vars(q.graph) and "nbrs" not in vars(q.graph)
-        assert q.graph.labels == tuple("+".join(g.labels[v] for v in c) for c in part.classes)
 
     def test_scratch_quotient_labels_are_built_when_read(self, paw):
         q = quotient(paw)

@@ -25,6 +25,7 @@ from clonewt import (
     eta,
     parse_rule,
     private_graph,
+    sharing_row,
     sharing_rows,
     w_cu,
     w_degree,
@@ -79,6 +80,18 @@ class TestRemovalSemantics:
         for y, lab in enumerate(("b", "c", "d")):
             got = scale * (w[y + 1] + chi_graph(paw, w_cu, "a", lab))
             assert got == sub[y], f"reconstruction failed at {lab}"
+
+    @pytest.mark.parametrize("x", [-1, 4])
+    def test_out_of_range_vertex_rejected(self, paw, x):
+        """An index outside 0..n-1 is named, not read as a shift or a
+        position from the end."""
+        message = rf"vertex index {x} out of range for n=4"
+        with pytest.raises(IndexError, match=message):
+            sharing_row(paw, w_cu, x)
+        with pytest.raises(IndexError, match=message):
+            chi_graph(paw, w_cu, x, 0)
+        with pytest.raises(IndexError, match=message):
+            chi_graph(paw, w_cu, 0, x)
 
     def test_eta_zero_when_neighborhood_covers_everything(self):
         g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])

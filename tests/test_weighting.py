@@ -23,7 +23,6 @@ from clonewt import (
     MetricWeighting,
     add_clone,
     evaluate,
-    equivalence_classes,
     evaluate_all,
     load_instance,
     neighborhood_graph,
@@ -32,7 +31,7 @@ from clonewt import (
     sample_labels,
     w_uniform,
 )
-from clonewt import filtration, weighting
+from clonewt import rules, weighting
 from clonewt.rules import _maximal_clique_masks, _mcca_pairs
 
 
@@ -178,7 +177,8 @@ def _decimal_csv(path, seed, size=8):
     return load_instance(path)
 
 
-SWEEP_RULES = ["cu", "lift:uniform", "uniform", "mcca", "mccp", "smooth:cu"]
+SWEEP_RULES = ["cu", "lift:uniform", "uniform", "mcca", "mccp", "smooth:cu", "lift:mcca",
+               "lift:mccp"]
 
 
 class TestSweepAgainstPerEventReference:
@@ -218,14 +218,6 @@ def _clouds():
         pts += [list(pts[i]) for i in (0, 3, 3)]
         out.append(load_instance({"kind": "points", "points": pts}))
     return out
-
-
-class _PlainFiltration(Filtration):
-    """The sweep's graphs without the classes it keeps for them."""
-
-    def graphs(self):
-        for r, g in super().graphs():
-            yield r, Graph._lazy({"n": g.n, "nbrs": g.nbrs, "labels": g.labels}, {})
 
 
 def _plain(rule):
@@ -280,7 +272,7 @@ class TestMaintainedClassesInTheSweep:
          "smooth:mccp", "smooth:lift:uniform", "smooth:smooth:cu"],
     )
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
-    def test_equal_to_classes_from_scratch(self, kind, rule, exact, monkeypatch, tmp_path):
+    def test_equal_to_classes_from_scratch(self, kind, rule, exact, tmp_path):
         """Against the rule called on every event's graph, with the classes
         (and, for the clique rules, the clique cover) computed from scratch:
         equal ``Fraction``s in exact mode, equal floats otherwise."""
@@ -288,27 +280,25 @@ class TestMaintainedClassesInTheSweep:
             mw = MetricWeighting.from_names(rule, density)
             got = evaluate_all(inst, mw, exact=exact).values
             slow = MetricWeighting(_plain(mw.rule), density, rule_name=rule)
-            with monkeypatch.context() as m:
-                m.setattr(weighting, "Filtration", _PlainFiltration)
-                want = evaluate_all(inst, slow, exact=exact).values
+            want = evaluate_all(inst, slow, exact=exact).values
             assert got == want
             assert all(type(v) is type(w) for v, w in zip(got, want))
 
     @pytest.mark.parametrize("rule", ["cu", "lift:uniform"])
     def test_sweep_never_builds_classes_from_scratch(self, rule, monkeypatch):
         calls = []
-        for name in ("_classes_from_scratch", "_quotient_from_scratch"):
-            original = getattr(filtration, name)
+        for name in ("equivalence_classes", "quotient"):
+            original = getattr(rules, name)
             monkeypatch.setattr(
-                filtration, name, lambda g, f=original, name=name: calls.append(name) or f(g)
+                rules, name, lambda g, f=original, name=name: calls.append(name) or f(g)
             )
         mw = MetricWeighting.from_names(rule, Density.uniform(Fraction(3, 2)))
         for inst in _clouds():
             for exact in (False, True):
                 evaluate_all(inst, mw, exact=exact)
         assert calls == []
-        equivalence_classes(Graph.from_edges(3, [(0, 1)]))
-        assert calls == ["_classes_from_scratch"]
+        rules.w_cu(Graph.from_edges(3, [(0, 1)]))
+        assert calls == ["equivalence_classes"]
 
 
 def _counting(rule, calls):
