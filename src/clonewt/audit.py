@@ -39,6 +39,7 @@ from .metric import MetricInstance, add_clone, load_instance
 from .metric import random_instance as _random_instance
 from .render import jsonable
 from .rules import Rule, WeightVector, parse_rule
+from .sharing import sharing_rows
 from .weighting import MetricWeighting, evaluate_all
 
 Number = int | float | Fraction
@@ -881,8 +882,6 @@ def conjecture_search(
     budget unit each.  Findings are evidence only: the search never claims
     a proof.
     """
-    from .sharing import _fractions, _sharing_row
-
     if target not in ("mcc_axiom2", "entropy_negative_chi"):
         raise ValueError(
             f"unknown target {target!r}; use 'mcc_axiom2' or 'entropy_negative_chi'"
@@ -902,16 +901,17 @@ def conjecture_search(
                 g = add_vertex_clone(g, int(rng.integers(0, n)))
             yield g
 
+    def labelled_edges(graph: Graph) -> tuple[tuple[str, str], ...]:
+        return tuple((graph.labels[a], graph.labels[b]) for a, b in graph.edges())
+
     def probe_mcc(graph: Graph) -> None:
         nonlocal skipped
-        for rule_name in ("mcca", "mccp"):
-            rule = parse_rule(rule_name)[1]
-            weights = rule(graph)
-            before, exact = _fractions(weights), weights.exact
-            for x in range(graph.n):
+        edges = labelled_edges(graph)
+        for rule_name, rule in mcc_rules:
+            rows = sharing_rows(graph, rule)
+            for x, row in enumerate(rows):
                 if not graph.nbrs[x]:
                     continue
-                row = _sharing_row(graph, rule, x, before, exact)
                 if row.chi is None:
                     skipped += 1
                     continue
@@ -922,10 +922,7 @@ def conjecture_search(
                             ConjectureWitness(
                                 rule=rule_name,
                                 vertices=graph.labels,
-                                edges=tuple(
-                                    (graph.labels[a], graph.labels[b])
-                                    for a, b in graph.edges()
-                                ),
+                                edges=edges,
                                 pair=(graph.labels[x], graph.labels[y]),
                                 value=str(value),
                             )
@@ -935,10 +932,10 @@ def conjecture_search(
         nonlocal skipped
         if graph.n > 6:
             return
-        rule = parse_rule("entropy")[1]
-        w = [float(v) for v in rule(graph)]
+        edges = labelled_edges(graph)
+        w = [float(v) for v in entropy_rule(graph)]
         for x in range(graph.n):
-            row = _chi_float(graph, rule, x, tol, w)
+            row = _chi_float(graph, entropy_rule, x, tol, w)
             if row is None:
                 skipped += 1
                 continue
@@ -948,15 +945,18 @@ def conjecture_search(
                         ConjectureWitness(
                             rule="entropy",
                             vertices=graph.labels,
-                            edges=tuple(
-                                (graph.labels[a], graph.labels[b]) for a, b in graph.edges()
-                            ),
+                            edges=edges,
                             pair=(graph.labels[x], graph.labels[y]),
                             value=repr(value),
                         )
                     )
 
-    probe = probe_mcc if target == "mcc_axiom2" else probe_entropy
+    if target == "mcc_axiom2":
+        mcc_rules = [(name, parse_rule(name)[1]) for name in ("mcca", "mccp")]
+        probe = probe_mcc
+    else:
+        entropy_rule = parse_rule("entropy")[1]
+        probe = probe_entropy
     for graph in itertools.islice(graph_stream(), budget):
         probed += 1
         probe(graph)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 ENV_VAR = "CLONEWT_CAPS"
 
@@ -74,5 +75,15 @@ def load_caps(env: str | None = None) -> Caps:
 
 
 def default_caps() -> Caps:
-    """Caps currently in force (environment overrides applied)."""
-    return load_caps()
+    """Caps currently in force (environment overrides applied).
+
+    Each distinct value of the variable is parsed once: a changed variable
+    takes effect at the next call, and a malformed one raises on every call
+    (a failed parse is not cached).
+    """
+    return _parsed_caps(os.environ.get(ENV_VAR, ""))
+
+
+@lru_cache(maxsize=8)
+def _parsed_caps(env: str) -> Caps:
+    return load_caps(env)

@@ -259,6 +259,24 @@ class _TwinState:
         self.by_key = {key: c for c, key in enumerate(self.key)}
         self.free: list[int] = []  # ids of empty classes
 
+    @classmethod
+    def of(cls, nbrs: list[int]) -> "_TwinState":
+        """The state of the graph with open neighbourhoods ``nbrs``, built in
+        one pass: each vertex joins the class keyed by its closed
+        neighbourhood, and class ids follow their least members."""
+        n = len(nbrs)
+        state = cls(n)
+        state.masks = list(nbrs)
+        by_key = state.by_key = {}
+        state.size = [0] * n
+        for v, mask in enumerate(nbrs):
+            c = state.cid[v] = by_key.setdefault(mask | 1 << v, len(by_key))
+            state.size[c] += 1
+        for key, c in by_key.items():
+            state.key[c] = key
+        state.free = list(range(n - 1, len(by_key) - 1, -1))
+        return state
+
     def add(self, pairs: list[tuple[int, int]]) -> list[int]:
         """Add the edges of ``pairs``, none of them present yet, and return
         their endpoints: the only vertices that can have changed class.

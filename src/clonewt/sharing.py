@@ -3,17 +3,20 @@
 Removing a vertex x from a graph frees its mass; a rule redistributes that
 mass among the survivors.  The redistribution splits into a multiplicative
 rescaling (read off far from x, where locality pins the weights) and
-per-vertex shifts chi(x, y) near x.  Everything here runs in exact rational
-arithmetic because the axioms are sign conditions.
+per-vertex shifts chi(x, y) near x.  Everything here runs in exact
+arithmetic, integers over common denominators, because the axioms are sign
+conditions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .filtration import Graph
-from .rules import Rule
+from .filtration import Graph, _TwinState
+from .rules import Rule, maximal_cliques
+from .weighting import _Kept, _pairs_reader
 
 __all__ = [
     "InconsistentRescaling",
@@ -56,8 +59,9 @@ class SharingRow:
 
     ``report`` is the rescaling read off outside N[x]; it is None when a
     non-neighbour has weight 0, so no ratio exists.  When the rescaling is
-    consistent, ``chi`` maps every y != x to chi(x, y) and ``private`` is
-    chi(x, x); otherwise both are None and ``undefined`` says why.
+    consistent and its factor 1 + eta is not 0, ``chi`` maps every y != x
+    to chi(x, y) and ``private`` is chi(x, x); otherwise both are None and
+    ``undefined`` says why.
     """
 
     report: RescaleReport | None
@@ -73,7 +77,8 @@ class SharingRow:
 
 
 def sharing_row(graph: Graph, rule: Rule, x: int | str, weights=None) -> SharingRow:
-    """Remove x once and read off eta, the chi row and the private weight.
+    """The row of x: eta, the chi row and the private weight, from w(G) and
+    w(G - x) (see ``sharing_rows``).
 
     ``weights`` is w(G) when the caller already holds it; otherwise the rule
     is evaluated here.  The row identity w(x) = chi(x, x) + sum over y != x
@@ -81,72 +86,161 @@ def sharing_row(graph: Graph, rule: Rule, x: int | str, weights=None) -> Sharing
     re-derived exactly whenever w(G) is rational (float rules sum to 1 only
     within 1e-12).
     """
+    x = graph.index(x)
     if weights is None:
         weights = rule(graph)
-    return _sharing_row(graph, rule, graph.index(x), _fractions(weights), weights.exact)
-
-
-def _fractions(weights) -> list[Fraction]:
-    """``Fraction(v)`` of each weight, converting each distinct object once."""
-    conv = {key: Fraction(v) for key, v in weights.distinct.items()}
-    return list(map(conv.__getitem__, map(id, weights.values)))
-
-
-def _sharing_row(
-    graph: Graph, rule: Rule, x: int, before: list[Fraction], exact: bool
-) -> SharingRow:
-    """``sharing_row`` at vertex index x, with w(G) converted to ``before``
-    once per graph by the caller; ``exact`` says whether w(G) is rational."""
-    if graph.n < 2:
-        raise ValueError("cannot remove a vertex from a single-vertex graph")
-    survivors = [v for v in range(graph.n) if v != x]
-    w_after = rule(graph.remove_vertex(x))
-    after = {z: Fraction(w_after[i]) for i, z in enumerate(survivors)}
-
-    near = graph.closed(x)
-    outside = [z for z in survivors if not near >> z & 1]
-    scale = Fraction(1)
-    if outside:
-        for z in outside:
-            if before[z] == 0:
-                return SharingRow(
-                    None, undefined=f"w(G)({graph.labels[z]}) = 0; rescaling ratio undefined"
-                )
-        first_z, scale = outside[0], after[outside[0]] / before[outside[0]]
-        for z in outside[1:]:
-            if after[z] / before[z] != scale:
-                return SharingRow(
-                    RescaleReport(x, None, False, witness=(first_z, z)),
-                    undefined=(
-                        f"rule rescales inconsistently when removing {graph.labels[x]}: "
-                        f"witness non-neighbours {graph.labels[first_z]}, {graph.labels[z]}"
-                    ),
-                )
-
-    eta_x = scale - 1
-    chi = {}
-    for y in survivors:
-        value = after[y] / scale - before[y]
-        if not near >> y & 1 and value != 0:  # pragma: no cover - guard
-            raise RuntimeError(
-                f"chi({graph.labels[x]},{graph.labels[y]}) = {value} != 0 outside N[x]"
-            )
-        chi[y] = value
-    private = eta_x / (1 + eta_x)
-    if exact and before[x] != private + sum(chi.values()):  # pragma: no cover - guard
-        raise RuntimeError(
-            f"row identity failed at {graph.labels[x]}: "
-            f"w = {before[x]} but chi(x,x) + row = {private + sum(chi.values())}"
-        )
-    return SharingRow(RescaleReport(x, eta_x, True), chi, private)
+    return _rows(graph, rule, weights, [x])[0]
 
 
 def sharing_rows(graph: Graph, rule: Rule) -> list[SharingRow]:
-    """The row of every vertex, indexed by vertex: one evaluation of w(G)
-    plus one removal per vertex."""
-    weights = rule(graph)
-    before, exact = _fractions(weights), weights.exact
-    return [_sharing_row(graph, rule, x, before, exact) for x in range(graph.n)]
+    """The row of every vertex, indexed by vertex: one evaluation of w(G),
+    then each removal read off G's cover or classes (see
+    ``_removal_weights``), or one rule call per removal."""
+    return _rows(graph, rule, rule(graph), range(graph.n))
+
+
+def _rows(graph: Graph, rule: Rule, weights, xs) -> list[SharingRow]:
+    """The rows of the vertices ``xs``, given w(G) as ``weights``.
+
+    Everything runs in integers: w(G) is numerators b over the lcm B of its
+    denominators, and each w(G - x) numerators a over a common denominator
+    A.  With (P, Q) = (b_o, a_o) at the first non-neighbour o of x, or
+    (B, A) when N[x] covers everything, the scale 1 + eta is
+    Q*B / (P*A): a non-neighbour z rescales consistently iff
+    a_z*P == Q*b_z, chi(x, y) = (a_y*P - b_y*Q) / (Q*B) and the private
+    weight is (Q*B - P*A) / (Q*B).  Only the values a row returns become
+    ``Fraction``s.
+    """
+    if graph.n < 2:
+        raise ValueError("cannot remove a vertex from a single-vertex graph")
+    b, B = _over_common(_ratios(weights))
+    removed = _removal_weights(graph, rule)
+    return [_row(graph, x, b, B, weights.exact, *removed(x)) for x in xs]
+
+
+def _ratios(weights) -> list[tuple[int, int]]:
+    """The exact (numerator, denominator) of each weight, converting each
+    distinct value object once; a float is the dyadic rational it holds."""
+    conv = {key: Fraction(v).as_integer_ratio() for key, v in weights.distinct.items()}
+    return list(map(conv.__getitem__, map(id, weights.values)))
+
+
+def _over_common(pairs) -> tuple[list[int], int]:
+    """The numerators of the (p, q) ``pairs`` over the lcm L of the q, and L."""
+    common = math.lcm(*{q for _, q in pairs})
+    scale = {q: common // q for _, q in pairs}
+    return [p * scale[q] for p, q in pairs], common
+
+
+def _squeeze(mask: int, x: int) -> int:
+    """``mask`` with bit x dropped and the bits above it moved down one: a
+    vertex set of G as one of G - x, whose vertex y > x is G's y + 1."""
+    low = (1 << x) - 1
+    return mask & low | mask >> 1 & ~low
+
+
+def _removal_cover(cover: list[int], x: int) -> list[int]:
+    """The maximal cliques of G - x, as masks over its vertices, from the
+    maximal cliques ``cover`` of G.
+
+    A maximal clique of G - x that is maximal in G misses x.  Any other is
+    C - {x} for the one maximal clique C of G that adds x to it, and C - {x}
+    is maximal in G - x iff no vertex but x extends it, that is iff it lies
+    in no maximal clique of G that misses x.  C -> C - {x} is one-to-one, so
+    G - x never has more maximal cliques than G, and the ``cliques`` cap
+    checked on G covers every removal.
+    """
+    bit = 1 << x
+    missing = [c for c in cover if not c & bit]
+    out = [_squeeze(c, x) for c in missing]
+    for c in cover:
+        rest = c ^ bit
+        if c & bit and rest and not any(rest | d == d for d in missing):
+            out.append(_squeeze(rest, x))
+    return out
+
+
+def _removal_weights(graph: Graph, rule: Rule):
+    """The function that maps x to w(G - x) as (numerators, common
+    denominator), one numerator per vertex of G - x.
+
+    A rule that ``_pairs_reader`` knows is read off the state of G - x, with
+    no rule call and no ``remove_vertex``: its closed neighbourhoods, the
+    duplicate classes grouped by them, and the maximal cliques derived from
+    G's, which are enumerated once (``_removal_cover``).  The weights read
+    must sum to 1 exactly, the check a ``WeightVector`` makes.  Every other
+    rule is called on ``graph.remove_vertex(x)``.
+    """
+    reader = _pairs_reader(rule)
+    if reader is None:
+        return lambda x: _over_common(_ratios(rule(graph.remove_vertex(x))))
+
+    cover = list(maximal_cliques(graph).masks) if reader.cliques else None
+
+    def removed(x: int) -> tuple[list[int], int]:
+        nbrs = [_squeeze(m, x) for v, m in enumerate(graph.nbrs) if v != x]
+        kept = _Kept(
+            graph.n - 1,
+            nbrs,
+            _TwinState.of(nbrs) if reader.classes else None,
+            _removal_cover(cover, x) if cover is not None else None,
+        )
+        a, common = _over_common(reader.pairs(kept))
+        if sum(a) != common:
+            raise ValueError(f"exact weights sum to {Fraction(sum(a), common)}, expected 1")
+        return a, common
+
+    return removed
+
+
+def _row(
+    graph: Graph, x: int, b: list[int], B: int, exact: bool, a: list[int], A: int
+) -> SharingRow:
+    """The row of x from w(G) = b / B and w(G - x) = a / A; see ``_rows``."""
+    a = [*a[:x], 0, *a[x:]]  # indexed by G's vertices; x's entry is never read
+    labels = graph.labels
+    near = graph.closed(x)
+    outside = [z for z in range(graph.n) if not near >> z & 1]
+    for z in outside:
+        if b[z] == 0:
+            return SharingRow(None, undefined=f"w(G)({labels[z]}) = 0; rescaling ratio undefined")
+    P, Q = (b[outside[0]], a[outside[0]]) if outside else (B, A)
+    for z in outside[1:]:
+        if a[z] * P != Q * b[z]:
+            return SharingRow(
+                RescaleReport(x, None, False, witness=(outside[0], z)),
+                undefined=(
+                    f"rule rescales inconsistently when removing {labels[x]}: "
+                    f"witness non-neighbours {labels[outside[0]]}, {labels[z]}"
+                ),
+            )
+    if Q == 0:
+        return SharingRow(
+            RescaleReport(x, Fraction(-1), True),
+            undefined=(
+                f"removing {labels[x]} leaves weight 0 on non-neighbour "
+                f"{labels[outside[0]]}: eta = -1, chi undefined"
+            ),
+        )
+
+    den = Q * B
+    nums = {y: a[y] * P - b[y] * Q for y in range(graph.n) if y != x}
+    for z in outside:
+        if nums[z]:  # pragma: no cover - guard
+            raise RuntimeError(
+                f"chi({labels[x]},{labels[z]}) = {Fraction(nums[z], den)} != 0 outside N[x]"
+            )
+    private = den - P * A
+    if exact and b[x] * Q != private + sum(nums.values()):  # pragma: no cover - guard
+        raise RuntimeError(
+            f"row identity failed at {labels[x]}: w = {Fraction(b[x], B)} but "
+            f"chi(x,x) + row = {Fraction(private + sum(nums.values()), den)}"
+        )
+    made = {t: Fraction(t, den) for t in set(nums.values())}
+    chi = {y: made[t] for y, t in nums.items()}
+    return SharingRow(
+        RescaleReport(x, Fraction(private, P * A), True), chi, Fraction(private, den)
+    )
 
 
 def eta(graph: Graph, rule: Rule, x: int | str) -> RescaleReport:
@@ -181,7 +275,8 @@ class AxiomReport:
 
     ``passed[k]`` covers axiom k; witnesses hold up to ``max_witnesses``
     labelled counterexamples each.  Axioms 2-4 are only evaluated at
-    vertices where the rescaling is consistent (they presuppose chi).
+    vertices where chi is defined (they presuppose it); the others are
+    ``skipped_vertices``.
     """
 
     passed: dict[int, bool] = field(default_factory=dict)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from clonewt import caps as caps_module
 from clonewt.caps import ENV_VAR, CapExceeded, Caps, default_caps, load_caps
 from clonewt.filtration import Graph, automorphisms
 from clonewt.rules import clique_partitions, maximal_cliques
@@ -50,6 +51,36 @@ class TestLoadCaps:
     def test_environment_variable_is_consulted(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "partition_vertices=14")
         assert default_caps().partition_vertices == 14
+
+    def test_a_changed_variable_takes_effect_at_the_next_call(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "cliques=5")
+        assert default_caps().cliques == 5
+        monkeypatch.setenv(ENV_VAR, "cliques=7")
+        assert default_caps().cliques == 7
+        monkeypatch.setenv(ENV_VAR, "cliques=5")
+        assert default_caps().cliques == 5
+        monkeypatch.delenv(ENV_VAR)
+        assert default_caps() == Caps()
+
+    def test_a_malformed_variable_raises_on_every_call(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "cliques=ten")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="needs an integer"):
+                default_caps()
+        monkeypatch.setenv(ENV_VAR, "cliques=10")
+        assert default_caps().cliques == 10
+
+    def test_each_value_is_parsed_once(self, monkeypatch):
+        parsed = []
+        load = caps_module.load_caps
+        monkeypatch.setattr(caps_module, "load_caps", lambda env: parsed.append(env) or load(env))
+        monkeypatch.setenv(ENV_VAR, "cliques=424242")
+        for _ in range(3):
+            assert default_caps().cliques == 424242
+        monkeypatch.setenv(ENV_VAR, "cliques=424243, partition_vertices=9")
+        for _ in range(2):
+            assert default_caps().partition_vertices == 9
+        assert parsed == ["cliques=424242", "cliques=424243, partition_vertices=9"]
 
     @pytest.mark.parametrize(
         "bad",

@@ -305,7 +305,8 @@ class TestShare:
     def test_graph_mode_evaluates_the_rule_once_per_removal(
         self, capsys, monkeypatch, k4_edges
     ):
-        """The whole sharing matrix of an n-vertex graph costs n + 1 rule
+        """For a rule the engine cannot read removals off (here an unknown
+        callable), the sharing matrix of an n-vertex graph costs n + 1 rule
         calls and n removals."""
         import clonewt.cli as cli
         from clonewt import Graph
@@ -331,6 +332,46 @@ class TestShare:
         assert len(json.loads(out)["vertices"]) == 4
         assert calls == [4, 3, 3, 3, 3]
         assert removals == [0, 1, 2, 3]
+
+    def test_graph_mode_reads_clique_rule_removals_off_the_cover(
+        self, capsys, monkeypatch, paw_edges
+    ):
+        """``mcca`` itself, wrapped as a tracer wraps it: one rule call and
+        no removal, with the paw's known row."""
+        import functools
+
+        import clonewt.cli as cli
+        from clonewt import Graph
+
+        calls = []
+        name, mcca = cli.parse_rule("mcca")
+
+        @functools.wraps(mcca)
+        def counting(graph):
+            calls.append(graph.n)
+            return mcca(graph)
+
+        def no_removal(self, v):
+            raise AssertionError("removal made")
+
+        monkeypatch.setattr(cli, "parse_rule", lambda spec: (name, counting))
+        monkeypatch.setattr(Graph, "remove_vertex", no_removal)
+        code, out, _ = run(capsys, "share", "--graph", paw_edges, "--rule", "mcca")
+        assert code == OK
+        assert json.loads(out)["vertices"]["a"]["chi"]["b"] == "-1/4"
+        assert calls == [4]
+
+    @pytest.mark.parametrize("rule", ["mcca", "mccp", "smooth:mcca"])
+    def test_graph_mode_keeps_the_clique_cap(self, capsys, monkeypatch, paw_edges, rule):
+        """The paw has 2 maximal cliques and no removal has more: a cap of 2
+        lets the matrix through, a cap of 1 stops it and names the cap."""
+        monkeypatch.setenv("CLONEWT_CAPS", "cliques=2")
+        code, out, _ = run(capsys, "share", "--graph", paw_edges, "--rule", rule)
+        assert code == OK and len(json.loads(out)["vertices"]) == 4
+        monkeypatch.setenv("CLONEWT_CAPS", "cliques=1")
+        code, out, err = run(capsys, "share", "--graph", paw_edges, "--rule", rule)
+        assert code == USAGE_ERROR and out == ""
+        assert "cap cliques=1" in err
 
     def test_graph_mode_reports_inconsistent_vertices(self, capsys, p5_edges):
         code, out, _ = run(capsys, "share", "--graph", p5_edges, "--rule", "mccp")

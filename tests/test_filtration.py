@@ -238,6 +238,18 @@ def _planted_cloud(seed: int, dim: int, exact: bool):
     return load_instance({"kind": "points", "points": pts})
 
 
+def _assert_state_holds(state, g, where):
+    """The classes a ``_TwinState`` holds are those of the graph g."""
+    assert state.masks == list(g.nbrs), where
+    want = equivalence_classes(g)
+    grouped: dict[int, list[int]] = {}
+    for v, c in enumerate(state.cid):
+        grouped.setdefault(c, []).append(v)
+    assert sorted(map(tuple, grouped.values())) == sorted(want.classes), where
+    assert [state.size[c] for c in state.cid] == list(want.size_of), where
+    assert len(state.by_key) == want.count, where
+
+
 class TestMaintainedClasses:
     """The classes a sweep keeps up to date (``_TwinState``) equal the ones
     computed from each event's graph, at every event."""
@@ -253,14 +265,24 @@ class TestMaintainedClasses:
         state = filtration._TwinState(inst.n)
         for pairs, (r, g) in zip([filt.base, *filt.pairs], filt.graphs()):
             state.add(pairs)
-            assert state.masks == list(g.nbrs), f"r={r}"
-            want = equivalence_classes(g)
-            grouped: dict[int, list[int]] = {}
-            for v, c in enumerate(state.cid):
-                grouped.setdefault(c, []).append(v)
-            assert sorted(map(tuple, grouped.values())) == sorted(want.classes), f"r={r}"
-            assert [state.size[c] for c in state.cid] == list(want.size_of), f"r={r}"
-            assert len(state.by_key) == want.count, f"r={r}"
+            _assert_state_holds(state, g, f"r={r}")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_state_of_a_graph_walks_on_like_the_kept_one(self, seed):
+        """``_TwinState.of`` the graph at an event holds that graph's
+        classes, with ids in order of least member, and adding the later
+        events to it keeps them equal to each event's."""
+        inst = _planted_cloud(seed, 2, False)
+        filt = Filtration(inst, Fraction(5, 2))
+        events = [filt.base, *filt.pairs]
+        graphs = [g for _, g in filt.graphs()]
+        for start in range(0, len(events), max(1, len(events) // 4)):
+            state = filtration._TwinState.of(list(graphs[start].nbrs))
+            assert state.cid == list(equivalence_classes(graphs[start]).class_of)
+            _assert_state_holds(state, graphs[start], f"start {start}")
+            for k in range(start + 1, len(events)):
+                state.add(events[k])
+                _assert_state_holds(state, graphs[k], f"start {start}, event {k}")
 
     def test_vertex_joining_a_class_below_its_least_member(self):
         """At r=2 vertex 0 gains 3 and joins {1, 2}, whose least member it

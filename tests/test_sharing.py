@@ -8,6 +8,7 @@ on arbitrary graphs (row identity, support confinement, and the removal
 reconstruction identity).
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -32,8 +33,9 @@ from clonewt import (
     w_mcca,
     w_mccp,
 )
-from clonewt.audit import random_graph
-from clonewt.sharing import InconsistentRescaling
+from clonewt.audit import add_vertex_clone, random_graph
+from clonewt.rules import _maximal_clique_masks, maximal_cliques
+from clonewt.sharing import InconsistentRescaling, _removal_cover
 
 
 @st.composite
@@ -180,7 +182,7 @@ class TestAxiomAudit:
 
 def _row_from_definition(g, rule, x):
     """(eta, chi row, private weight) of x straight from the definition, or
-    None when no single rescaling factor exists outside N[x]."""
+    None when no single nonzero rescaling factor exists outside N[x]."""
     w = [Fraction(v) for v in rule(g)]
     survivors = [v for v in range(g.n) if v != x]
     sub = rule(g.remove_vertex(x))
@@ -192,12 +194,54 @@ def _row_from_definition(g, rule, x):
     if len(ratios) > 1:
         return None
     scale = ratios.pop() if ratios else Fraction(1)
+    if scale == 0:
+        return None
     chi = {y: after[y] / scale - w[y] for y in survivors}
     return scale - 1, chi, (scale - 1) / scale
 
 
+def _planted_graphs(count=24, max_n=12):
+    """Seeded graphs of up to ``max_n`` vertices, each with a planted clone
+    (``add_vertex_clone``) and every other one with an isolated vertex."""
+    out = []
+    for seed in range(count):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, max_n - 1))
+        g = random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
+        g = add_vertex_clone(g, int(rng.integers(0, n)))
+        if seed % 2:
+            g = Graph.from_edges(g.n + 1, g.edges(), labels=g.labels + ("iso",))
+        out.append(g)
+    return out
+
+
+def _assert_rows_match_the_definition(g, rule, where) -> int:
+    """Every row of g equals the definition's; returns the defined rows."""
+    rows = sharing_rows(g, rule)
+    assert len(rows) == g.n
+    compared = 0
+    for x, row in enumerate(rows):
+        want = _row_from_definition(g, rule, x)
+        if want is None:
+            assert row.chi is None and row.private is None, (where, x)
+            assert row.undefined is not None
+            continue
+        eta_x, chi, private = want
+        assert row.report == RescaleReport(x, eta_x, True), (where, x)
+        assert row.chi == chi and row.private == private, (where, x)
+        assert row.undefined is None
+        compared += 1
+    return compared
+
+
+#: rules whose removals are read off G's cover or classes, without a rule call
+READ_RULES = ("cu", "lift:uniform", "mcca", "mccp", "smooth:cu", "smooth:lift:uniform",
+              "smooth:mcca", "smooth:mccp")
+
+
 class TestRowEngine:
-    RULES = ("uniform", "cu", "mcca", "mccp", "lift:uniform", "smooth:cu")
+    RULES = ("uniform", "cu", "mcca", "mccp", "lift:uniform", "smooth:cu", "smooth:mcca",
+             "smooth:mccp", "lift:mcca", "lift:mccp", "degree")
 
     @pytest.mark.parametrize("spec", RULES)
     def test_rows_match_the_definition(self, spec):
@@ -206,20 +250,53 @@ class TestRowEngine:
         for seed in range(24):
             rng = np.random.default_rng(seed)
             g = random_graph(2 + seed % 8, float(rng.uniform(0.2, 0.8)), rng)
-            rows = sharing_rows(g, rule)
-            assert len(rows) == g.n
-            for x, row in enumerate(rows):
-                want = _row_from_definition(g, rule, x)
-                if want is None:
-                    assert row.chi is None and row.private is None, (spec, seed, x)
-                    assert row.undefined is not None
-                    continue
-                eta_x, chi, private = want
-                assert row.report == RescaleReport(x, eta_x, True), (spec, seed, x)
-                assert row.chi == chi and row.private == private, (spec, seed, x)
-                assert row.undefined is None
-                compared += 1
+            compared += _assert_rows_match_the_definition(g, rule, (spec, seed))
         assert compared >= 24, f"only {compared} consistent rows under {spec}"
+
+    @pytest.mark.parametrize("spec", RULES)
+    def test_rows_with_clones_and_isolated_vertices_match_the_definition(self, spec):
+        rule = parse_rule(spec)[1]
+        compared = 0
+        for i, g in enumerate(_planted_graphs()):
+            compared += _assert_rows_match_the_definition(g, rule, (spec, i))
+        assert compared >= 24, f"only {compared} consistent rows under {spec}"
+
+    def test_removal_cover_is_the_cover_of_the_removal(self):
+        """The cover derived from G's at each x is exactly the maximal
+        cliques of G - x, each once, and never more of them than G has."""
+        graphs = _planted_graphs()
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            graphs.append(random_graph(3 + seed, float(rng.uniform(0.2, 0.8)), rng))
+        for g in graphs:
+            cover = list(maximal_cliques(g).masks)
+            for x in range(g.n):
+                derived = _removal_cover(cover, x)
+                want = _maximal_clique_masks(g.remove_vertex(x).nbrs, 10**6)
+                assert len(set(derived)) == len(derived) <= len(cover), (g.edges(), x)
+                assert set(derived) == set(want), (g.edges(), x)
+
+    @pytest.mark.parametrize("spec", READ_RULES)
+    def test_read_rules_make_one_call_and_no_removal(self, spec, monkeypatch):
+        """w(G) is the one rule call; every w(G - x) is read off G."""
+        rule = parse_rule(spec)[1]
+        calls = []
+
+        @functools.wraps(rule)
+        def counting(g):
+            calls.append(g.n)
+            return rule(g)
+
+        removals = []
+        remove_vertex = Graph.remove_vertex
+        monkeypatch.setattr(
+            Graph, "remove_vertex", lambda self, v: removals.append(v) or remove_vertex(self, v)
+        )
+        g = random_graph(9, 0.5, np.random.default_rng(3))
+        rows = sharing_rows(g, counting)
+        assert calls == [9] and removals == []
+        monkeypatch.setattr(Graph, "remove_vertex", remove_vertex)
+        assert rows == sharing_rows(g, lambda h: rule(h))  # called per removal
 
     def test_zero_weight_leaves_the_row_undefined(self):
         """A non-neighbour of weight 0 has no rescaling ratio: the row says
@@ -262,3 +339,33 @@ class TestRowEngine:
         audit_axioms(g, counting)
         assert calls == [9] + [8] * 9
         assert removals == list(range(9))
+
+    def test_zero_scale_leaves_the_row_undefined(self):
+        """A removal that leaves weight 0 on every non-neighbour rescales by
+        0, so eta = -1 and chi is undefined: the row says so and names x
+        and the non-neighbour, and the axiom audit skips the vertex."""
+
+        def odd_on_first(g):
+            if g.n % 2:
+                values = (Fraction(1),) + (Fraction(0),) * (g.n - 1)
+            else:
+                values = (Fraction(1, g.n),) * g.n
+            return WeightVector(values, g.labels)
+
+        g = Graph.from_edges(4, [(0, 1)], labels=("a", "b", "c", "d"))
+        rows = sharing_rows(g, odd_on_first)
+        for x in (0, 1):
+            assert rows[x].report == RescaleReport(x, Fraction(-1), True)
+            assert rows[x].chi is None and rows[x].private is None
+            assert rows[x].undefined == (
+                f"removing {'ab'[x]} leaves weight 0 on non-neighbour c: eta = -1, chi undefined"
+            )
+            assert _row_from_definition(g, odd_on_first, x) is None
+        assert not rows[2].report.consistent and not rows[3].report.consistent
+        assert eta(g, odd_on_first, "a").eta == -1
+        with pytest.raises(InconsistentRescaling, match="eta = -1, chi undefined"):
+            chi_graph(g, odd_on_first, "a", "b")
+        report = audit_axioms(g, odd_on_first)
+        assert report.skipped_vertices == [0, 1, 2, 3]
+        assert report.passed[1] is False
+        assert [w[0] for w in report.witnesses[1]] == ["c", "d"]
