@@ -503,7 +503,7 @@ def _build_parser() -> _Parser:
     attack_cmd = commands.add_parser("attack", help="simulate a duplication attack")
     _add_common(attack_cmd, instance=True, density=True)
     attack_cmd.add_argument("--target", required=True, help="element to clone")
-    attack_cmd.add_argument("--clones", type=int, required=True, help="number of clones")
+    attack_cmd.add_argument("--clones", type=_count, required=True, help="number of clones")
     attack_cmd.add_argument("--eps", type=_number, default=Fraction(0), help="clone radius")
     attack_cmd.add_argument("--rule", default="cu")
     attack_cmd.add_argument("--seed", type=int, required=True)

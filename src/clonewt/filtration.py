@@ -10,6 +10,7 @@ are built around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from fractions import Fraction
 
@@ -42,44 +43,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _Deferred:
-    """Attributes computed once, on first read.
-
-    ``_lazy`` builds an instance without running ``__init__``: the ``known``
-    attributes are set at once, and each of ``thunks`` (dataclass fields
-    included) is called the first time its attribute is read.  The checks
-    of ``__post_init__`` are skipped too, so it is only for graphs valid by
-    construction: a sweep's graphs, quotients (whose labels are thunks) and
-    subgraphs.  ``_derived`` maps further attribute names to functions of
-    the instance, for values that every instance derives from its fields,
-    such as a ``ClassPartition``'s sizes.  Either way the value is then
-    stored on the instance, so later reads are plain lookups.
-    """
-
-    _derived: dict = {}
-
-    @classmethod
-    def _lazy(cls, known: dict, thunks: dict):
-        obj = object.__new__(cls)
-        for name, value in known.items():
-            object.__setattr__(obj, name, value)
-        object.__setattr__(obj, "_thunks", thunks)
-        return obj
-
-    def __getattr__(self, name: str):
-        thunks = self.__dict__.get("_thunks", {})
-        if name in thunks:
-            value = thunks[name]()
-        elif name in self._derived:
-            value = self._derived[name](self)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
-
-
 @dataclass(frozen=True)
-class Graph(_Deferred):
+class Graph:
     """Undirected graph on vertices 0..n-1 with bitmask adjacency.
 
     ``nbrs[v]`` is the open neighborhood of v as a bitmask (no self-bit).
@@ -105,6 +70,15 @@ class Graph(_Deferred):
             for u in _bits(mask):
                 if not self.nbrs[u] & (1 << v):
                     raise ValueError(f"edge {v}-{u} is not symmetric")
+
+    @staticmethod
+    def _trusted(n: int, nbrs: tuple[int, ...], labels: tuple[str, ...]) -> "Graph":
+        """A graph valid by construction (a sweep's graphs, subgraphs and
+        quotients), built without ``__init__`` and the checks of
+        ``__post_init__``."""
+        graph = object.__new__(Graph)
+        graph.__dict__.update(n=n, nbrs=nbrs, labels=labels)
+        return graph
 
     @staticmethod
     def from_edges(
@@ -161,7 +135,7 @@ class Graph(_Deferred):
                     mask |= 1 << pos[u]
             masks.append(mask)
         labels = tuple(self.labels[old] for old in keep)
-        return Graph._lazy({"n": len(keep), "nbrs": tuple(masks), "labels": labels}, {})
+        return Graph._trusted(len(keep), tuple(masks), labels)
 
 
 def neighborhood_graph(
@@ -237,7 +211,7 @@ class Filtration:
             for u, v in pairs:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-            yield r, Graph._lazy({"n": n, "nbrs": tuple(masks), "labels": labels}, {})
+            yield r, Graph._trusted(n, tuple(masks), labels)
 
 
 class _TwinState:
@@ -248,7 +222,8 @@ class _TwinState:
     change class: each leaves its class and joins the class keyed by its new
     closed neighbourhood, or a fresh one.  That is a few dict and list
     operations per endpoint.  Ids of emptied classes are reused, so ids stay
-    below n.
+    below n.  A sweep that keeps the classes reads its graph off ``masks``
+    and keeps no other adjacency.
     """
 
     def __init__(self, n: int) -> None:
@@ -331,7 +306,7 @@ def threshold_radii(
 
 
 @dataclass(frozen=True)
-class ClassPartition(_Deferred):
+class ClassPartition:
     """Duplicate classes of a graph: vertices with equal closed neighborhoods.
 
     Classes are ordered by their smallest vertex; each class induces a clique
@@ -343,11 +318,17 @@ class ClassPartition(_Deferred):
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
 
-    _derived = {
-        "count": lambda part: len(part.classes),
-        "sizes": lambda part: tuple(map(len, part.classes)),
-        "size_of": lambda part: tuple(map(part.sizes.__getitem__, part.class_of)),
-    }
+    @cached_property
+    def count(self) -> int:
+        return len(self.classes)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.classes))
+
+    @cached_property
+    def size_of(self) -> tuple[int, ...]:
+        return tuple(map(self.sizes.__getitem__, self.class_of))
 
     def members(self, v: int) -> tuple[int, ...]:
         return self.classes[self.class_of[v]]
@@ -385,7 +366,7 @@ def quotient(graph: Graph) -> QuotientGraph:
     cannot matter (equal closed neighborhoods).  The classes are re-checked
     here, because the rules build on them: each class's closed neighborhood
     must be a union of whole classes.  The quotient's labels join the member
-    labels with ``+`` and are built when read.
+    labels with ``+``.
     """
     part = equivalence_classes(graph)
     class_mask = [0] * len(part)
@@ -407,10 +388,8 @@ def quotient(graph: Graph) -> QuotientGraph:
                 f"is not well-defined; classes are not true duplicates"
             )
         masks.append(hit & ~(1 << a))
-    names = graph.labels
-    labels = lambda: tuple("+".join(map(names.__getitem__, cls)) for cls in part.classes)
-    qgraph = Graph._lazy({"n": len(part), "nbrs": tuple(masks)}, {"labels": labels})
-    return QuotientGraph(qgraph, part)
+    labels = tuple("+".join(map(graph.labels.__getitem__, cls)) for cls in part.classes)
+    return QuotientGraph(Graph._trusted(len(part), tuple(masks), labels), part)
 
 
 def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -111,7 +111,12 @@ class WeightVector:
         return self.values[key]
 
     def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values)
+        """``float(v)`` of each weight, converting each distinct object once.
+        A ``Fraction`` is converted as ``numerator / denominator``, which
+        rounds as ``float(Fraction)`` does, without its method calls."""
+        made = {key: v.numerator / v.denominator if isinstance(v, Fraction) else float(v)
+                for key, v in self.distinct.items()}
+        return tuple(map(made.__getitem__, map(id, self.values)))
 
     def as_dict(self) -> dict[str, object]:
         return dict(zip(self.labels, self.values))

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .caps import CapExceeded, default_caps
-from .filtration import Filtration, _TwinState, neighborhood_graph
+from .filtration import Filtration, Graph, _TwinState, neighborhood_graph
 from .metric import MetricInstance, _fraction
 from .rules import (
     Rule,
@@ -200,18 +200,6 @@ def _float_cdf(density: Density, radii: list) -> list[float]:
     return out
 
 
-def _sweep(inst: MetricInstance, mw: MetricWeighting, exact: bool):
-    """Yield (weights, increment) per constant piece of the filtration with
-    a nonzero increment, calling the rule on the piece's graph: its
-    ``WeightVector`` in exact mode, ``float(w(v))`` per vertex otherwise."""
-    filtration = Filtration(inst, mw.density.alpha, exact=exact)
-    increments = _increments(filtration, mw.density, exact)
-    for (_, graph), increment in zip(filtration.graphs(), increments):
-        if increment != 0:
-            weights = mw.rule(graph)
-            yield (weights if exact else _floats(weights)), increment
-
-
 @dataclass
 class _Kept:
     """The state a pairs sweep keeps at a read piece: ``nbrs``, the open
@@ -293,34 +281,42 @@ def evaluate_all(
 
     With ``exact=True`` all radii, CDF increments and rule outputs are exact
     rationals and the result sums to 1 exactly; the rule must be
-    rational-valued (the entropy rule is not).  The class-uniform rules
-    (``cu``, ``lift:uniform``) are integrated from the duplicate classes the
-    sweep keeps, and the maximal-clique rules (``mcca``, ``mccp``) and
-    ``smooth`` over any of these from the state it keeps, without a rule
-    call per event (see ``_pairs_reader``); every other rule is called on
-    each event's graph, and a rule that reads duplicate classes or the
-    quotient (``lift:mcca``, ``entropy``, ...) computes them from that graph.
+    rational-valued (the entropy rule is not).  The filtration and its CDF
+    increments are built once, as one stream of (pairs, increment) events.
+    One driver, ``_pairs_sweep``, integrates the rule over it: a rule with
+    a reader (the maximal-clique rules ``mcca`` and ``mccp``, and ``smooth``
+    over a rule with a reader; see ``_pairs_reader``) is read off the state
+    the sweep keeps, without a rule call per event, and every other rule is
+    called on the graph of each piece with a nonzero increment; a rule that
+    reads duplicate classes or the quotient (``lift:mcca``, ``entropy``, ...)
+    computes them from that graph.  The class-uniform rules (``cu``,
+    ``lift:uniform``) take the same events, read off the duplicate classes
+    as they change: ``_class_uniform_floats`` in float mode and
+    ``_ClassUniformSums`` in exact mode.
     """
     if exact and not mw.exact_capable:
         raise ValueError(
             f"rule {mw.rule_name!r} does not produce rational weights; "
             "exact integration is unavailable"
         )
+    filtration = Filtration(inst, mw.density.alpha, exact=exact)
+    increments = _increments(filtration, mw.density, exact)
+    events = list(zip([filtration.base, *filtration.pairs], increments))
+    n, labels = inst.n, inst.labels
     reader = _pairs_reader(mw.rule)
-    if reader is _CLASS_UNIFORM:
-        return WeightVector(_class_uniform_sweep(inst, mw.density, exact), inst.labels)
-    if reader is not None:
-        steps = _pairs_sweep(inst, mw.density, exact, reader)
+    if reader is not _CLASS_UNIFORM:
+        steps = _pairs_sweep(events, n, labels, reader or mw.rule, exact)
+    elif exact:
+        return WeightVector(_ClassUniformSums.integrate(n, events), labels)
     else:
-        steps = _sweep(inst, mw, exact)
-    n = inst.n
+        steps = _class_uniform_floats(n, events)
     if not exact:
         acc = np.zeros(n)
         for weights, increment in steps:
             # elementwise multiply-then-add in vertex order: the same float
             # operations as a per-vertex loop, so the result is bit-identical
-            acc += increment * np.array(weights)
-        return WeightVector(tuple(acc.tolist()), inst.labels)
+            acc += increment * np.asarray(weights)
+        return WeightVector(tuple(acc.tolist()), labels)
 
     # exact: one Fraction product per distinct rule value and one sum per
     # distinct (running total, value) pair.  Rules share one value object per
@@ -333,49 +329,58 @@ def evaluate_all(
         totals = dict(zip(keys, acc))
         sums = {key: total + terms[key[1]] for key, total in totals.items()}
         acc = list(map(sums.__getitem__, keys))
-    return WeightVector(tuple(acc), inst.labels)
+    return WeightVector(tuple(acc), labels)
 
 
-def _pairs_sweep(inst: MetricInstance, density: Density, exact: bool, reader: _Reader):
-    """What ``_sweep`` yields, for a rule whose weights ``reader`` reads off
-    the state the sweep keeps, without a graph or rule call per piece.
-    Float mode divides each distinct integer pair once; ``int / int``
-    rounds as ``float(Fraction)`` does.
+def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
+    """Yield (weights, increment) per piece of ``events`` with a nonzero
+    increment: the ``WeightVector`` in exact mode, one float per vertex
+    otherwise.
 
-    The duplicate classes are kept only when the reader reads them, and
-    the clique cover only when it reads that.  The cover is kept as
-    bitmasks.  After edges are added, with T their endpoints, a maximal
-    clique that misses T is still maximal: a vertex that could extend it
-    would have gained an edge into it, so it would be in T.  The new cover
-    is therefore the old cliques that miss T plus the cliques of the new
-    graph that meet T, which Bron-Kerbosch lists from T | N(T).  The cover
-    is only brought up to date at the pieces that are read, with T
-    collected over the events since, so the ``cliques`` cap is checked on
-    the same graphs as a per-event rule call checks it.
+    ``read`` is a ``_Reader``, whose weights are read off the state the
+    sweep keeps, or a rule without one, which is called on the piece's
+    graph.  Float mode converts each distinct value once: ``as_floats`` of
+    the rule's weights, or one ``int / int`` per distinct pair a reader
+    reads, which rounds as ``float(Fraction)`` does.
+
+    The sweep keeps one list of open neighbourhoods, the ``_TwinState``'s
+    when the reader reads the duplicate classes, and the clique cover only
+    when it reads that.  The cover is kept as bitmasks.  After edges are
+    added, with T their endpoints, a maximal clique that misses T is still
+    maximal: a vertex that could extend it would have gained an edge into
+    it, so it would be in T.  The new cover is therefore the old cliques
+    that miss T plus the cliques of the new graph that meet T, which
+    Bron-Kerbosch lists from T | N(T).  The cover is only brought up to
+    date at the pieces that are read, with T collected over the events
+    since, so the ``cliques`` cap is checked on the same graphs as a rule
+    call checks it.
     """
-    filtration = Filtration(inst, density.alpha, exact=exact)
-    increments = _increments(filtration, density, exact)
-    n, labels, cap = inst.n, inst.labels, default_caps().cliques
-    nbrs = [0] * n
-    kept = _Kept(n, nbrs, _TwinState(n) if reader.classes else None,
-                 [] if reader.cliques else None)
+    reader = read if isinstance(read, _Reader) else None
+    twins = _TwinState(n) if reader and reader.classes else None
+    nbrs = [0] * n if twins is None else twins.masks
+    kept = _Kept(n, nbrs, twins, [] if reader and reader.cliques else None)
+    cap = default_caps().cliques
     touched = (1 << n) - 1  # the first cover read is enumerated in full
-    for pairs, increment in zip([filtration.base, *filtration.pairs], increments):
+    for pairs, increment in events:
+        if twins is not None:
+            twins.add(pairs)
         for u, v in pairs:
-            nbrs[u] |= 1 << v
-            nbrs[v] |= 1 << u
+            if twins is None:
+                nbrs[u] |= 1 << v
+                nbrs[v] |= 1 << u
             touched |= 1 << u | 1 << v
-        if kept.twins is not None:
-            kept.twins.add(pairs)
         if increment == 0:
             continue
-        if reader.cliques:
+        if reader is None:
+            weights = read(Graph._trusted(n, tuple(nbrs), labels))
+            yield (weights if exact else weights.as_floats()), increment
+            continue
+        if kept.cover is not None:
             cover = [c for c in kept.cover if not c & touched]
             cover += _maximal_clique_masks(nbrs, cap, touched)
             if len(cover) > cap:
                 raise CapExceeded("maximal-clique enumeration", "cliques", cap)
-            kept.cover = cover
-        touched = 0
+            kept.cover, touched = cover, 0
         weights = reader.pairs(kept)
         if exact:
             yield WeightVector(_shared_fractions(weights), labels), increment
@@ -384,45 +389,23 @@ def _pairs_sweep(inst: MetricInstance, density: Density, exact: bool, reader: _R
             yield list(map(made.__getitem__, weights)), increment
 
 
-def _class_uniform_sweep(inst: MetricInstance, density: Density, exact: bool) -> tuple:
-    """The integral of w(x) = 1 / (k * |[x]|) over the sweep, read off the
-    duplicate classes as the events are added.
-
-    Float mode adds increment * (1.0 / (k * s)) per vertex at each event:
-    k * s is an integer below 2**53, so ``1.0 / (k * s)`` is
-    ``float(Fraction(1, k * s))`` and the sums are those of the per-event
-    rule calls, bit for bit.  Exact mode works in integers; see
-    ``_ClassUniformSums``.
-    """
-    filtration = Filtration(inst, density.alpha, exact=exact)
-    increments = _increments(filtration, density, exact)
-    events = [filtration.base, *filtration.pairs]
-    n = inst.n
-    if not exact:
-        state, acc = _TwinState(n), np.zeros(n)
-        # numpy copies of state.cid and state.size, updated where they change
-        cid, size = np.arange(n), np.ones(n, dtype=np.int64)
-        for pairs, increment in zip(events, increments):
-            moved = state.add(pairs)
-            now = [state.cid[w] for w in moved]
-            changed = [*cid[moved].tolist(), *now]
-            cid[moved] = now
-            size[changed] = [state.size[c] for c in changed]
-            if increment != 0:
-                acc += increment * (1.0 / (len(state.by_key) * size[cid]))
-        return tuple(acc.tolist())
-
-    # increments over their common denominator D; P is kept in units of
-    # 1 / (D * L) and the integrals in units of 1 / (D * L**2)
-    common = math.lcm(*(f.denominator for f in increments))
-    state = _ClassUniformSums(n)
-    for pairs, increment in zip(events, increments):
-        state.add(pairs)
+def _class_uniform_floats(n: int, events):
+    """Yield (w, increment) per piece of ``events`` with a nonzero
+    increment, w(x) = 1.0 / (k * |[x]|) with k the number of duplicate
+    classes, read off the classes as the events are added.  k * |[x]| is
+    an integer below 2**53, so each weight is ``float(Fraction(1, k *
+    |[x]|))``, the float the rule gives."""
+    state = _TwinState(n)
+    # numpy copies of state.cid and state.size, updated where they change
+    cid, size = np.arange(n), np.ones(n, dtype=np.int64)
+    for pairs, increment in events:
+        moved = state.add(pairs)
+        now = [state.cid[w] for w in moved]
+        changed = [*cid[moved].tolist(), *now]
+        cid[moved] = now
+        size[changed] = [state.size[c] for c in changed]
         if increment != 0:
-            scaled = increment.numerator * (common // increment.denominator)
-            state.total += scaled * state.per[len(state.by_key)]
-    denominator = common * state.lcm**2
-    return _shared_fractions((num, denominator) for num in state.finish())
+            yield 1.0 / (len(state.by_key) * size[cid]), increment
 
 
 class _ClassUniformSums(_TwinState):
@@ -444,10 +427,29 @@ class _ClassUniformSums(_TwinState):
         super().__init__(n)
         self.lcm = math.lcm(*range(1, n + 1))
         self.per = [0] + [self.lcm // s for s in range(1, n + 1)]  # L / s
-        self.total = 0  # P, scaled to an integer by the caller
+        self.total = 0  # P, scaled to an integer
         self.accrued = [0] * n  # per class id
         self.since = [0] * n  # per class id
         self.offset = [0] * n  # per vertex
+
+    @classmethod
+    def integrate(cls, n: int, events) -> tuple[Fraction, ...]:
+        """The integral of w(x) = 1 / (k * |[x]|) over the exact ``events``.
+
+        With D the increments' common denominator, P is kept in units of
+        1 / (D * L) and the integrals in units of 1 / (D * L**2).
+        """
+        common = math.lcm(*(increment.denominator for _, increment in events))
+        state = cls(n)
+        for pairs, increment in events:
+            state.add(pairs)
+            if increment != 0:
+                scaled = increment.numerator * (common // increment.denominator)
+                state.total += scaled * state.per[len(state.by_key)]
+        for c in state.by_key.values():
+            state._settle(c)
+        nums = map(int.__add__, map(state.accrued.__getitem__, state.cid), state.offset)
+        return _shared_fractions((num, common * state.lcm**2) for num in nums)
 
     def _settle(self, c: int) -> None:
         self.accrued[c] += (self.total - self.since[c]) * self.per[self.size[c]]
@@ -462,20 +464,6 @@ class _ClassUniformSums(_TwinState):
         b = self.cid[w]
         self._settle(b)  # a fresh class id starts accruing here
         self.offset[w] += self.accrued[a] - self.accrued[b]
-
-    def finish(self) -> list[int]:
-        """Each vertex's integral, scaled as ``total`` is and by L."""
-        for c in self.by_key.values():
-            self._settle(c)
-        return list(map(int.__add__, map(self.accrued.__getitem__, self.cid), self.offset))
-
-
-def _floats(weights: WeightVector) -> list[float]:
-    """``float(v)`` of each weight, converting each distinct object once;
-    ``numerator / denominator`` is exactly how ``float(Fraction)`` rounds."""
-    conv = {key: v if isinstance(v, float) else v.numerator / v.denominator
-            for key, v in weights.distinct.items()}
-    return list(map(conv.__getitem__, map(id, weights.values)))
 
 
 def evaluate(

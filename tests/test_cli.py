@@ -710,6 +710,8 @@ class TestTopLevel:
             (["audit", "graph", "--seeds", "two"], "--seeds"),
             (["audit", "conjecture", "--target", "mcc_axiom2", "--budget", "-1"], "--budget"),
             (["sample", "--alpha", "2", "--k", "-1", "--seed", "0"], "--k"),
+            (["attack", "--alpha", "1", "--target", "p2", "--clones", "-1", "--seed", "0"],
+             "--clones"),
         ],
     )
     def test_negative_counts_name_their_flag(self, capsys, three_points_doc, argv, flag):

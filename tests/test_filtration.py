@@ -88,7 +88,7 @@ class TestGraph:
         with pytest.raises(ValueError, match="label 'y' appears more than once"):
             Graph.from_edges(3, [(0, 1)], labels=("x", "y", "y"))
         # sweep graphs skip the checks by construction
-        assert Graph._lazy({"n": 2, "nbrs": (0, 0), "labels": ("a", "a")}, {}).labels == ("a", "a")
+        assert Graph._trusted(2, (0, 0), ("a", "a")).labels == ("a", "a")
 
 
 class TestNeighborhoodGraph:
@@ -216,7 +216,7 @@ class TestEquivalenceClasses:
         # masks only a graph built without validation can have: 0 and 1
         # share N[] = {0, 1, 2}, but 2 sees only 0
         masks = (0b110, 0b101, 0b001)
-        broken = Graph._lazy({"n": 3, "nbrs": masks, "labels": ("a", "b", "c")}, {})
+        broken = Graph._trusted(3, masks, ("a", "b", "c"))
         with pytest.raises(RuntimeError, match="not well-defined"):
             quotient(broken)
 
@@ -298,11 +298,6 @@ class TestMaintainedClasses:
             (1.0, ((0,), (1, 2), (3,)), ("e0", "e1+e2", "e3")),
             (2.0, ((0, 1, 2, 3),), ("e0+e1+e2+e3",)),
         ]
-
-    def test_scratch_quotient_labels_are_built_when_read(self, paw):
-        q = quotient(paw)
-        assert "labels" not in vars(q.graph)
-        assert q.graph.labels == ("a", "b", "c+d")
 
 
 class TestAutomorphisms:

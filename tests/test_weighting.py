@@ -312,6 +312,14 @@ def _counting(rule, calls):
     return counted
 
 
+def _driven(inst, density, exact, read):
+    """The steps of the sweep driver over ``inst``'s events, built from
+    ``Filtration`` and the CDF increments of ``density``."""
+    filt = Filtration(inst, density.alpha, exact=exact)
+    events = zip([filt.base, *filt.pairs], weighting._increments(filt, density, exact))
+    return list(weighting._pairs_sweep(events, inst.n, inst.labels, read, exact))
+
+
 class TestClassUniformDispatch:
     """``cu``, ``lift:uniform``, ``mcca``, ``mccp`` and ``smooth`` over any
     of them are integrated without a rule call per event; which path a
@@ -332,6 +340,10 @@ class TestClassUniformDispatch:
         got = evaluate_all(three_points, wrapped, exact=True)
         assert len(calls) == events
         assert got == evaluate_all(three_points, mw, exact=True)
+        if rule in ("lift:cu", "smooth:degree"):
+            # the pieces with nonzero increments start at 0, 2/5 and 8/5
+            radii = [Fraction(0), Fraction(2, 5), Fraction(8, 5)]
+            assert calls == [neighborhood_graph(three_points, r, exact=True) for r in radii]
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_smoothed_weights_are_checked_to_sum_to_one(self, three_points, exact):
@@ -340,7 +352,7 @@ class TestClassUniformDispatch:
         half = weighting._Reader(lambda kept: [(1, 2)] * kept.n)
         reader = weighting._smoothed(half)
         with pytest.raises(ValueError, match="smoothed weights sum to 3/2, expected 1"):
-            list(weighting._pairs_sweep(three_points, Density.uniform(2), exact, reader))
+            _driven(three_points, Density.uniform(2), exact, reader)
 
     def test_another_callable_named_cu_is_called_per_event(self, three_points):
         calls = []
@@ -419,7 +431,7 @@ class TestKeptCliqueCover:
                 return _mcca_pairs(kept.cover, kept.n)
 
             reader = weighting._Reader(record, cliques=True)
-            list(weighting._pairs_sweep(inst, density, exact, reader))
+            _driven(inst, density, exact, reader)
             want = [set(_maximal_clique_masks(g.nbrs, 10**6))
                     for g in _read_graphs(inst, density, exact)]
             assert len(covers) == len(want)
