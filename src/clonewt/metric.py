@@ -238,23 +238,48 @@ _NUMBER_TYPES = (int, float, Fraction, np.integer, np.floating)
 
 def _float_rows(raw, field: str) -> np.ndarray:
     """A document's non-empty list of equal-length rows of numbers as a
-    float array, or an error naming the first entry that is not one."""
+    float array, or an error naming the first entry that is not one.
+
+    Each distinct number object is checked and converted once (exact-mode
+    JSON shares one ``Fraction`` per literal); a ``Fraction`` is converted
+    as ``numerator / denominator``, which rounds as ``float(Fraction)``
+    does.
+    """
     if not isinstance(raw, (list, tuple)) or not raw:
         raise MetricError(f'instance needs a non-empty "{field}" list of rows')
+    rows = []  # the rows as lists, holding their objects so that ids stay theirs
     for i, row in enumerate(raw):
         if not isinstance(row, (list, tuple, np.ndarray)):
+            _check_numbers(rows, field)  # an earlier bad entry is named first
             raise MetricError(f'"{field}" row {i} must be a list, got {row!r}')
         if len(row) != len(raw[0]):
+            _check_numbers(rows, field)
             raise MetricError(
                 f'"{field}" row {i} has {len(row)} entries where row 0 has {len(raw[0])}'
             )
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, _NUMBER_TYPES):
-                raise MetricError(f'"{field}"[{i}][{j}] must be a number, got {v!r}')
+        rows.append(list(row))
+    distinct = _check_numbers(rows, field)
     try:
-        return np.array([[float(v) for v in row] for row in raw], dtype=float)
+        made = {key: v.numerator / v.denominator if isinstance(v, Fraction) else float(v)
+                for key, v in distinct.items()}
     except OverflowError:
         raise MetricError(f'"{field}" holds a number too large for a float') from None
+    return np.array([list(map(made.__getitem__, map(id, row))) for row in rows], dtype=float)
+
+
+def _check_numbers(rows: list[list], field: str) -> dict[int, object]:
+    """The distinct objects of ``rows`` by id, or an error naming the first
+    entry that is not a number."""
+    distinct: dict[int, object] = {}
+    for row in rows:
+        distinct.update(zip(map(id, row), row))
+    bad = {key for key, v in distinct.items()
+           if isinstance(v, bool) or not isinstance(v, _NUMBER_TYPES)}
+    if bad:
+        i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+                    if id(v) in bad)
+        raise MetricError(f'"{field}"[{i}][{j}] must be a number, got {rows[i][j]!r}')
+    return distinct
 
 
 def _labels_for(source: dict, n: int) -> tuple[str, ...]:

@@ -261,9 +261,10 @@ def w_degree(graph: Graph) -> WeightVector:
     own sensitivity.
     """
     _require_nonempty(graph)
-    total = sum(1 + graph.degree(v) for v in range(graph.n))
-    values = tuple(Fraction(1 + graph.degree(v), total) for v in range(graph.n))
-    return WeightVector(values, graph.labels)
+    degrees = list(map(graph.degree, range(graph.n)))
+    total = graph.n + sum(degrees)
+    share = {d: Fraction(1 + d, total) for d in set(degrees)}
+    return WeightVector(tuple(map(share.__getitem__, degrees)), graph.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Collection
 
 import numpy as np
 
 from .caps import CapExceeded, default_caps
-from .filtration import Filtration, Graph, _TwinState, neighborhood_graph
+from .filtration import Filtration, Graph, _bits, _TwinState, neighborhood_graph
 from .metric import MetricInstance, _fraction
 from .rules import (
     Rule,
@@ -204,51 +204,217 @@ def _float_cdf(density: Density, radii: list) -> list[float]:
 class _Kept:
     """The state a pairs sweep keeps at a read piece: ``nbrs``, the open
     neighbourhoods; ``twins``, the duplicate classes, when the reader reads
-    them; ``cover``, the maximal cliques as bitmasks, when it reads them."""
+    them; ``cover``, the maximal cliques as bitmasks, when it reads them,
+    and ``gone`` and ``new``, the cliques it lost and gained since the last
+    read piece."""
 
     n: int
     nbrs: list[int]
     twins: _TwinState | None
     cover: list[int] | None
+    gone: Collection[int] = ()
+    new: Collection[int] = ()
+
+
+Pairs = list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class _Reader:
     """A rule's weights read off the state a sweep keeps: ``pairs`` maps a
-    ``_Kept`` to one integer (numerator, denominator) pair per vertex, and
-    the flags say whether it reads the classes and the clique cover."""
+    ``_Kept`` to one integer (numerator, denominator) pair per vertex;
+    ``classes`` is the ``_TwinState`` type that keeps the duplicate classes
+    when it reads them, and ``cliques`` says whether it reads the clique
+    cover.  ``sweep``, when given, makes the pairs function of one sweep of
+    n vertices, which keeps sums across the sweep's read pieces; ``pairs``
+    stays a pure function of the ``_Kept``."""
 
-    pairs: Callable[[_Kept], list[tuple[int, int]]]
-    classes: bool = False
+    pairs: Callable[[_Kept], Pairs]
+    classes: type[_TwinState] | None = None
     cliques: bool = False
+    sweep: Callable[[int], Callable[[_Kept], Pairs]] | None = None
 
 
-def _class_uniform_pairs(kept: _Kept) -> list[tuple[int, int]]:
+def _class_uniform_pairs(kept: _Kept) -> Pairs:
     """w(x) = 1 / (k * |[x]|) with k the number of duplicate classes."""
     twins = kept.twins
     k, size = len(twins.by_key), twins.size
     return [(1, k * size[c]) for c in twins.cid]
 
 
-def _smoothed(base: _Reader) -> _Reader:
-    """``smooth`` over the reader ``base``.  The smoothed pairs share one
-    denominator, so that the sweep keeps the check a ``WeightVector`` makes
-    in the per-event loop, in float mode too, as one integer sum."""
+def _checked(total: int, common: int) -> None:
+    """The check a ``WeightVector`` makes in the per-event loop, as one
+    integer sum, in float mode too."""
+    if total != common:
+        raise ValueError(f"smoothed weights sum to {Fraction(total, common)}, expected 1")
 
-    def pairs(kept: _Kept) -> list[tuple[int, int]]:
-        out = _smooth_pairs(base.pairs(kept), kept.nbrs)
-        total, common = sum(t for t, _ in out), out[0][1]
-        if total != common:
-            raise ValueError(f"smoothed weights sum to {Fraction(total, common)}, expected 1")
+
+def _smoothing(base: Callable[[_Kept], Pairs]) -> Callable[[_Kept], Pairs]:
+    """``smooth`` over the pairs function ``base``; the smoothed pairs
+    share one denominator, so their sum is checked in integers."""
+
+    def pairs(kept: _Kept) -> Pairs:
+        out = _smooth_pairs(base(kept), kept.nbrs)
+        _checked(sum(t for t, _ in out), out[0][1])
         return out
 
-    return _Reader(pairs, base.classes, base.cliques)
+    return pairs
 
 
-_CLASS_UNIFORM = _Reader(_class_uniform_pairs, classes=True)
-_MCCA = _Reader(lambda kept: _mcca_pairs(kept.cover, kept.n), cliques=True)
+def _smoothed(base: _Reader) -> _Reader:
+    """``smooth`` over the reader ``base``, in a sweep over ``base``'s
+    sweep pairs when it keeps sums."""
+    sweep = base.sweep and (lambda n: _smoothing(base.sweep(n)))
+    return _Reader(_smoothing(base.pairs), base.classes, base.cliques, sweep)
+
+
+class _ClassSums(_TwinState):
+    """The duplicate classes of a sweep and, for each vertex x, S_x, the
+    sum of L / |K| over the class keys K (closed neighbourhoods N[C] of the
+    classes C) that hold x, with L = lcm(1..n).
+
+    smooth:cu spreads the class-uniform weight 1 / (k * |C|) of each member
+    of a class C over the |N[C]| vertices of its key, so x gets
+    1 / (k * |N[C]|) from each class with C inside N[x], that is with x in
+    N[C]: smooth:cu(x) = S_x / (k * L).  A key's terms change only when
+    ``_move`` creates or retires it, at O(|K|) additions.
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self.lcm = math.lcm(*range(1, n + 1))
+        self.sums = [self.lcm] * n  # each vertex is its own class {x}
+
+    def _move(self, w: int) -> None:
+        a, new = self.cid[w], self.masks[w] | 1 << w
+        if self.size[a] == 1:  # a's key is retired (or replaced by new)
+            self._spread(self.key[a], -1)
+        if new not in self.by_key:
+            self._spread(new, 1)
+        super()._move(w)
+
+    def _spread(self, key: int, sign: int) -> None:
+        share, sums = sign * (self.lcm // key.bit_count()), self.sums
+        while key:
+            low = key & -key
+            sums[low.bit_length() - 1] += share
+            key ^= low
+
+    @staticmethod
+    def pairs(kept: _Kept) -> Pairs:
+        """smooth:cu of the sweep's classes, checked by the identity
+        sum of S_x = k * L (each key K adds |K| * L / |K|)."""
+        twins = kept.twins
+        common = len(twins.by_key) * twins.lcm
+        _checked(sum(twins.sums), common)
+        return [(s, common) for s in twins.sums]
+
+
+def _mcca_sweep(n: int) -> Callable[[_Kept], Pairs]:
+    """``_mcca_pairs`` of the cover a sweep keeps, from sums kept across it:
+    nums[v] = sum of L / |C| over the cliques C that hold v, with L the lcm
+    of the sizes of the cliques seen, which only grows (nums are scaled when
+    it does).  Each read piece adds the new cliques' terms and takes off the
+    gone ones', and rebuilds from the cover when more cliques changed than
+    it holds."""
+    nums, lcm = [0] * n, 1
+
+    def pairs(kept: _Kept) -> Pairs:
+        nonlocal nums, lcm
+        cover, gone, new = kept.cover, kept.gone, kept.new
+        if len(gone) + len(new) > len(cover):
+            nums, lcm, gone, new = [0] * n, 1, (), cover
+        grown = math.lcm(lcm, *{c.bit_count() for c in new})
+        if grown != lcm:
+            nums, lcm = [t * (grown // lcm) for t in nums], grown
+        for sign, cliques in ((-1, gone), (1, new)):
+            for c in cliques:
+                share = sign * (lcm // c.bit_count())
+                while c:
+                    low = c & -c
+                    nums[low.bit_length() - 1] += share
+                    c ^= low
+        den = len(cover) * lcm
+        return [(t, den) for t in nums]
+
+    return pairs
+
+
+def _mccp_sweep(n: int) -> Callable[[_Kept], Pairs]:
+    """``_mccp_pairs`` of the cover a sweep keeps, from state kept across
+    it: each vertex's membership count m_v and cliques, each clique's
+    inverse participation 1 / P_C = 1 / (sum over u in C of 1 / m_u) as a
+    reduced pair, and each vertex's T_v / D_v = sum of 1 / P_C over its
+    cliques, so that w(v) = T_v / (#cliques * m_v * D_v).
+
+    A read piece recomputes 1 / P_C for the cliques that meet a gone or new
+    one, and T_v / D_v for their vertices.  When those are more than half
+    the vertices, it sums every T_v over one common D, as ``_mccp_pairs``
+    does; when more cliques changed than the cover holds, it starts again
+    from the cover.
+    """
+    member, held = [0] * n, [set() for _ in range(n)]
+    members: dict[int, list[int]] = {}  # the vertices of each clique
+    inverse: dict[int, tuple[int, int]] = {}
+    sums = [(0, 1)] * n
+
+    def pairs(kept: _Kept) -> Pairs:
+        cover, gone, new = kept.cover, kept.gone, kept.new
+        if len(gone) + len(new) > len(cover):
+            member[:] = [0] * n
+            for cliques in held:
+                cliques.clear()
+            members.clear()
+            inverse.clear()
+            gone, new = (), cover
+        touched = 0
+        for c in gone:
+            touched |= c
+            del inverse[c]
+            for v in members.pop(c):
+                member[v] -= 1
+                held[v].remove(c)
+        for c in new:
+            touched |= c
+            members[c] = vs = list(_bits(c))
+            for v in vs:
+                member[v] += 1
+                held[v].add(c)
+        dropped = set().union(*map(held.__getitem__, _bits(touched)))
+        m_lcm = math.lcm(*set(member))
+        dirty = set()
+        for c in dropped:
+            vs = members[c]
+            dirty.update(vs)
+            s = sum(map(m_lcm.__floordiv__, map(member.__getitem__, vs)))
+            g = math.gcd(s, m_lcm)
+            inverse[c] = (m_lcm // g, s // g)
+        if 2 * len(dirty) > n:
+            common = math.lcm(*{b for _, b in inverse.values()})
+            totals = [0] * n
+            for c in cover:
+                a, b = inverse[c]
+                share = a * (common // b)
+                for v in members[c]:
+                    totals[v] += share
+            sums[:] = [(t, common) for t in totals]
+        else:
+            for v in dirty:
+                terms = list(map(inverse.__getitem__, held[v]))
+                d = math.lcm(*{b for _, b in terms})
+                sums[v] = (sum(a * (d // b) for a, b in terms), d)
+        count = len(cover)
+        return [(t, count * m * d) for (t, d), m in zip(sums, member)]
+
+    return pairs
+
+
+_CLASS_UNIFORM = _Reader(_class_uniform_pairs, classes=_TwinState)
+_SMOOTH_CLASS_UNIFORM = _Reader(_smoothing(_class_uniform_pairs), classes=_ClassSums,
+                                sweep=lambda n: _ClassSums.pairs)
+_MCCA = _Reader(lambda kept: _mcca_pairs(kept.cover, kept.n), cliques=True, sweep=_mcca_sweep)
 _MCCP = _Reader(lambda kept: _mccp_pairs(kept.cover, _membership(kept.cover, kept.n)),
-                cliques=True)
+                cliques=True, sweep=_mccp_sweep)
 
 
 def _pairs_reader(rule: Rule) -> _Reader | None:
@@ -271,6 +437,8 @@ def _pairs_reader(rule: Rule) -> _Reader | None:
         return _MCCP
     base = getattr(fn, "smoothed", None)
     reader = None if base is None else _pairs_reader(base)
+    if reader is _CLASS_UNIFORM:
+        return _SMOOTH_CLASS_UNIFORM
     return None if reader is None else _smoothed(reader)
 
 
@@ -354,11 +522,21 @@ def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
     date at the pieces that are read, with T collected over the events
     since, so the ``cliques`` cap is checked on the same graphs as a rule
     call checks it.
+
+    A reader with a ``sweep`` keeps sums across the read pieces instead of
+    reading its pairs afresh at each: the sweep hands it ``gone`` (the
+    retired cliques that were not listed again) and ``new`` (the listed
+    cliques that were not retired), and a ``_TwinState`` subclass it names
+    sees every class move.  So ``mcca``, ``mccp`` and ``smooth`` over the
+    class-uniform rule cost O(changed clique slots or class keys) per read
+    piece plus O(n) to read; the clique keepers sum over the whole cover
+    instead when most of it changed (see ``_mcca_sweep``, ``_mccp_sweep``).
     """
     reader = read if isinstance(read, _Reader) else None
-    twins = _TwinState(n) if reader and reader.classes else None
+    twins = reader.classes(n) if reader and reader.classes else None
     nbrs = [0] * n if twins is None else twins.masks
     kept = _Kept(n, nbrs, twins, [] if reader and reader.cliques else None)
+    pairs_of = reader and (reader.sweep(n) if reader.sweep else reader.pairs)
     cap = default_caps().cliques
     touched = (1 << n) - 1  # the first cover read is enumerated in full
     for pairs, increment in events:
@@ -376,12 +554,15 @@ def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
             yield (weights if exact else weights.as_floats()), increment
             continue
         if kept.cover is not None:
+            fresh = _maximal_clique_masks(nbrs, cap, touched)
             cover = [c for c in kept.cover if not c & touched]
-            cover += _maximal_clique_masks(nbrs, cap, touched)
+            retired = {c for c in kept.cover if c & touched}
+            cover += fresh
             if len(cover) > cap:
                 raise CapExceeded("maximal-clique enumeration", "cliques", cap)
+            kept.gone, kept.new = retired.difference(fresh), set(fresh).difference(retired)
             kept.cover, touched = cover, 0
-        weights = reader.pairs(kept)
+        weights = pairs_of(kept)
         if exact:
             yield WeightVector(_shared_fractions(weights), labels), increment
         else:

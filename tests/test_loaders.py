@@ -193,6 +193,27 @@ class TestJSONDocuments:
             load_instance(path)
 
 
+    def test_a_shared_bad_object_is_named_at_its_first_cell(self):
+        """Each distinct object is checked once, but the error still names
+        the first cell in row order that holds a bad one."""
+        bad = "x"
+        rows = [[0, 1, 2], [1, 0, bad], [2, bad, 0]]
+        with pytest.raises(MetricError, match=r'"distances"\[1\]\[2\] must be a number'):
+            load_instance({"kind": "matrix", "distances": rows})
+        rows = [[0, bad], [1]]  # a bad entry before a short row is named first
+        with pytest.raises(MetricError, match=r'"points"\[0\]\[1\] must be a number'):
+            load_instance({"kind": "points", "points": rows})
+
+    def test_shared_fractions_convert_as_their_floats(self):
+        """One object per literal, as exact-mode JSON parses them: each
+        entry is ``float`` of its ``Fraction``, bit for bit."""
+        third, tenth = Fraction(1, 3), Fraction(1, 10)
+        inst = load_instance({"kind": "matrix", "distances": [
+            [0, third, tenth], [third, 0, third], [tenth, third, 0]]})
+        assert inst.dist.tolist() == [[0.0, 1 / 3, 0.1], [1 / 3, 0.0, 1 / 3], [0.1, 1 / 3, 0.0]]
+        assert inst.d_exact(0, 1) == third
+
+
 def _csv_text(header, rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out)

@@ -464,6 +464,13 @@ class TestDegreeRule:
         assert sum(w) == Fraction(1)
         assert w[1] > w[2] == w[3] > w[0]
 
+    def test_equal_to_the_definition(self, paw):
+        """(1 + deg x) / sum of (1 + deg y), one value object per degree."""
+        w = w_degree(paw)
+        total = sum(1 + paw.degree(v) for v in range(paw.n))
+        assert w.values == tuple(Fraction(1 + paw.degree(v), total) for v in range(paw.n))
+        assert w.values[2] is w.values[3]
+
 
 # ---------------------------------------------------------------------------
 # Differential test: the entropy rule against the per-matrix loop it

@@ -6,6 +6,7 @@ independent slow path, and agreement between the two on random instances
 is the main correctness evidence for the integrator.
 """
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -32,7 +33,14 @@ from clonewt import (
     w_uniform,
 )
 from clonewt import rules, weighting
-from clonewt.rules import _maximal_clique_masks, _mcca_pairs
+from clonewt.rules import (
+    _maximal_clique_masks,
+    _mcca_pairs,
+    _mccp_pairs,
+    _membership,
+    _smooth_pairs,
+    parse_rule,
+)
 
 
 class TestDensity:
@@ -500,6 +508,118 @@ class TestKeptCliqueCover:
             evaluate_all(inst, mw)
         with pytest.raises(CapExceeded, match="cliques=5"):
             evaluate_all(inst, slow)
+
+
+@st.composite
+def edge_sweeps(draw):
+    """Events on n vertices with exact increments, some zero: the edgeless
+    graph and one edge, both read, then random edges in batches of random
+    size, then every missing edge at once, which retires every clique but
+    one."""
+    n = draw(st.integers(5, 11))
+    rest = draw(st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)]))
+    rest = [p for p in rest if p != (0, 1)]
+    cut = draw(st.integers(0, len(rest) - 1))
+    events, pending = [[], [(0, 1)]], rest[:cut]
+    while pending:
+        size = draw(st.sampled_from([1, 1, 2, 3, 8, len(pending)]))
+        events.append(pending[:size])
+        pending = pending[size:]
+    events.append(rest[cut:])
+    increments = draw(st.lists(st.sampled_from([0, Fraction(1, 2), Fraction(1, 3)]),
+                               min_size=len(events), max_size=len(events)))
+    increments[0] = increments[1] = increments[-1] = Fraction(1, 5)
+    return n, list(zip(events, increments))
+
+
+def _checked_keeper(keeper, reference, n, events, classes=None, cliques=False):
+    """Drive the sweep with the pairs function ``keeper`` makes, asserting
+    at every read piece that its pairs are the ``Fraction``s of
+    ``reference``'s; return the ``_Kept`` seen at each (copied)."""
+    seen = []
+
+    def sweep(n):
+        kept_pairs = keeper(n)
+
+        def pairs(kept):
+            got, want = kept_pairs(kept), reference(kept)
+            assert [Fraction(*p) for p in got] == [Fraction(*p) for p in want]
+            seen.append(dataclasses.replace(kept, cover=list(kept.cover or ())))
+            return got
+
+        return pairs
+
+    reader = weighting._Reader(reference, classes, cliques, sweep)
+    labels = tuple(f"v{i}" for i in range(n))
+    list(weighting._pairs_sweep(events, n, labels, reader, True))
+    return seen
+
+
+def _rebuilt(kept):
+    return len(kept.gone) + len(kept.new) > len(kept.cover)
+
+
+def _summed_globally(kept):
+    """Whether more than half the vertices lie in a clique that meets a
+    changed one (or every one, when the state is rebuilt)."""
+    touched = functools.reduce(int.__or__, [*kept.gone, *kept.new], 0)
+    if _rebuilt(kept):
+        touched = (1 << kept.n) - 1
+    dirty = functools.reduce(int.__or__, [c for c in kept.cover if c & touched], 0)
+    return 2 * dirty.bit_count() > kept.n
+
+
+class TestKeptSums:
+    """The sums the sweep keeps for ``mcca``, ``mccp`` and ``smooth`` over
+    the class-uniform rule give, at every read piece, the pairs of the
+    formulas computed from scratch, as ``Fraction``s, on the incremental
+    path and on the heavy-churn path alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_sweeps())
+    def test_mcca(self, sweep):
+        n, events = sweep
+        seen = _checked_keeper(weighting._mcca_sweep,
+                               lambda kept: _mcca_pairs(kept.cover, kept.n),
+                               n, events, cliques=True)
+        assert {_rebuilt(kept) for kept in seen} == {False, True}
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_sweeps())
+    def test_mccp(self, sweep):
+        n, events = sweep
+        seen = _checked_keeper(
+            weighting._mccp_sweep,
+            lambda kept: _mccp_pairs(kept.cover, _membership(kept.cover, kept.n)),
+            n, events, cliques=True)
+        assert {_rebuilt(kept) for kept in seen} == {False, True}
+        assert {_summed_globally(kept) for kept in seen} == {False, True}
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_sweeps())
+    def test_smooth_class_uniform(self, sweep):
+        n, events = sweep
+        seen = _checked_keeper(
+            lambda n: weighting._ClassSums.pairs,
+            lambda kept: _smooth_pairs(weighting._class_uniform_pairs(kept), kept.nbrs),
+            n, events, classes=weighting._ClassSums)
+        assert len(seen) == sum(1 for _, increment in events if increment)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_corrupted_class_sum_is_refused(self, three_points, exact):
+        class Corrupted(weighting._ClassSums):
+            def __init__(self, n):
+                super().__init__(n)
+                self.sums[0] += 1
+
+        reader = dataclasses.replace(weighting._SMOOTH_CLASS_UNIFORM, classes=Corrupted)
+        with pytest.raises(ValueError, match=r"smoothed weights sum to \d+/\d+, expected 1"):
+            _driven(three_points, Density.uniform(2), exact, reader)
+
+    @pytest.mark.parametrize("rule", ["smooth:cu", "smooth:lift:uniform", "smooth:smooth:cu"])
+    def test_smoothed_class_uniform_reads_the_class_sums(self, rule):
+        reader = weighting._pairs_reader(parse_rule(rule)[1])
+        assert reader.classes is weighting._ClassSums
 
 
 class TestMetricWeighting:
