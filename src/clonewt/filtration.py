@@ -9,6 +9,8 @@ are built around.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -171,11 +173,20 @@ class Filtration:
     """The threshold events of an instance up to alpha.
 
     ``radii`` are the distinct pairwise distances in (0, alpha], ascending,
-    ``pairs[k]`` the pairs (i < j) at distance ``radii[k]``, and ``base`` the
-    pairs at distance 0, joined at every radius.  Pairs farther apart than
-    alpha are never listed.  Float mode compares the float matrix; exact
-    mode decides membership and groups radii by ``d_exact`` and uses the
-    float matrix only to skip pairs that cannot be within alpha.
+    ``pairs[k]`` the pairs (i < j) at distance ``radii[k]``, in (i, j)
+    order, and ``base`` the pairs at distance 0, joined at every radius.
+    Pairs farther apart than alpha are never listed.  Float mode compares
+    the float matrix; exact mode decides membership and groups radii by
+    ``d_exact`` and uses the float matrix only to skip pairs that cannot be
+    within alpha.
+
+    The near pairs are sorted once, stably, and cut where the sort key
+    changes, so each radius's pairs are a slice of one list; ``<= alpha``
+    is decided once per distinct radius.  The key is the float distance,
+    also in exact mode without an exact matrix (``d_exact`` is then the
+    float's exact value).  With one it is the exact distance as an integer
+    over the lcm of the near pairs' denominators: equal exact distances
+    can have unequal floats.
     """
 
     def __init__(
@@ -183,24 +194,38 @@ class Filtration:
     ) -> None:
         n = inst.n
         self.n, self.labels, self.exact = n, inst.labels, exact
-        i, j = np.triu_indices(n, k=1)
-        d = inst.dist[i, j]
-        if exact:
-            a = Fraction(alpha)
-            near = np.flatnonzero(d <= _prefilter_bound(inst, a))
-            i, j = i[near].tolist(), j[near].tolist()
-            radius = [inst.d_exact(u, v) for u, v in zip(i, j)]
+        a = Fraction(alpha) if exact else float(alpha)
+        i, j = np.nonzero(inst.dist <= (_prefilter_bound(inst, a) if exact else a))
+        upper = i < j
+        i, j = i[upper], j[upper]  # the near pairs, in (i, j) order
+        keys = inst.dist[i, j]
+        keyed = exact and inst.dist_exact is not None
+        if keyed:
+            rows = inst.dist_exact
+            radius = [rows[u][v] for u, v in zip(i.tolist(), j.tolist())]
+            distinct = {id(r): r for r in radius}
+            common = math.lcm(*{r.denominator for r in distinct.values()})
+            scaled = {key: r.numerator * (common // r.denominator)
+                      for key, r in distinct.items()}
+            wide = max(scaled.values(), default=0) >= 2**63
+            keys = np.array(list(map(scaled.__getitem__, map(id, radius))),
+                            dtype=object if wide else np.int64)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()] if len(keys) else []
+        if keyed:
+            firsts = [radius[k] for k in order[starts].tolist()]
         else:
-            a = float(alpha)
-            near = np.flatnonzero(d <= a)
-            i, j, radius = i[near].tolist(), j[near].tolist(), d[near].tolist()
-        groups: dict = {}
-        for u, v, r in zip(i, j, radius):
-            if r <= a:
-                groups.setdefault(r, []).append((u, v))
-        self.base: list[tuple[int, int]] = groups.pop(0, [])
-        self.radii: list = sorted(groups)
-        self.pairs: list[list[tuple[int, int]]] = [groups[r] for r in self.radii]
+            firsts = keys[starts].tolist()
+            if exact:
+                firsts = list(map(Fraction, firsts))
+        pairs = list(zip(i[order].tolist(), j[order].tolist()))
+        groups = [pairs[lo:hi] for lo, hi in zip(starts, [*starts[1:], len(pairs)])]
+        within = bisect_right(firsts, a)  # the radii ascend
+        zero = within > 0 and firsts[0] == 0
+        self.base: list[tuple[int, int]] = groups[0] if zero else []
+        self.radii: list = firsts[zero:within]
+        self.pairs: list[list[tuple[int, int]]] = groups[zero:within]
 
     def graphs(self):
         """Yield (r, G_r) for r = 0 and then for each radius in turn; the

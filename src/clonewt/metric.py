@@ -150,17 +150,32 @@ def _exact_matrix_from_points_1d(coords: list[Number]) -> tuple[tuple[Fraction, 
 def _point_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix of a point cloud.
 
-    The plain pass squares the coordinate differences, which overflows once
-    a distance exceeds about 1e154.  Only the entries where it does are
-    recomputed with scaling: halve the coordinates (so their difference
-    cannot overflow), divide by the largest difference and scale back.  The
-    other entries keep the plain pass's value, bit for bit.  The matrix is
-    exactly symmetric (d(j, i) squares the negated differences of d(i, j)),
+    Below 8 dimensions the plain pass adds the squared coordinate
+    differences one coordinate plane at a time into one n x n array, left
+    to right as numpy sums fewer than 8 terms, so it is
+    ``np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1))`` bit for bit without
+    the n x n x dim temporary; from 8 on numpy sums pairwise, and that
+    expression is kept.  The plain pass overflows once a distance exceeds
+    about 1e154.  Only the entries where it does are recomputed
+    with scaling: halve the coordinates (so their difference cannot
+    overflow), divide by the largest difference and scale back.  The other
+    entries keep the plain pass's value, bit for bit.  The matrix is exactly
+    symmetric (d(j, i) squares the negated differences of d(i, j)),
     non-negative and zero on the diagonal.
     """
     with np.errstate(over="ignore"):
-        diffs = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt((diffs**2).sum(axis=-1))
+        if points.shape[1] < 8:
+            first, *rest = points.T
+            dist = np.subtract.outer(first, first)
+            dist *= dist
+            for column in rest:
+                plane = np.subtract.outer(column, column)
+                plane *= plane
+                dist += plane
+            np.sqrt(dist, out=dist)
+        else:
+            diffs = points[:, None, :] - points[None, :, :]
+            dist = np.sqrt((diffs**2).sum(axis=-1))
     i, j = np.nonzero(~np.isfinite(dist))
     if i.size:
         half = points[i] / 2 - points[j] / 2
@@ -229,7 +244,10 @@ def load_instance(
     dist = _float_rows(raw, "distances")
     labels = _labels_for(source, len(raw))
     _validate(dist, tol)
-    dist_exact = tuple(tuple(_fraction(v) for v in row) for row in raw)
+    # each distinct number object converted once, as ``_float_rows`` does
+    rows = [list(row) for row in raw]  # holding their objects, so that ids stay theirs
+    made = {key: _fraction(v) for key, v in _check_numbers(rows, "distances").items()}
+    dist_exact = tuple(tuple(map(made.__getitem__, map(id, row))) for row in rows)
     return MetricInstance(labels, dist, dist_exact=dist_exact, tol=tol)
 
 
@@ -280,6 +298,13 @@ def _check_numbers(rows: list[list], field: str) -> dict[int, object]:
                     if id(v) in bad)
         raise MetricError(f'"{field}"[{i}][{j}] must be a number, got {rows[i][j]!r}')
     return distinct
+
+
+def _exact_copy(d: np.ndarray) -> tuple[tuple[Fraction, ...], ...]:
+    """The float matrix ``d`` with ``Fraction`` entries, one per distinct
+    value."""
+    made = {v: Fraction(v) for v in np.unique(d).tolist()}
+    return tuple(tuple(map(made.__getitem__, row)) for row in d.tolist())
 
 
 def _labels_for(source: dict, n: int) -> tuple[str, ...]:
@@ -387,8 +412,7 @@ def random_instance(
                     set_edge(i, j)
         dist = _closure_to_fixpoint(w)
         _validate(dist, 0.0)
-        dist_exact = tuple(tuple(_fraction(v) for v in row) for row in dist)
-        return MetricInstance(labels, dist, dist_exact=dist_exact, tol=0.0)
+        return MetricInstance(labels, dist, dist_exact=_exact_copy(dist), tol=0.0)
 
     raise MetricError(f'unknown instance kind {kind!r}; use "euclidean" or "shortest_path"')
 
@@ -477,5 +501,4 @@ def add_clone(
     d[n, :n] = row
     d[:n, n] = row
     _validate(d, inst.tol)
-    dist_exact = tuple(tuple(_fraction(v) for v in r) for r in d)
-    return MetricInstance(labels, d, dist_exact=dist_exact, tol=inst.tol)
+    return MetricInstance(labels, d, dist_exact=_exact_copy(d), tol=inst.tol)

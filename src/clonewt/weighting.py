@@ -162,20 +162,28 @@ class MetricWeighting:
 def _increments(filtration: Filtration, density: Density, exact: bool) -> list:
     """The CDF increment of each constant piece of the filtration, from r = 0
     up to the first radius and then from each radius to the next (or to
-    alpha); the CDF is evaluated once per radius."""
+    alpha).  The CDF is evaluated once per radius, in integers: float mode
+    divides once per radius, and exact mode takes the differences over one
+    common denominator and builds one ``Fraction`` per increment."""
     radii = [0, *filtration.radii, density.alpha if exact else float(density.alpha)]
-    values = list(map(density.cdf, radii)) if exact else _float_cdf(density, radii)
-    return [above - below for below, above in zip(values, values[1:])]
+    ratios = _cdf_ratios(density, radii)
+    if not exact:
+        values = [p / q for p, q in ratios]
+        return [above - below for below, above in zip(values, values[1:])]
+    common = math.lcm(*(q for _, q in ratios))
+    values = [p * (common // q) for p, q in ratios]
+    return [Fraction(above - below, common) for below, above in zip(values, values[1:])]
 
 
-def _float_cdf(density: Density, radii: list) -> list[float]:
-    """``float(density.cdf(r))`` for ascending floats (or ints) r, in integers.
+def _cdf_ratios(density: Density, radii: list) -> list[tuple[int, int]]:
+    """``density.cdf(r)`` as an integer ratio (p, q), not reduced, for
+    ascending radii r: floats, ints or ``Fraction``s.
 
     On the knot piece from r0 to r1 the CDF is c + s * r, and with c and s
     over a common denominator L, c0 / L and c1 / L, a radius p / q has the
     value (c0 * q + c1 * p) / (L * q).  Knots and alpha are compared in
-    integers too, and the one ``int / int`` per radius rounds correctly,
-    as ``float(Fraction)`` does, so the floats are the same bit for bit.
+    integers too.  ``p / q`` rounds correctly, as ``float(Fraction)`` does,
+    so float mode's values are ``float(density.cdf(r))`` bit for bit.
     """
     pieces = []  # (right end, c0, c1, L) per knot piece
     for (r0, f0), (r1, f1) in zip(density.knots, density.knots[1:]):
@@ -188,15 +196,15 @@ def _float_cdf(density: Density, radii: list) -> list[float]:
     for r in radii:
         p, q = r.as_integer_ratio()
         if p <= 0:
-            out.append(0.0)
+            out.append((0, 1))
         elif p * alpha.denominator >= alpha.numerator * q:
-            out.append(1.0)
+            out.append((1, 1))
         else:
             # the piece whose right end lies above r; radii ascend, so k does
             while p * pieces[k][0].denominator >= pieces[k][0].numerator * q:
                 k += 1
             _, c0, c1, common = pieces[k]
-            out.append((c0 * q + c1 * p) / (common * q))
+            out.append((c0 * q + c1 * p, common * q))
     return out
 
 

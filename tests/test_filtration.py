@@ -19,6 +19,7 @@ from clonewt import (
     CapExceeded,
     Filtration,
     Graph,
+    add_clone,
     automorphisms,
     equivalence_classes,
     forbidden_intervals,
@@ -196,6 +197,108 @@ class TestFiltration:
         assert filt.radii == [1.0]
         r, g = next(filt.graphs())
         assert r == 0 and g.edges() == [(0, 1)]
+
+
+def _grouped(inst, alpha, exact):
+    """(base, radii, pairs) by grouping every pair within alpha in a dict
+    keyed by its distance, pairs in (i, j) order."""
+    a = Fraction(alpha) if exact else float(alpha)
+    groups: dict = {}
+    for u, v in itertools.combinations(range(inst.n), 2):
+        r = inst.d_exact(u, v) if exact else float(inst.dist[u, v])
+        if r <= a:
+            groups.setdefault(r, []).append((u, v))
+    base = groups.pop(0, [])
+    radii = sorted(groups)
+    return base, radii, [groups[r] for r in radii]
+
+
+def _decimal_csv(path, seed: int):
+    """A CSV matrix of two-decimal L1 distances between seeded points on a
+    line, with repeated points and many tied distances."""
+    rng = np.random.default_rng(seed)
+    cents = rng.integers(0, 60, size=12).tolist()
+    rows = [",".join(f"0.{abs(a - b):02d}" for b in cents) for a in cents]
+    path.write_text("\n".join([",".join(f"c{k}" for k in range(len(cents))), *rows]) + "\n")
+    return load_instance(path)
+
+
+def _setup_instances(tmp_path):
+    """Every kind of input the sorted pass keys differently: float points
+    in 2 and 3 dimensions with planted copies, 1-D exact decimals, exact
+    matrices (some with keys past int64), CSV decimals and dyadic
+    shortest-path closures, with clones added."""
+    out = []
+    for dim, seed in [(2, 1), (2, 2), (3, 3), (3, 4)]:
+        inst = random_instance("euclidean", 20, seed, dim=dim)
+        inst = add_clone(add_clone(inst, 3, 0, seed), 5, Fraction(1, 100), seed)
+        out += [inst, _planted_cloud(seed, dim, exact=False)]
+    out.append(_planted_cloud(5, 1, exact=True))
+    out.append(load_instance({"kind": "points", "points": [
+        [Fraction("1.8e-16")], [Fraction("1.9e-15")], [Fraction("3.62e-15")]]}))
+    rng = np.random.default_rng(6)
+    decimals = [Fraction(f"{int(k)}.{int(m):03d}") for k, m in rng.integers(0, 3, (14, 2)) * [1, 337]]
+    out.append(load_instance({"kind": "points", "points": [[x] for x in decimals]}))
+    thirds = [(Fraction(int(a), 3), Fraction(int(b), 7)) for a, b in rng.integers(0, 5, (10, 2))]
+    out.append(load_instance({"kind": "matrix", "distances": [
+        [abs(a - c) + abs(b - d) for c, d in thirds] for a, b in thirds]}))
+    wide = 3**45  # numerators over this denominator pass 2**63
+    out.append(load_instance({"kind": "points", "points": [
+        [Fraction(int(k) * 10**20, wide)] for k in rng.integers(0, 9, 10)]}))
+    out.append(_decimal_csv(tmp_path / "cents.csv", 7))
+    for seed in (8, 9):
+        inst = random_instance("shortest_path", 14, seed)
+        out += [inst, add_clone(inst, 2, 0, seed), add_clone(inst, 4, Fraction(1, 16), seed)]
+    return out
+
+
+class TestSortedFiltration:
+    """``Filtration`` sorts the near pairs once and cuts the sorted list;
+    it lists what grouping every pair by its distance in a dict lists, with
+    the same types, in float and exact mode."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_equal_to_the_dict_grouping(self, tmp_path, exact):
+        checked = 0
+        for inst in _setup_instances(tmp_path):
+            pairs = itertools.combinations(range(inst.n), 2)
+            dist = inst.d_exact if exact else lambda u, v: float(inst.dist[u, v])
+            radii = sorted({dist(u, v) for u, v in pairs} - {0})
+            picks = sorted({0, len(radii) // 3, len(radii) // 2, len(radii) - 1})
+            alphas = [radii[k] for k in picks] + [(radii[k] + radii[k + 1]) / 2
+                                                  for k in picks if k + 1 < len(radii)]
+            for alpha in alphas:
+                filt = Filtration(inst, alpha, exact=exact)
+                base, radii_want, pairs_want = _grouped(inst, alpha, exact)
+                where = (inst.n, alpha, exact)
+                assert filt.base == base and filt.radii == radii_want, where
+                assert filt.pairs == pairs_want, where
+                assert list(map(type, filt.radii)) == list(map(type, radii_want)), where
+                assert all(type(u) is type(v) is int
+                           for u, v in itertools.chain(filt.base, *filt.pairs)), where
+                assert threshold_radii(inst, alpha, exact=exact) == radii_want
+                checked += 1
+        assert checked > 100
+
+    def test_equal_exact_distances_with_unequal_floats_are_one_radius(self):
+        """(0, 1) and (1, 2) are both exactly 1.72e-15 apart, but their
+        float distances differ in the last place."""
+        inst = load_instance({"kind": "points", "points": [
+            [Fraction("1.8e-16")], [Fraction("1.9e-15")], [Fraction("3.62e-15")]]})
+        assert inst.dist[0, 1] != inst.dist[1, 2]
+        filt = Filtration(inst, 1, exact=True)
+        assert filt.radii == [Fraction("1.72e-15"), Fraction("3.44e-15")]
+        assert filt.pairs == [[(0, 1), (1, 2)], [(0, 2)]]
+
+    def test_keys_past_int64_sort_as_integers(self):
+        wide = 3**45
+        inst = load_instance({"kind": "points", "points": [
+            [Fraction(k * 10**20, wide)] for k in (4, 0, 2, 4, 1)]})
+        filt = Filtration(inst, 1, exact=True)
+        step = Fraction(10**20, wide)
+        assert filt.base == [(0, 3)]
+        assert filt.radii == [step, 2 * step, 3 * step, 4 * step]
+        assert filt.pairs == [[(1, 4), (2, 4)], [(0, 2), (1, 2), (2, 3)], [(0, 4), (3, 4)], [(0, 1), (1, 3)]]
 
 
 class TestEquivalenceClasses:

@@ -14,11 +14,13 @@ import json
 import string
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonewt import MetricError, load_instance
+from clonewt import MetricError, add_clone, load_instance, metric, random_instance
+from clonewt.metric import _fraction
 from clonewt.cli import _CLIError, _read_graph
 
 FUZZ = settings(max_examples=60, deadline=None)
@@ -212,6 +214,29 @@ class TestJSONDocuments:
             [0, third, tenth], [third, 0, third], [tenth, third, 0]]})
         assert inst.dist.tolist() == [[0.0, 1 / 3, 0.1], [1 / 3, 0.0, 1 / 3], [0.1, 1 / 3, 0.0]]
         assert inst.d_exact(0, 1) == third
+
+    def test_exact_entries_convert_once_per_object(self, monkeypatch):
+        """The exact matrix is each entry's ``_fraction``, ints, floats and
+        numpy numbers included, with one conversion per distinct object."""
+        third, half, one = Fraction(1, 3), 0.5, np.int64(1)
+        rows = [[0, third, half, one], [third, 0, half, one],
+                [half, half, 0, 1.0], [one, one, 1.0, 0]]
+        want = tuple(tuple(_fraction(v) for v in row) for row in rows)
+        calls = []
+        monkeypatch.setattr(metric, "_fraction", lambda v: calls.append(v) or _fraction(v))
+        inst = load_instance({"kind": "matrix", "distances": rows})
+        assert inst.dist_exact == want
+        assert all(type(v) is Fraction for row in inst.dist_exact for v in row)
+        assert len(calls) == len({id(v) for row in rows for v in row}) == 5
+
+    @pytest.mark.parametrize("eps", [0, Fraction(1, 16)])
+    def test_generated_exact_matrices_are_the_floats(self, eps):
+        """Shortest-path instances and their matrix clones carry the float
+        matrix as ``Fraction`` entries, one object per distinct value."""
+        inst = add_clone(random_instance("shortest_path", 12, 3), 4, eps, seed=5)
+        assert inst.dist_exact == tuple(tuple(map(Fraction, row)) for row in inst.dist.tolist())
+        assert all(type(v) is Fraction for row in inst.dist_exact for v in row)
+        assert inst.dist_exact[0][1] is inst.dist_exact[1][0]
 
 
 def _csv_text(header, rows) -> str:

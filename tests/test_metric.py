@@ -222,6 +222,50 @@ class TestPointCloudsAreMetric:
         assert (d >= 0).all()  # no negative entry and no NaN
 
 
+def _summed_distances(points: np.ndarray) -> np.ndarray:
+    """``_point_distances`` as one n x n x dim expression reduced over its
+    last axis, with the same rescaled pass for the entries that overflow."""
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(((points[:, None] - points[None]) ** 2).sum(-1))
+    i, j = np.nonzero(~np.isfinite(dist))
+    if i.size:
+        half = points[i] / 2 - points[j] / 2
+        scale = np.abs(half).max(axis=1)
+        with np.errstate(over="ignore"):
+            dist[i, j] = 2 * scale * np.sqrt(((half / scale[:, None]) ** 2).sum(axis=1))
+    return dist
+
+
+@st.composite
+def duplicated_clouds(draw):
+    """2-12 points in 1-9 dimensions at scales 1, 1e-8 and 1e200, with
+    negative coordinates, exact copies and copies moved by 1e-12 of the
+    scale."""
+    dim, n = draw(st.integers(1, 9)), draw(st.integers(2, 12))
+    scale = draw(st.sampled_from([1.0, 1e-8, 1e200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-scale, scale, (n, dim))
+    copies = rng.integers(n, size=draw(st.integers(0, n - 1)))
+    moved = draw(st.lists(st.booleans(), min_size=len(copies), max_size=len(copies)))
+    for k, (source, near) in enumerate(zip(copies, moved)):
+        target = (source + 1 + k) % n
+        points[target] = points[source] + (rng.normal(size=dim) * 1e-12 * scale if near else 0)
+    return points
+
+
+class TestPlaneWiseDistances:
+    """Below 8 dimensions ``_point_distances`` adds the squared differences
+    one coordinate plane at a time; that is the summed expression bit for
+    bit, since numpy adds fewer than 8 terms left to right."""
+
+    @given(duplicated_clouds())
+    @example(np.array([[0.0, 0.0, 0.0], [1e-8, -3e-8, 2e-8], [1e-8, -3e-8, 2e-8]]))
+    @example(np.array([[3e200, 4e200], [0.0, 0.0], [-1e200, 1.0]]))
+    @settings(max_examples=400, deadline=None)
+    def test_equal_to_the_summed_expression(self, points):
+        assert np.array_equal(_point_distances(points), _summed_distances(points))
+
+
 class TestAddClone:
     def test_perfect_clone_copies_the_distance_row(self, three_points):
         cloned = add_clone(three_points, "p1", 0, seed=1, label="p1~")

@@ -402,9 +402,56 @@ class TestFloatCdf:
         knots = [float(r) for r in density.knot_radii()]
         near = [math.nextafter(r, d) for r in knots for d in (0, math.inf)]
         radii = sorted([0, 0.0, alpha, 2 * alpha, *knots, *near, *drawn])
-        got = weighting._float_cdf(density, radii)
+        ratios = weighting._cdf_ratios(density, radii)
+        assert [Fraction(p, q) for p, q in ratios] == [density.cdf(r) for r in radii]
+        got = [p / q for p, q in ratios]
         assert got == [float(density.cdf(r)) for r in radii]
         assert all(type(v) is float for v in got)
+
+
+class TestIntegerIncrements:
+    """``_increments`` evaluates the CDF in integers: exact increments are
+    the differences of ``Density.cdf``, float ones those of its floats."""
+
+    #: radii on the knots 2/7 and 1/3, between them, past them and at alpha
+    #: (1/2 and 2/3), with a repeated point
+    POINTS = [[Fraction(0)], [Fraction(2, 7)], [Fraction(1, 3)], [Fraction(3, 10)],
+              [Fraction(1, 2)], [Fraction(2, 3)], [Fraction(9, 10)], [Fraction(9, 10)]]
+
+    @pytest.mark.parametrize("density", [
+        Density.uniform(Fraction(1, 2)),
+        Density.uniform(Fraction(2, 3)),
+        Density.piecewise_linear_cdf([(0, 0), (Fraction(2, 7), Fraction(1, 4)),
+                                      (Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 2), 1)]),
+        Density.piecewise_linear_cdf([(0, 0), (Fraction(2, 7), Fraction(1, 3)),
+                                      (Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 3), 1)]),
+    ])
+    @pytest.mark.parametrize("kind", ["points", "matrix"])
+    def test_equal_to_the_cdf_differences(self, density, kind):
+        inst = load_instance({"kind": "points", "points": self.POINTS})
+        if kind == "matrix":
+            inst = load_instance({"kind": "matrix", "distances": list(inst.dist_exact)})
+        for exact in (False, True):
+            filt = Filtration(inst, density.alpha, exact=exact)
+            radii = [0, *filt.radii, density.alpha if exact else float(density.alpha)]
+            values = [density.cdf(r) if exact else float(density.cdf(r)) for r in radii]
+            got = weighting._increments(filt, density, exact)
+            assert got == [above - below for below, above in zip(values, values[1:])]
+            assert {type(v) for v in got} == {Fraction if exact else float}
+        assert density.alpha in filt.radii
+        assert {Fraction(2, 7), Fraction(1, 3)} <= set(filt.radii)
+
+    @settings(max_examples=100, deadline=None)
+    @given(densities(), st.integers(0, 2**32 - 1))
+    def test_on_seeded_clouds(self, density, seed):
+        inst = random_instance("euclidean", 12, seed, dim=2)
+        for exact in (False, True):
+            filt = Filtration(inst, density.alpha, exact=exact)
+            radii = [0, *filt.radii, density.alpha if exact else float(density.alpha)]
+            values = [density.cdf(r) if exact else float(density.cdf(r)) for r in radii]
+            got = weighting._increments(filt, density, exact)
+            assert got == [above - below for below, above in zip(values, values[1:])]
+            assert all(type(v) is (Fraction if exact else float) for v in got)
 
 
 def _read_graphs(inst, density, exact):
