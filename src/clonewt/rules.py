@@ -297,7 +297,8 @@ class CliqueCover:
         )
 
 
-def _maximal_clique_masks(nbrs: Sequence[int], cap: int, through: int | None = None) -> list[int]:
+def _maximal_clique_masks(nbrs: Sequence[int], cap: int, through: int | None = None,
+                          edges: Sequence[tuple[int, int]] | None = None) -> list[int]:
     """Bron-Kerbosch with Tomita pivoting over bitmask vertex sets.
 
     The pivot is the vertex of P | X with the most neighbours in P, ties to
@@ -305,18 +306,37 @@ def _maximal_clique_masks(nbrs: Sequence[int], cap: int, through: int | None = N
     order.  With a vertex mask ``through`` = T, only the maximal cliques
     that meet T are listed: each lies in T | N(T), which a clique meeting T
     cannot be extended out of, and a branch whose R and P both miss T is
-    cut.  The default, every vertex, lists them all.
+    cut.  The default, every vertex, lists them all.  With ``edges``
+    instead, only the maximal cliques that hold one of the edges uv are
+    listed, from R = {u, v}, P = N(u) & N(v) and X = {} per edge; a clique
+    that holds two of them is listed once.  More than ``cap`` distinct
+    cliques raise ``CapExceeded``.
+
+    A branch whose P is a clique (or empty) holds one maximal clique at
+    most, R | P, which is maximal unless a vertex of X is a neighbour of
+    all of P; it is listed without descending, in the place where the
+    descent would list it.
     """
-    out: list[int] = []
+    out: dict[int, None] = {}  # the cliques, in the order found, each once
 
     def expand(r: int, p: int, x: int) -> None:
         if not (r | p) & through:
             return
-        if not p:
-            if not x:
-                out.append(r)
-                if len(out) > cap:
-                    raise CapExceeded("maximal-clique enumeration", "cliques", cap)
+        rest = p
+        while rest:
+            low = rest & -rest
+            if p & ~nbrs[low.bit_length() - 1] != low:
+                break
+            rest ^= low
+        else:  # P is a clique (or empty): R | P is the branch's one clique
+            while x:
+                low = x & -x
+                if not p & ~nbrs[low.bit_length() - 1]:
+                    return
+                x ^= low
+            out[r | p] = None
+            if len(out) > cap:
+                raise CapExceeded("maximal-clique enumeration", "cliques", cap)
             return
         # no vertex has more than |P| neighbours in P, so stop at the first that does
         most, pivot, reach, rest = -1, 0, p.bit_count(), p | x
@@ -340,13 +360,17 @@ def _maximal_clique_masks(nbrs: Sequence[int], cap: int, through: int | None = N
 
     if through is None:
         through = (1 << len(nbrs)) - 1
-    p, rest = through, through
-    while rest:
-        low = rest & -rest
-        p |= nbrs[low.bit_length() - 1]
-        rest ^= low
-    expand(0, p, 0)
-    return out
+    if edges is None:
+        p, rest = through, through
+        while rest:
+            low = rest & -rest
+            p |= nbrs[low.bit_length() - 1]
+            rest ^= low
+        expand(0, p, 0)
+    else:
+        for u, v in edges:
+            expand(1 << u | 1 << v, nbrs[u] & nbrs[v], 0)
+    return list(out)
 
 
 def _membership(masks: Sequence[int], n: int) -> list[int]:

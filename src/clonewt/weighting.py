@@ -214,12 +214,14 @@ class _Kept:
     neighbourhoods; ``twins``, the duplicate classes, when the reader reads
     them; ``cover``, the maximal cliques as bitmasks, when it reads them,
     and ``gone`` and ``new``, the cliques it lost and gained since the last
-    read piece."""
+    read piece: ``gone`` are the kept cliques that a vertex of T, the
+    endpoints of the edges added since, now extends, and ``new`` are the
+    maximal cliques that hold one of those edges."""
 
     n: int
     nbrs: list[int]
     twins: _TwinState | None
-    cover: list[int] | None
+    cover: Collection[int] | None
     gone: Collection[int] = ()
     new: Collection[int] = ()
 
@@ -521,15 +523,22 @@ def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
 
     The sweep keeps one list of open neighbourhoods, the ``_TwinState``'s
     when the reader reads the duplicate classes, and the clique cover only
-    when it reads that.  The cover is kept as bitmasks.  After edges are
+    when it reads that, as a set of bitmasks.  After edges are
     added, with T their endpoints, a maximal clique that misses T is still
     maximal: a vertex that could extend it would have gained an edge into
-    it, so it would be in T.  The new cover is therefore the old cliques
-    that miss T plus the cliques of the new graph that meet T, which
-    Bron-Kerbosch lists from T | N(T).  The cover is only brought up to
-    date at the pieces that are read, with T collected over the events
-    since, so the ``cliques`` cap is checked on the same graphs as a rule
-    call checks it.
+    it, so it would be in T.  A kept clique C that meets T is gone exactly
+    when a vertex of T is a neighbour of all of C, and a maximal clique of
+    the new graph is new exactly when it holds an added edge (one without
+    was maximal before).  When at most as many edges were added as kept
+    cliques meet T, Bron-Kerbosch lists only the cliques through each
+    added edge uv, from {u, v} and N(u) & N(v), and the gone ones are
+    found by that test.  Otherwise (at the first read, and at reads that
+    add many edges at once) it lists every clique of the new graph that
+    meets T, from T | N(T), and ``gone`` and ``new`` are the differences
+    between those and the kept cliques that meet T.  The cover is only
+    brought up to date at the pieces that are read, with T and the edges
+    collected over the events since, so the ``cliques`` cap is checked on
+    the same graphs as a rule call checks it.
 
     A reader with a ``sweep`` keeps sums across the read pieces instead of
     reading its pairs afresh at each: the sweep hands it ``gone`` (the
@@ -543,10 +552,11 @@ def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
     reader = read if isinstance(read, _Reader) else None
     twins = reader.classes(n) if reader and reader.classes else None
     nbrs = [0] * n if twins is None else twins.masks
-    kept = _Kept(n, nbrs, twins, [] if reader and reader.cliques else None)
+    kept = _Kept(n, nbrs, twins, set() if reader and reader.cliques else None)
     pairs_of = reader and (reader.sweep(n) if reader.sweep else reader.pairs)
     cap = default_caps().cliques
     touched = (1 << n) - 1  # the first cover read is enumerated in full
+    pending = None  # the edges added since the last cover read, after the first
     for pairs, increment in events:
         if twins is not None:
             twins.add(pairs)
@@ -555,6 +565,8 @@ def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
                 nbrs[u] |= 1 << v
                 nbrs[v] |= 1 << u
             touched |= 1 << u | 1 << v
+        if pending is not None:
+            pending += pairs
         if increment == 0:
             continue
         if reader is None:
@@ -562,14 +574,28 @@ def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
             yield (weights if exact else weights.as_floats()), increment
             continue
         if kept.cover is not None:
-            fresh = _maximal_clique_masks(nbrs, cap, touched)
-            cover = [c for c in kept.cover if not c & touched]
-            retired = {c for c in kept.cover if c & touched}
-            cover += fresh
-            if len(cover) > cap:
+            hit = [c for c in kept.cover if c & touched]
+            if pending is not None and len(pending) <= len(hit):
+                new = _maximal_clique_masks(nbrs, cap, edges=pending)
+                gone = []
+                for c in hit:  # gone when a vertex of T is a neighbour of all of c
+                    rest = touched & ~c
+                    while rest:
+                        low = rest & -rest
+                        if not c & ~nbrs[low.bit_length() - 1]:
+                            gone.append(c)
+                            break
+                        rest ^= low
+            else:
+                fresh = _maximal_clique_masks(nbrs, cap, touched)
+                retired = set(hit)
+                gone, new = retired.difference(fresh), set(fresh).difference(retired)
+            kept.cover.difference_update(gone)
+            kept.cover.update(new)
+            if len(kept.cover) > cap:
                 raise CapExceeded("maximal-clique enumeration", "cliques", cap)
-            kept.gone, kept.new = retired.difference(fresh), set(fresh).difference(retired)
-            kept.cover, touched = cover, 0
+            kept.gone, kept.new = gone, new
+            touched, pending = 0, []
         weights = pairs_of(kept)
         if exact:
             yield WeightVector(_shared_fractions(weights), labels), increment

@@ -399,6 +399,23 @@ class TestIntegerArithmeticRules:
         assert set(got) == {c for c in every if c & through}
         assert _maximal_clique_masks(g.nbrs, 10**6, (1 << g.n) - 1) == every
 
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=11), st.data())
+    def test_cliques_through_edges(self, g, data):
+        """With ``edges``, the enumeration lists exactly the maximal cliques
+        that hold one of the edges, each once, and the cap counts each
+        once, also a clique that two of the edges reach."""
+        every = _maximal_clique_masks(g.nbrs, 10**6)
+        edges = [(u, v) for u in range(g.n) for v in _bits(g.nbrs[u]) if u < v]
+        chosen = data.draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+        got = _maximal_clique_masks(g.nbrs, 10**6, edges=chosen)
+        assert len(got) == len(set(got))
+        assert set(got) == {c for c in every if any(c >> u & c >> v & 1 for u, v in chosen)}
+        if got:
+            assert _maximal_clique_masks(g.nbrs, len(got), edges=chosen) == got
+            with pytest.raises(CapExceeded, match=f"cliques={len(got) - 1}"):
+                _maximal_clique_masks(g.nbrs, len(got) - 1, edges=chosen)
+
     def test_sorted_cliques_are_built_when_read(self, paw):
         cover = maximal_cliques(paw)
         assert "cliques" not in vars(cover)

@@ -323,8 +323,7 @@ def _counting(rule, calls):
 def _driven(inst, density, exact, read):
     """The steps of the sweep driver over ``inst``'s events, built from
     ``Filtration`` and the CDF increments of ``density``."""
-    filt = Filtration(inst, density.alpha, exact=exact)
-    events = zip([filt.base, *filt.pairs], weighting._increments(filt, density, exact))
+    events = _instance_events(inst, density, exact)
     return list(weighting._pairs_sweep(events, inst.n, inst.labels, read, exact))
 
 
@@ -556,6 +555,48 @@ class TestKeptCliqueCover:
         with pytest.raises(CapExceeded, match="cliques=5"):
             evaluate_all(inst, slow)
 
+    @pytest.mark.parametrize("rule", ["mcca", "mccp", "smooth:mcca"])
+    def test_closing_the_cycle_is_read_edge_by_edge(self, rule, monkeypatch):
+        """The cycle of ``test_cap_counts_the_kept_cliques``: its one new
+        edge lists one clique, and the merged cover of 8 is refused."""
+        n = 8
+        dist = [[min(abs(i - j), min(i, j) + Fraction(3, 2) + n - 1 - max(i, j))
+                 for j in range(n)] for i in range(n)]
+        inst = load_instance({"kind": "matrix", "distances": dist})
+        density = Density.piecewise_linear_cdf([(0, 0), (1, 0), (Fraction(7, 4), 1)])
+        mw = MetricWeighting.from_names(rule, density)
+        monkeypatch.setenv("CLONEWT_CAPS", "cliques=7")
+        for exact in (False, True):
+            calls = _listings(monkeypatch)
+            with pytest.raises(CapExceeded, match="cliques=7"):
+                evaluate_all(inst, mw, exact=exact)
+            assert calls == ["T | N(T)", "edges"]
+
+    def test_one_edge_lists_more_than_the_cap(self, monkeypatch):
+        """121 edges arrive at once, fewer than the 136 kept cliques (the
+        leaf edges) that meet their endpoints, so they are read edge by
+        edge; the first, uv, lies in all 3**5 maximal cliques of u, v and a
+        complete 5-partite graph with parts of 3, and lists more than the
+        cap by itself."""
+        parts = [range(2 + 3 * k, 5 + 3 * k) for k in range(5)]
+        added = [(0, 1), *((u, w) for u in (0, 1) for w in range(2, 17))]
+        added += [(a, b) for i, p in enumerate(parts) for q in parts[i + 1:] for a in p for b in q]
+        leaves = [(t, 17 + 8 * t + k) for t in range(17) for k in range(8)]
+        n, events = 17 + len(leaves), [(leaves, Fraction(1, 2)), (added, Fraction(1, 2))]
+        assert len(added) == 121 and len(leaves) == 136
+        labels = tuple(f"v{i}" for i in range(n))
+        monkeypatch.setenv("CLONEWT_CAPS", "cliques=200")
+        calls = _listings(monkeypatch)
+        with pytest.raises(CapExceeded, match="cliques=200") as listed:
+            list(weighting._pairs_sweep(events, n, labels, weighting._MCCA, True))
+        assert calls == ["T | N(T)", "edges"]
+        assert listed.traceback[-1].name == "expand"  # raised by the listing itself
+        with pytest.raises(CapExceeded) as called:
+            list(weighting._pairs_sweep(events, n, labels, rules.w_mcca, True))
+        assert str(called.value) == str(listed.value)
+        graph = Graph.from_edges(n, leaves + added)
+        assert len(_maximal_clique_masks(graph.nbrs, 10**6, edges=[(0, 1)])) == 3**5
+
 
 @st.composite
 def edge_sweeps(draw):
@@ -667,6 +708,123 @@ class TestKeptSums:
     def test_smoothed_class_uniform_reads_the_class_sums(self, rule):
         reader = weighting._pairs_reader(parse_rule(rule)[1])
         assert reader.classes is weighting._ClassSums
+
+
+def _listings(monkeypatch):
+    """Record which listing of the maximal cliques the sweep runs at each
+    cover read: ``edges``, through the added edges, or ``T | N(T)``."""
+    calls = []
+
+    def listing(nbrs, cap, through=None, edges=None):
+        calls.append("T | N(T)" if edges is None else "edges")
+        return _maximal_clique_masks(nbrs, cap, through, edges)
+
+    monkeypatch.setattr(weighting, "_maximal_clique_masks", listing)
+    return calls
+
+
+def _checked_cover_reads(n, events, monkeypatch):
+    """Drive the sweep over ``events`` and check the cover, ``gone`` and
+    ``new`` at each read piece against the cliques listed from T | N(T), T
+    the endpoints of the edges added since the last read (every vertex at
+    the first): the cover is the old cliques that miss T and the listed
+    ones, each once, and ``gone`` and ``new`` are the set differences.
+    Check that each read lists through the edges exactly when it is not
+    the first and at most as many edges were added as old cliques meet T;
+    return the listing each read ran."""
+    calls, old = _listings(monkeypatch), {"cover": [], "nbrs": None}
+
+    def record(kept):
+        before = old["nbrs"] or [0] * n
+        touched = functools.reduce(
+            int.__or__, (1 << v for v in range(n) if kept.nbrs[v] != before[v]), 0)
+        if old["nbrs"] is None:
+            touched = (1 << n) - 1
+        fresh = set(_maximal_clique_masks(kept.nbrs, 10**6, touched))
+        retired = {c for c in old["cover"] if c & touched}
+        assert len(kept.cover) == len(set(kept.cover))
+        assert set(kept.cover) == {c for c in old["cover"] if not c & touched} | fresh
+        for got, want in ((kept.gone, retired - fresh), (kept.new, fresh - retired)):
+            assert len(got) == len(set(got)) and set(got) == want
+        added = sum((a ^ b).bit_count() for a, b in zip(kept.nbrs, before)) // 2
+        by_edges = old["nbrs"] is not None and added <= len(retired)
+        assert calls[-1] == ("edges" if by_edges else "T | N(T)")
+        old["cover"], old["nbrs"] = list(kept.cover), list(kept.nbrs)
+        return _mcca_pairs(kept.cover, kept.n)
+
+    labels = tuple(f"v{i}" for i in range(n))
+    reader = weighting._Reader(record, cliques=True)
+    list(weighting._pairs_sweep(events, n, labels, reader, True))
+    return calls
+
+
+def _instance_events(inst, density, exact):
+    """``inst``'s sweep events: (pairs, CDF increment of ``density``)."""
+    filt = Filtration(inst, density.alpha, exact=exact)
+    return list(zip([filt.base, *filt.pairs], weighting._increments(filt, density, exact)))
+
+
+def _cloud_with_copies(n, seed):
+    """n - 2 uniform points in the unit square, an exact copy of the first
+    and a copy of the second within 1/20."""
+    inst = random_instance("euclidean", n - 2, seed, dim=2)
+    return add_clone(add_clone(inst, 0, 0, seed), 1, Fraction(1, 20), seed)
+
+
+def _ci_lattice():
+    """The L1 distances of a 4x4 lattice with a planted copy of (1, 2), in
+    multiples of 1/16."""
+    p = [(i, j) for i in range(4) for j in range(4)] + [(1, 2)]
+    dist = [[Fraction(abs(a - c) + abs(b - d), 16) for c, d in p] for a, b in p]
+    return load_instance({"kind": "matrix", "distances": dist})
+
+
+class TestEdgeLocalCover:
+    """At a read piece that adds few edges, the sweep lists only the
+    maximal cliques through them and tests the kept cliques that meet
+    their endpoints; its cover, ``gone`` and ``new`` are those of the
+    listing from T | N(T)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_sweeps())
+    def test_on_edge_sweeps(self, sweep):
+        n, events = sweep
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _checked_cover_reads(n, events, monkeypatch)
+        assert calls[:2] == ["T | N(T)", "edges"]  # the edgeless graph, then one edge
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_on_seeded_clouds(self, seed, exact, monkeypatch):
+        inst = _cloud_with_copies(24, seed)
+        for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 2)):
+            events = _instance_events(inst, Density.uniform(alpha), exact)
+            calls = _checked_cover_reads(inst.n, events, monkeypatch)
+            assert calls[0] == "T | N(T)" and "edges" in calls
+
+    def test_a_sparse_sweep_lists_from_t_once(self, monkeypatch):
+        """80 points swept to the 350th pair distance: each event adds one
+        pair, or two for the exact copy, and every read but the first lists
+        through the edges."""
+        inst = _cloud_with_copies(80, 1)
+        alpha = sorted(inst.dist[np.triu_indices(80, 1)])[349]
+        events = _instance_events(inst, Density.uniform(alpha), False)
+        calls = _checked_cover_reads(inst.n, events, monkeypatch)
+        assert len(calls) > 300
+        assert calls == ["T | N(T)"] + ["edges"] * (len(calls) - 1)
+
+    @pytest.mark.parametrize("inst, alpha", [
+        (_ci_lattice(), Fraction(1, 4)),
+        (_l1_lattice(1), Fraction(1, 2)),
+        (_l1_lattice(2), Fraction(1, 2)),
+    ])
+    def test_heavy_reads_list_from_t(self, inst, alpha, monkeypatch):
+        """On 1/16 lattices the tied distances add many edges at once, and
+        the reads that add more than the kept cliques that meet them list
+        from T | N(T)."""
+        events = _instance_events(inst, Density.uniform(alpha), True)
+        calls = _checked_cover_reads(inst.n, events, monkeypatch)
+        assert "T | N(T)" in calls[1:]
 
 
 class TestMetricWeighting:
