@@ -1055,8 +1055,8 @@ def attack(
     distance >= alpha from the target is tracked against the cumulative
     locality bound sum_i 2*nu*|S_i|*d(target, clone_i) (|S_i| counted
     before each addition).  The uniform rule's target-family mass is
-    recorded alongside for contrast -- that rule rewards duplication with
-    mass (1+k)/(n+k).
+    recorded alongside for contrast: that rule gives every element 1/|S|,
+    so it rewards duplication with mass (1+i)/(n+i) after i clones.
     """
     if k < 0:
         raise ValueError(f"clone count must be non-negative, got {k}")
@@ -1064,10 +1064,6 @@ def attack(
     target_label = inst.labels[ti]
     alpha = mw.density.alpha if exact else float(mw.density.alpha)
     nu = mw.density.nu_bar if exact else float(mw.density.nu_bar)
-    uniform_mw = MetricWeighting.from_names("uniform", mw.density)
-
-    def weights(of: MetricInstance, which: MetricWeighting) -> WeightVector:
-        return evaluate_all(of, which, exact=exact)
 
     def dist(of: MetricInstance, i: int, j: int) -> Number:
         return of.d_exact(i, j) if exact else float(of.dist[i, j])
@@ -1075,7 +1071,7 @@ def attack(
     far_idx = [z for z in range(inst.n) if z != ti and dist(inst, ti, z) >= alpha]
     far_labels = tuple(inst.labels[z] for z in far_idx)
 
-    base = weights(inst, mw)
+    base = evaluate_all(inst, mw, exact=exact)
     zero = Fraction(0) if exact else 0.0
     current = inst
     family = [target_label]
@@ -1098,11 +1094,10 @@ def attack(
         increment = 2 * nu * pre_n * d_clone
         cumulative += increment
 
-        last = weights(current, mw)
+        last = evaluate_all(current, mw, exact=exact)
         drift = max((abs(last[z] - base[z]) for z in far_labels), default=zero)
         overall_drift = max(overall_drift, drift)
 
-        uniform_now = weights(current, uniform_mw)
         stages.append(
             AttackStage(
                 clone_label=clone_label,
@@ -1111,7 +1106,7 @@ def attack(
                 cumulative_bound=cumulative,
                 max_far_drift=drift,
                 family_mass=sum(last[m] for m in family),
-                uniform_family_mass=sum(uniform_now[m] for m in family),
+                uniform_family_mass=Fraction(1 + i, current.n) if exact else (1 + i) / current.n,
             )
         )
 

@@ -66,16 +66,15 @@ def _normalize(points):
 
 class _Cloud:
     """A normalised point set with the geometry computed on it so far.
-    ``sharing_matrix`` hands one cloud to every entry, so each radius's 1-D
-    table, the radius cuts, the least pair distance and the density on the
-    radius cells are computed once per matrix."""
+    ``sharing_matrix`` reads every entry off one cloud, so each radius's 1-D
+    table, the radius cuts and the least pair distance are computed once per
+    matrix."""
 
     def __init__(self, points):
         self.coords, self.arr = _normalize(points)
         self.n = len(self.coords) if self.coords is not None else self.arr.shape[0]
         self._tables: dict[Fraction, _Table1D] = {}
         self._cuts: dict[Density, list[Fraction]] = {}
-        self._cell_nu: dict[tuple[Density, int], list[float]] = {}
 
     def table(self, r: Fraction) -> _Table1D:
         if r not in self._tables:
@@ -86,14 +85,6 @@ class _Cloud:
         if density not in self._cuts:
             self._cuts[density] = _radius_pieces(self.coords, density)
         return self._cuts[density]
-
-    def cell_nu(self, density: Density, cells: int) -> list[float]:
-        """nu at the midpoints of ``cells`` equal radius cells of (0, alpha]."""
-        key = (density, cells)
-        if key not in self._cell_nu:
-            mids = (np.arange(cells) + 0.5) * (float(density.alpha) / cells)
-            self._cell_nu[key] = [float(density.pdf(float(mid))) for mid in mids]
-        return self._cell_nu[key]
 
     @cached_property
     def gap(self) -> float:
@@ -160,29 +151,26 @@ class _Table1D:
             pos = at
 
 
-def _g_1d(cloud: _Cloud, r: Fraction, x: int) -> Fraction:
-    table = cloud.table(r)
-    return table.share[x] / table.volume
+# What a 1-D entry (x, y) reads off the table at a radius: the integral over
+# the union that ``gr`` divides by the union length and ``fnu`` integrates
+# over the radius.  One signature, so ``_entries`` picks one per key.
 
 
-def _chi_offdiag_1d(cloud: _Cloud, r: Fraction, x: int, y: int) -> Fraction:
-    table = cloud.table(r)
-    return table.pair.get((min(x, y), max(x, y)), Fraction(0)) / table.volume
+def _g_1d(table: _Table1D, x: int, y: None = None) -> Fraction:
+    """x's integral of 1/c, for its weight."""
+    return table.share[x]
 
 
-def private_volume_1d(points, r) -> list[Fraction]:
-    """Absolute volume covered by each point's ball alone (1-D exact)."""
-    cloud = _cloud(points)
-    if cloud.coords is None:
-        raise ValueError("private_volume_1d needs one-dimensional points")
-    return list(cloud.table(_fraction(r)).private)
+def _chi_offdiag_1d(table: _Table1D, x: int, y: int) -> Fraction:
+    """The integral of 1/(c(c-1)) where both x and y cover."""
+    return table.pair.get((min(x, y), max(x, y)), 0)
 
 
-def _private_1d(table: _Table1D, x: int) -> Fraction:
+def _chi_diag_1d(table: _Table1D, x: int, y: int | None = None) -> Fraction:
     """x's private length, checked against its decomposition: the share of
     x less every pair integral of x."""
-    others = (y for y in range(len(table.share)) if y != x)
-    total = table.share[x] - sum(table.pair.get((min(x, y), max(x, y)), 0) for y in others)
+    others = (z for z in range(len(table.share)) if z != x)
+    total = table.share[x] - sum(table.pair.get((min(x, z), max(x, z)), 0) for z in others)
     direct = table.private[x]
     if total != direct:  # pragma: no cover - internal consistency guard
         raise RuntimeError(
@@ -191,9 +179,12 @@ def _private_1d(table: _Table1D, x: int) -> Fraction:
     return total
 
 
-def _chi_diag_1d(cloud: _Cloud, r: Fraction, x: int) -> Fraction:
-    table = cloud.table(r)
-    return _private_1d(table, x) / table.volume
+def private_volume_1d(points, r) -> list[Fraction]:
+    """Absolute volume covered by each point's ball alone (1-D exact)."""
+    cloud = _cloud(points)
+    if cloud.coords is None:
+        raise ValueError("private_volume_1d needs one-dimensional points")
+    return list(cloud.table(_radius(r, "non-negative")).private)
 
 
 def intersection_volume_1d(r: Number, dist: Number) -> Fraction:
@@ -339,28 +330,28 @@ def _mc_ratio(balls: _Balls, numer, samples: int, seed) -> Estimate:
     return _mc_ratios(balls, [numer], samples, seed)[0]
 
 
-def _numer_g(x: int):
-    return lambda member, counts: np.where(member[:, x], 1.0 / np.maximum(counts, 1), 0.0)
-
-
-def _numer_chi(x: int, y: int):
+def _numer(x: int, y: int | None):
+    """The integrand of entry (x, y) over the union, as ``numer(member,
+    counts)``: 1/c in x's ball (y None), 1/(c(c-1)) where both balls cover,
+    or 1 where x's ball covers alone (y == x)."""
+    if y is None:
+        return lambda member, counts: np.where(member[:, x], 1.0 / np.maximum(counts, 1), 0.0)
+    if x == y:
+        return lambda member, counts: (member[:, x] & (counts == 1)).astype(float)
     return lambda member, counts: np.where(
         member[:, x] & member[:, y], 1.0 / np.maximum(counts * (counts - 1), 1), 0.0
     )
-
-
-def _numer_private(x: int):
-    return lambda member, counts: (member[:, x] & (counts == 1)).astype(float)
 
 
 # ---------------------------------------------------------------------------
 # Public radius-level operations
 
 
-def _radius(r: Number) -> Fraction:
+def _radius(r: Number, kind: str = "positive") -> Fraction:
+    """r as a ``Fraction``, ``positive`` or, for a volume, ``non-negative``."""
     r_ex = _fraction(r)
-    if r_ex <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    if r_ex < 0 or r_ex == 0 and kind == "positive":
+        raise ValueError(f"radius must be {kind}, got {r}")
     return r_ex
 
 
@@ -368,15 +359,10 @@ def g_r(points, r: Number, x: int, *, samples: int = 10**6, seed: int | None = N
     """Normalised covered share of point x at radius r.
 
     Returns an exact ``Fraction`` in one dimension (or when all balls are
-    pairwise disjoint), otherwise a Monte-Carlo ``Estimate``.
+    pairwise disjoint), otherwise a Monte-Carlo ``Estimate``: the entry of
+    ``sharing_matrix`` (see ``_entries``).
     """
-    cloud = _cloud(points)
-    r_ex = _radius(r)
-    if cloud.coords is not None:
-        return _g_1d(cloud, r_ex, x)
-    if cloud.gap >= 2 * float(r):
-        return Fraction(1, cloud.n)
-    return _mc_ratio(_Balls(cloud.arr, float(r)), _numer_g(x), samples, seed)
+    return _entries(_cloud(points), "gr", _radius(r), None, [x], samples, seed)[0]
 
 
 def chi_gr(points, r: Number, x: int, y: int, *, samples: int = 10**6, seed: int | None = None):
@@ -384,24 +370,16 @@ def chi_gr(points, r: Number, x: int, y: int, *, samples: int = 10**6, seed: int
 
     Exact, like ``g_r``, where the balls of x and y share no volume and, on
     the diagonal, where all balls are pairwise disjoint."""
-    cloud = _cloud(points)
-    r_ex = _radius(r)
-    if x != y and cloud.apart(x, y, r_ex):
-        return Fraction(0)
-    if cloud.coords is not None:
-        return _chi_diag_1d(cloud, r_ex, x) if x == y else _chi_offdiag_1d(cloud, r_ex, x, y)
-    if x == y and cloud.gap >= 2 * float(r):
-        return Fraction(1, cloud.n)
-    numer = _numer_private(x) if x == y else _numer_chi(x, y)
-    return _mc_ratio(_Balls(cloud.arr, float(r)), numer, samples, seed)
+    return _entries(_cloud(points), "gr", _radius(r), None, [(x, y)], samples, seed)[0]
 
 
 def union_volume(points, r: Number, *, samples: int = 10**6, seed: int | None = None):
     """Volume of the union of balls: exact in 1-D, estimated otherwise."""
     cloud = _cloud(points)
+    r_ex = _radius(r, "non-negative")
     if cloud.coords is not None:
-        return cloud.table(_fraction(r)).volume
-    balls = _Balls(cloud.arr, float(r))
+        return cloud.table(r_ex).volume
+    balls = _Balls(cloud.arr, float(r_ex))
     lo, hi = balls.box()
     box_vol = float(np.prod(hi - lo))
     (hits,) = _stratified(balls, samples, seed, [_hits])
@@ -442,20 +420,20 @@ def removal_effect_gr(
     coords, arr, n = cloud.coords, cloud.arr, cloud.n
     if n < 2:
         raise ValueError("removal needs at least two points")
+    r_ex = _radius(r)
 
     if coords is not None:
-        r_ex = _fraction(r)
         rest = _Cloud([c for i, c in enumerate(coords) if i != x])
-        diag = _chi_diag_1d(cloud, r_ex, x)
+        diag = chi_gr(cloud, r_ex, x, x)
         eta = diag / (1 - diag)
         entries: dict[int, RemovalEntry] = {}
         worst = 0.0
         for y in range(n):
             if y == x:
                 continue
-            before = _g_1d(cloud, r_ex, y)
+            before = g_r(cloud, r_ex, y)
             chi = chi_gr(cloud, r_ex, x, y)
-            after = _g_1d(rest, r_ex, y - 1 if y > x else y)
+            after = g_r(rest, r_ex, y - 1 if y > x else y)
             residual = float(after - (before + chi) * (1 + eta))
             entries[y] = RemovalEntry(before, chi, after, abs(residual), 1e-9)
             worst = max(worst, abs(residual))
@@ -463,10 +441,10 @@ def removal_effect_gr(
 
     if seed is None:
         raise ValueError("Monte-Carlo removal reports require an explicit seed")
-    rf = float(r)
+    rf = float(r_ex)
     rest_arr = np.delete(arr, x, axis=0)
     children = np.random.SeedSequence(seed).spawn(3 * (n - 1) + 1)
-    diag = _mc_ratio(_Balls(arr, rf), _numer_private(x), samples, children[0])
+    diag = _mc_ratio(_Balls(arr, rf), _numer(x, x), samples, children[0])
     chi_xx = diag.value
     eta = chi_xx / (1.0 - chi_xx)
     eta_hw = diag.half_width / (1.0 - chi_xx) ** 2
@@ -477,10 +455,10 @@ def removal_effect_gr(
     for y in range(n):
         if y == x:
             continue
-        before = _mc_ratio(_Balls(arr, rf), _numer_g(y), samples, children[slot])
+        before = _mc_ratio(_Balls(arr, rf), _numer(y, None), samples, children[slot])
         chi = chi_gr(cloud, rf, x, y, samples=samples, seed=children[slot + 1])
         y_new = y - 1 if y > x else y
-        after = _mc_ratio(_Balls(rest_arr, rf), _numer_g(y_new), samples, children[slot + 2])
+        after = _mc_ratio(_Balls(rest_arr, rf), _numer(y_new, None), samples, children[slot + 2])
         slot += 3
         chi_val, chi_hw = float(chi), getattr(chi, "half_width", 0.0)
         predicted = (before.value + chi_val) * (1.0 + eta)
@@ -538,55 +516,43 @@ def _integrate_radial(cloud: _Cloud, density: Density, numer) -> float:
 
 
 def f_nu(points, density: Density, x: int, *, samples: int = 10**6,
-         seed: int | None = None, radius_cells: int = _RADIUS_CELLS):
-    """Radius-integrated weight of x under the density nu."""
-    cloud = _cloud(points)
-    if cloud.coords is not None:
-        return _integrate_radial(cloud, density, lambda t: t.share[x])
-    return _radial_mc(cloud, density, _numer_g(x), samples, seed, radius_cells)
+         seed: int | None = None):
+    """Radius-integrated weight of x under the density nu: a float in 1-D,
+    otherwise an ``Estimate`` (see ``_entries``)."""
+    return _entries(_cloud(points), "fnu", None, density, [x], samples, seed)[0]
 
 
 def chi_fnu(points, density: Density, x: int, y: int, *, samples: int = 10**6,
-            seed: int | None = None, radius_cells: int = _RADIUS_CELLS):
+            seed: int | None = None):
     """Radius-integrated sharing coefficient (diagonal = private weight)."""
-    cloud = _cloud(points)
-    if x != y and cloud.apart(x, y, density.alpha):
-        return 0.0 if cloud.coords is not None else Fraction(0)
-    if cloud.coords is not None:
-        if x == y:
-            return _integrate_radial(cloud, density, lambda t: _private_1d(t, x))
-        key = (min(x, y), max(x, y))
-        return _integrate_radial(cloud, density, lambda t: t.pair.get(key, Fraction(0)))
-    numer = _numer_private(x) if x == y else _numer_chi(x, y)
-    return _radial_mc(cloud, density, numer, samples, seed, radius_cells)
+    return _entries(_cloud(points), "fnu", None, density, [(x, y)], samples, seed)[0]
 
 
-def _radial_mcs(cloud: _Cloud, density: Density, numers, samples, seed,
-                radius_cells) -> list[Estimate]:
-    """Midpoint radius grid with one stratified spatial estimate per cell,
-    shared by the (one or more) numerators: cell k draws once, from child k
-    of ``seed``.
+def _radial_mcs(cloud: _Cloud, density: Density, numers, samples, seed) -> list[Estimate]:
+    """Midpoint radius grid of ``_RADIUS_CELLS`` cells with one stratified
+    spatial estimate per cell, shared by the (one or more) numerators: cell
+    k draws once, from child k of ``seed``.
 
     The reported half-width combines the per-cell Monte-Carlo half-widths in
-    quadrature; the radial discretisation bias is not included (use more
-    cells to shrink it).  A cell whose balls are pairwise disjoint (touching
-    counts as disjoint) is exact: each ball is 1/n of the union and covered
-    by itself alone, so the ratio is the mean of ``numer`` over the identity
-    membership matrix.
+    quadrature; the radial discretisation bias is not included.  A cell
+    whose balls are pairwise disjoint (touching counts as disjoint) is
+    exact: each ball is 1/n of the union and covered by itself alone, so the
+    ratio is the mean of ``numer`` over the identity membership matrix.
     """
     _check_draws(samples, seed)
     alpha = float(density.alpha)
-    width = alpha / radius_cells
-    mids = (np.arange(radius_cells) + 0.5) * width
-    children = _spawn(seed, radius_cells)
-    per_cell = max(1000, samples // radius_cells)
+    width = alpha / _RADIUS_CELLS
+    mids = (np.arange(_RADIUS_CELLS) + 0.5) * width
+    children = _spawn(seed, _RADIUS_CELLS)
+    per_cell = max(1000, samples // _RADIUS_CELLS)
     eye, ones = np.eye(cloud.n, dtype=bool), np.ones(cloud.n, dtype=int)
     disjoint = [float(numer(eye, ones).mean()) for numer in numers]
     totals = [0.0] * len(numers)
     var = [0.0] * len(numers)
     used = 0
     strata = 0
-    for k, (mid, nu) in enumerate(zip(mids, cloud.cell_nu(density, radius_cells))):
+    for k, mid in enumerate(mids):
+        nu = float(density.pdf(float(mid)))
         if nu == 0.0:
             continue
         if 2 * mid <= cloud.gap:
@@ -601,11 +567,6 @@ def _radial_mcs(cloud: _Cloud, density: Density, numers, samples, seed,
         strata += ests[0].strata
     return [Estimate(total, math.sqrt(v), used, _seed_meta(seed), strata)
             for total, v in zip(totals, var)]
-
-
-def _radial_mc(cloud: _Cloud, density: Density, numer, samples, seed, radius_cells) -> Estimate:
-    """``_radial_mcs`` for one numerator."""
-    return _radial_mcs(cloud, density, [numer], samples, seed, radius_cells)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -698,30 +659,41 @@ class SharingMatrix:
     seed: int | None
 
 
-def _mc_entries(cloud: _Cloud, pairs, family: str, r, density, samples, seed):
-    """The weights and the ``pairs`` entries of a Monte-Carlo matrix.  An
-    entry is exact where ``g_r``, ``chi_gr`` or ``chi_fnu`` alone returns
-    it exactly; the others are estimated together, by one ``_mc_ratios``
-    (gr) or ``_radial_mcs`` (fnu) call."""
-    n = cloud.n
-    if family == "gr":
-        reach, disjoint = r, cloud.gap >= 2 * float(r)
-        estimate = lambda numers: _mc_ratios(_Balls(cloud.arr, float(r)), numers, samples, seed)
-    else:  # _radial_mcs makes the disjoint radius cells exact itself
-        reach, disjoint = density.alpha, False
-        estimate = lambda numers: _radial_mcs(cloud, density, numers, samples, seed,
-                                                _RADIUS_CELLS)
-    # each entry's exact value, or the numerator that estimates it
-    values: dict = {x: Fraction(1, n) if disjoint else _numer_g(x) for x in range(n)}
-    for x, y in pairs:
-        if x == y:
-            values[x, y] = Fraction(1, n) if disjoint else _numer_private(x)
+def _entries(cloud: _Cloud, family: str, r, density, keys, samples, seed) -> list:
+    """The entries ``keys`` of a ``family`` matrix, at radius r (``gr``) or
+    under ``density`` (``fnu``): a key x is x's weight, (x, y) is chi(x, y)
+    and (x, x) is x's private share.  Here alone an entry is decided exact
+    or sampled.  A pair whose balls share no volume at r, or at alpha for
+    ``fnu``, is 0 (0.0 for a 1-D ``fnu`` integral); any other 1-D entry is
+    read off the cloud's tables.  On pairwise disjoint balls a ``gr`` weight
+    or private share is 1/n.  The rest are estimated together, from one
+    ``_mc_ratios`` (``gr``) or ``_radial_mcs`` (``fnu``) call."""
+    one_d = cloud.coords is not None
+    reach = r if family == "gr" else density.alpha
+    disjoint = family == "gr" and not one_d and cloud.gap >= 2 * float(r)
+    values, sampled = {}, {}
+    for key in keys:
+        x, y = key if isinstance(key, tuple) else (key, None)
+        if y not in (None, x) and cloud.apart(x, y, reach):
+            values[key] = 0.0 if one_d and family == "fnu" else Fraction(0)
+        elif one_d:
+            read = _g_1d if y is None else _chi_diag_1d if x == y else _chi_offdiag_1d
+            if family == "gr":
+                table = cloud.table(r)
+                values[key] = read(table, x, y) / table.volume
+            else:
+                values[key] = _integrate_radial(cloud, density, lambda t: read(t, x, y))
+        elif disjoint and y in (None, x):
+            values[key] = Fraction(1, cloud.n)
         else:
-            values[x, y] = Fraction(0) if cloud.apart(x, y, reach) else _numer_chi(x, y)
-    sampled = [key for key, value in values.items() if not isinstance(value, Fraction)]
-    if sampled:
-        values.update(zip(sampled, estimate([values[key] for key in sampled])))
-    return [values[x] for x in range(n)], [values[pair] for pair in pairs]
+            sampled[key] = _numer(x, y)
+    numers = list(sampled.values())
+    if sampled and family == "gr":
+        values.update(zip(sampled, _mc_ratios(_Balls(cloud.arr, float(r)), numers,
+                                               samples, seed)))
+    elif sampled:
+        values.update(zip(sampled, _radial_mcs(cloud, density, numers, samples, seed)))
+    return [values[key] for key in keys]
 
 
 def sharing_matrix(
@@ -733,14 +705,15 @@ def sharing_matrix(
     samples: int = 10**6,
     seed: int | None = None,
 ) -> SharingMatrix:
-    """Every weight and sharing coefficient of the points under one family.
+    """Every weight and sharing coefficient of the points under one family,
+    all read by one ``_entries`` call: the entry functions ``g_r``,
+    ``chi_gr``, ``f_nu`` and ``chi_fnu`` are its one-key calls.
 
-    In 1-D each entry is exact and computed on its own from the cloud's
-    shared geometry.  In higher dimensions every sampled entry is estimated
-    from the same draws: one stratified set for ``gr``, one set per radius
-    cell for ``fnu`` (cell k from child k of ``seed``).  The integrands of
-    a row add up to its weight's at every draw, so each row sums to its
-    weight up to rounding.
+    In 1-D each entry is exact and read off the cloud's shared geometry.  In
+    higher dimensions every sampled entry is estimated from the same draws:
+    one stratified set for ``gr``, one set per radius cell for ``fnu`` (cell
+    k from child k of ``seed``).  The integrands of a row add up to its
+    weight's at every draw, so each row sums to its weight up to rounding.
     """
     cloud = _cloud(points)
     n = cloud.n
@@ -748,30 +721,22 @@ def sharing_matrix(
     if family == "gr":
         if r is None:
             raise ValueError('family "gr" needs a radius r')
-        _radius(r)
-        weight_fn = lambda x: g_r(cloud, r, x)
-        chi_fn = lambda x, y: chi_gr(cloud, r, x, y)
+        r = _radius(r)
         param = float(r)
     elif family == "fnu":
         if density is None:
             raise ValueError('family "fnu" needs a radius density')
-        weight_fn = lambda x: f_nu(cloud, density, x)
-        chi_fn = lambda x, y: chi_fnu(cloud, density, x, y)
         param = float(density.alpha)
     else:
         raise ValueError(f'unknown sharing family {family!r}; use "gr" or "fnu"')
 
     exact_mode = cloud.coords is not None
+    if not exact_mode and seed is None:
+        raise ValueError("Monte-Carlo sharing matrices require an explicit seed")
     pairs = [(x, y) for x in range(n) for y in range(x, n)]
-    if exact_mode:
-        weights = [weight_fn(x) for x in range(n)]
-        shared = [chi_fn(x, y) for x, y in pairs]
-    else:
-        if seed is None:
-            raise ValueError("Monte-Carlo sharing matrices require an explicit seed")
-        weights, shared = _mc_entries(cloud, pairs, family, r, density, samples, seed)
-    chi = [[None] * n for _ in range(n)]
-    for (x, y), value in zip(pairs, shared):
+    values = _entries(cloud, family, r, density, [*range(n), *pairs], samples, seed)
+    weights, chi = values[:n], [[None] * n for _ in range(n)]
+    for (x, y), value in zip(pairs, values[n:]):
         chi[x][y] = chi[y][x] = value
 
     exact = lambda v: v if isinstance(v, Fraction) else Fraction(float(v))

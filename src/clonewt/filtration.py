@@ -45,6 +45,13 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _squeeze(mask: int, x: int) -> int:
+    """``mask`` with bit x dropped and the bits above it moved down one: a
+    vertex set of G as one of G - x, whose vertex y > x is G's y + 1."""
+    low = (1 << x) - 1
+    return mask & low | mask >> 1 & ~low
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph on vertices 0..n-1 with bitmask adjacency.
@@ -75,8 +82,8 @@ class Graph:
 
     @staticmethod
     def _trusted(n: int, nbrs: tuple[int, ...], labels: tuple[str, ...]) -> "Graph":
-        """A graph valid by construction (a sweep's graphs, subgraphs and
-        quotients), built without ``__init__`` and the checks of
+        """A graph valid by construction (a sweep's graphs, vertex removals
+        and quotients), built without ``__init__`` and the checks of
         ``__post_init__``."""
         graph = object.__new__(Graph)
         graph.__dict__.update(n=n, nbrs=nbrs, labels=labels)
@@ -124,20 +131,10 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.neighbors(u) if u < v]
 
     def remove_vertex(self, v: int) -> "Graph":
-        keep = [u for u in range(self.n) if u != v]
-        return self.subgraph(keep)
-
-    def subgraph(self, keep: list[int]) -> "Graph":
-        pos = {old: new for new, old in enumerate(keep)}
-        masks = []
-        for old in keep:
-            mask = 0
-            for u in _bits(self.nbrs[old]):
-                if u in pos:
-                    mask |= 1 << pos[u]
-            masks.append(mask)
-        labels = tuple(self.labels[old] for old in keep)
-        return Graph._trusted(len(keep), tuple(masks), labels)
+        v = self.index(v)
+        nbrs = tuple(_squeeze(mask, v) for u, mask in enumerate(self.nbrs) if u != v)
+        labels = tuple(label for u, label in enumerate(self.labels) if u != v)
+        return Graph._trusted(self.n - 1, nbrs, labels)
 
 
 def neighborhood_graph(

@@ -441,6 +441,12 @@ def add_clone(
     eps_f = float(eps)
     if eps_f < 0:
         raise MetricError(f"clone radius must be non-negative, got {eps}")
+    copy_exact = None
+    if inst.dist_exact is not None and eps_f == 0.0:
+        # a perfect clone's exact distances are a copy of row x
+        rows = [list(r) + [r[xi]] for r in inst.dist_exact]
+        rows.append([r[xi] for r in inst.dist_exact] + [Fraction(0)])
+        copy_exact = tuple(tuple(r) for r in rows)
 
     if inst.points is not None:
         base = inst.points[xi]
@@ -455,12 +461,7 @@ def add_clone(
             y = base + direction / norm * (rng.random() * eps_f)
         points = np.vstack([inst.points, y[None, :]])
         built = _instance_from_points(labels, points, None, inst.tol)
-        if inst.dist_exact is not None and eps_f == 0.0:
-            # a perfect clone's exact distances are a copy of row x
-            rows = [list(r) + [r[xi]] for r in inst.dist_exact]
-            rows.append([r[xi] for r in inst.dist_exact] + [Fraction(0)])
-            built = replace(built, dist_exact=tuple(tuple(r) for r in rows))
-        return built
+        return built if copy_exact is None else replace(built, dist_exact=copy_exact)
 
     n = inst.n
     d = np.zeros((n + 1, n + 1))
@@ -470,12 +471,7 @@ def add_clone(
         d[n, :n] = row
         d[:n, n] = row
         _validate(d, inst.tol)
-        dist_exact = None
-        if inst.dist_exact is not None:
-            rows = [list(r) + [r[xi]] for r in inst.dist_exact]
-            rows.append([r[xi] for r in inst.dist_exact] + [Fraction(0)])
-            dist_exact = tuple(tuple(r) for r in rows)
-        return MetricInstance(labels, d, dist_exact=dist_exact, tol=inst.tol)
+        return MetricInstance(labels, d, dist_exact=copy_exact, tol=inst.tol)
 
     eps_p = float(rng.random()) * eps_f
     row = np.empty(n)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .filtration import Graph, _TwinState
+from .filtration import Graph, _squeeze, _TwinState
 from .rules import Rule, maximal_cliques
 from .weighting import _Kept, _pairs_reader
 
@@ -76,20 +76,16 @@ class SharingRow:
         return self
 
 
-def sharing_row(graph: Graph, rule: Rule, x: int | str, weights=None) -> SharingRow:
+def sharing_row(graph: Graph, rule: Rule, x: int | str) -> SharingRow:
     """The row of x: eta, the chi row and the private weight, from w(G) and
     w(G - x) (see ``sharing_rows``).
 
-    ``weights`` is w(G) when the caller already holds it; otherwise the rule
-    is evaluated here.  The row identity w(x) = chi(x, x) + sum over y != x
-    of chi(x, y) is an algebraic consequence of normalisation and is
-    re-derived exactly whenever w(G) is rational (float rules sum to 1 only
-    within 1e-12).
+    The row identity w(x) = chi(x, x) + sum over y != x of chi(x, y) is an
+    algebraic consequence of normalisation and is re-derived exactly
+    whenever w(G) is rational (float rules sum to 1 only within 1e-12).
     """
     x = graph.index(x)
-    if weights is None:
-        weights = rule(graph)
-    return _rows(graph, rule, weights, [x])[0]
+    return _rows(graph, rule, rule(graph), [x])[0]
 
 
 def sharing_rows(graph: Graph, rule: Rule) -> list[SharingRow]:
@@ -130,13 +126,6 @@ def _over_common(pairs) -> tuple[list[int], int]:
     common = math.lcm(*{q for _, q in pairs})
     scale = {q: common // q for _, q in pairs}
     return [p * scale[q] for p, q in pairs], common
-
-
-def _squeeze(mask: int, x: int) -> int:
-    """``mask`` with bit x dropped and the bits above it moved down one: a
-    vertex set of G as one of G - x, whose vertex y > x is G's y + 1."""
-    low = (1 << x) - 1
-    return mask & low | mask >> 1 & ~low
 
 
 def _removal_cover(cover: list[int], x: int) -> list[int]:

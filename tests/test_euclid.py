@@ -76,6 +76,18 @@ class TestVolumes1D:
         assert vols[1] == Fraction(0)
         assert vols[2] == Fraction(2)
 
+    def test_union_volume_rejects_a_negative_radius(self):
+        with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
+            union_volume([[0], [1]], -1)
+
+    def test_private_volume_rejects_a_negative_radius(self):
+        with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
+            private_volume_1d([[0], [1]], -1)
+
+    def test_removal_rejects_a_zero_radius(self):
+        with pytest.raises(ValueError, match="radius must be positive, got 0"):
+            removal_effect_gr([[0], [1], [3]], 0, 0)
+
     def test_union_volume_exact_1d(self):
         assert union_volume(TWO, Fraction(1)) == Fraction(3)
         assert union_volume([[Fraction(0)]], Fraction(2)) == Fraction(4)
@@ -107,6 +119,10 @@ class TestMonteCarlo2D:
     def test_seed_required(self):
         with pytest.raises(ValueError, match="seed"):
             union_volume([[0.0, 0.0]], 1.0)
+
+    def test_union_volume_rejects_a_negative_radius(self):
+        with pytest.raises(ValueError, match="radius must be non-negative, got -0.5"):
+            union_volume([[0.0, 0.0], [1.0, 0.0]], -0.5, samples=1000, seed=1)
 
     def test_deterministic_given_seed(self):
         pts = [[0.0, 0.0], [0.5, 0.5]]
@@ -143,7 +159,8 @@ class TestDensityFamily:
     def test_chi_fnu_zero_beyond_reach(self):
         d = Density.uniform(1)
         pts = [[Fraction(0)], [Fraction(5)]]
-        assert chi_fnu(pts, d, 0, 1) == 0.0
+        got = chi_fnu(pts, d, 0, 1)
+        assert got == 0.0 and type(got) is float
 
 
 class TestDominance:
@@ -376,9 +393,9 @@ class TestStratifiedMonteCarlo:
     def test_mc_ratio_equals_the_per_stratum_loop(self, cloud, samples, seed, kind):
         centers = _CLOUDS[cloud]
         numer = {
-            "g": euclid._numer_g(1),
-            "chi": euclid._numer_chi(0, 1),
-            "private": euclid._numer_private(3),
+            "g": euclid._numer(1, None),
+            "chi": euclid._numer(0, 1),
+            "private": euclid._numer(3, 3),
         }[kind]
         for seq in (seed, np.random.SeedSequence(seed).spawn(2)[1]):  # an int and a child
             est = euclid._mc_ratio(euclid._Balls(centers, 0.35), numer, samples, seq)
@@ -442,7 +459,7 @@ class TestStratifiedMonteCarlo:
             out = []
             for centers in _CLOUDS.values():
                 balls = euclid._Balls(centers, 0.35)
-                for numer in (euclid._numer_g(1), euclid._numer_chi(0, 1)):
+                for numer in (euclid._numer(1, None), euclid._numer(0, 1)):
                     est = euclid._mc_ratio(balls, numer, 20_000, 7)
                     out.append((est.value, est.half_width))
                 est = union_volume(centers, 0.35, samples=20_000, seed=7)
@@ -580,9 +597,11 @@ class TestRadiusIntegrated:
         est = f_nu(pts, Density.uniform(Fraction(1, 2)), 0, samples=64_000, seed=1)
         assert est.value == pytest.approx(0.5, abs=1e-12)
         assert est.half_width == 0.0 and est.samples == 0
-        # a cell whose midpoint is exactly half the gap is still exact
-        est = f_nu(pts, Density.uniform(1), 0, samples=64_000, seed=1, radius_cells=1)
-        assert (est.value, est.half_width, est.samples) == (0.5, 0.0, 0)
+        # a cell whose midpoint is exactly half the gap is still exact: 63/64
+        # apart, cell 31 of 64 has its midpoint at 63/128, so cells 0 to 31
+        # are exact and only the 32 above are sampled, 64 strata each
+        est = f_nu([[0.0, 0.0], [63 / 64, 0.0]], Density.uniform(1), 0, samples=64_000, seed=1)
+        assert est.strata == 32 * 64
         # past half the gap the cells are sampled again
         est = f_nu(pts, Density.uniform(1), 0, samples=64_000, seed=1)
         assert est.samples > 0 and est.half_width > 0.0
@@ -633,6 +652,56 @@ def _alone(pts, family, x, y, samples, seed):
     return f_nu(pts, d, x, **kw) if y is None else chi_fnu(pts, d, x, y, **kw)
 
 
+_ENTRY_CLOUDS = {
+    "1d": [[Fraction(0)], [Fraction(3, 10)], [Fraction(3, 10)], [Fraction(9, 20)],
+           [Fraction(7, 4)]],
+    "2d-overlapping": [[0.0, 0.0], [0.3, 0.1], [0.2, 0.25], [1.5, 1.5]],
+    "2d-disjoint": [[0.0, 0.0], [0.6, 0.0], [0.0, 0.6], [1.5, 1.5]],
+}
+
+#: the key of each entry kind; the last point is at least 1 from point 0
+_ENTRY_KEYS = {"weight": (0, None), "private": (0, 0), "overlapping": (0, 1), "apart": (0, -1)}
+
+
+class TestEntriesAreMatrixEntries:
+    """The entry functions are one-key calls of the matrix engine: at the
+    matrix seed each returns the matrix's entry, as a ``Fraction`` where it
+    is exact, a float for a 1-D ``fnu`` integral and an ``Estimate`` where
+    it is sampled.  At radius 1/4 the "2d-disjoint" balls are pairwise
+    disjoint, so ``gr`` draws nothing there; under alpha 1/2 the ``fnu``
+    pair (0, 1) overlaps in every cloud."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_KEYS))
+    @pytest.mark.parametrize("cloud", sorted(_ENTRY_CLOUDS))
+    @pytest.mark.parametrize("family", ["gr", "fnu"])
+    def test_entry_function_returns_the_matrix_entry(self, family, cloud, entry):
+        pts = _ENTRY_CLOUDS[cloud]
+        x, y = _ENTRY_KEYS[entry]
+        y = len(pts) - 1 if y == -1 else y
+        kw = dict(samples=6400, seed=3)
+        if family == "gr":
+            r = Fraction(1, 4)
+            m = sharing_matrix(pts, family="gr", r=r, **kw)
+            got = g_r(pts, r, x, **kw) if y is None else chi_gr(pts, r, x, y, **kw)
+        else:
+            d = Density.uniform(Fraction(1, 2))
+            m = sharing_matrix(pts, family="fnu", density=d, **kw)
+            got = f_nu(pts, d, x, **kw) if y is None else chi_fnu(pts, d, x, y, **kw)
+        if cloud == "1d":
+            kind = Fraction if family == "gr" else float
+        elif entry == "apart" or (family, cloud) == ("gr", "2d-disjoint"):
+            kind = Fraction
+        else:
+            kind = euclid.Estimate
+        assert type(got) is kind
+        want = m.weights[x] if y is None else m.chi[x][y]
+        if kind is euclid.Estimate:
+            hw = m.weight_half_widths[x] if y is None else m.half_widths[x][y]
+            assert (got.value, got.half_width) == (want, hw) and hw > 0.0
+        else:
+            assert type(want) is kind and got == want
+
+
 class TestSharedDraws:
     """A Monte-Carlo matrix estimates all its entries from one set of draws
     (gr) or one per radius cell (fnu)."""
@@ -672,7 +741,7 @@ class TestSharedDraws:
 
     def test_entries_are_the_one_numerator_estimates_of_the_seed(self):
         """A gr entry is ``_mc_ratio`` of its numerator at the matrix seed,
-        an fnu entry ``_radial_mc``, bit for bit."""
+        an fnu entry ``_radial_mcs`` of it alone, bit for bit."""
         pts = _partly_separated(2, 5)
         cloud = euclid._Cloud(pts)
         density = _FAMILIES["fnu"][0]["density"]
@@ -680,14 +749,14 @@ class TestSharedDraws:
         fnu = sharing_matrix(pts, family="fnu", density=density, samples=64_000, seed=5)
         gr_alone = lambda numer: euclid._mc_ratio(euclid._Balls(cloud.arr, 0.25), numer,
                                                   20_000, 5).value
-        fnu_alone = lambda numer: euclid._radial_mc(cloud, density, numer, 64_000, 5, 64).value
+        fnu_alone = lambda numer: euclid._radial_mcs(cloud, density, [numer], 64_000, 5)[0].value
         for m, alone in ((gr, gr_alone), (fnu, fnu_alone)):
             for x in range(len(pts)):
-                assert m.weights[x] == alone(euclid._numer_g(x))
-                assert m.chi[x][x] == alone(euclid._numer_private(x))
+                assert m.weights[x] == alone(euclid._numer(x, None))
+                assert m.chi[x][x] == alone(euclid._numer(x, x))
                 for y in range(x + 1, len(pts)):
                     if not cloud.apart(x, y, 0.25):
-                        assert m.chi[x][y] == alone(euclid._numer_chi(x, y))
+                        assert m.chi[x][y] == alone(euclid._numer(x, y))
 
     def test_membership_not_integrands_is_held(self):
         """Integrands are evaluated one at a time: fifteen numerators cost
@@ -695,8 +764,8 @@ class TestSharedDraws:
         import tracemalloc
 
         balls = euclid._Balls(np.array(_partly_separated(2, 6)), 0.25)
-        numers = [euclid._numer_g(x) for x in range(5)] + [
-            euclid._numer_chi(x, y) for x in range(5) for y in range(x + 1, 5)
+        numers = [euclid._numer(x, None) for x in range(5)] + [
+            euclid._numer(x, y) for x in range(5) for y in range(x + 1, 5)
         ]
         peaks = []
         for some in (numers[:1], numers):
@@ -737,8 +806,8 @@ class TestSharedDraws:
             lambda: f_nu(far, d, 0, **kw),
             lambda: chi_fnu(near, d, 0, 0, **kw),
             lambda: chi_fnu(near, d, 0, 1, **kw),
-            lambda: euclid._radial_mc(euclid._Cloud(near), d, euclid._numer_g(0),
-                                      samples, 1, 64),
+            lambda: euclid._radial_mcs(euclid._Cloud(near), d, [euclid._numer(0, None)],
+                                       samples, 1),
             lambda: sharing_matrix(near, family="fnu", density=d, **kw),
             lambda: sharing_matrix(far, family="fnu", density=d, **kw),
             lambda: sharing_matrix(near, family="gr", r=1, **kw),
