@@ -823,19 +823,15 @@ class ConjectureReport:
 
 
 def _chi_float(
-    graph: Graph, rule: Rule, x: int, tol: float, w: list[float]
+    graph: Graph, x: int, tol: float, w: list[float], w_sub: dict[str, float]
 ) -> dict[int, float] | None:
     """Sharing row of x in float arithmetic, or None if rescaling is unclear.
 
-    ``w`` is w(G) as floats.  Mirrors the exact construction: eta is the
-    common ratio by which non-neighbours rescale when x is removed;
-    chi(x, y) compares y's rescaled post-removal weight with its original
-    weight.
+    ``w`` is w(G) and ``w_sub`` is w(G - x) by label, as floats.  Mirrors
+    the exact construction: eta is the common ratio by which non-neighbours
+    rescale when x is removed; chi(x, y) compares y's rescaled post-removal
+    weight with its original weight.
     """
-    sub = graph.remove_vertex(x)
-    w_sub_vec = rule(sub)
-    w_sub = {label: float(w_sub_vec[label]) for label in sub.labels}
-
     outside = [y for y in range(graph.n) if not (graph.closed(x) >> y) & 1]
     ratios = []
     for y in outside:
@@ -934,8 +930,15 @@ def conjecture_search(
             return
         edges = labelled_edges(graph)
         w = [float(v) for v in entropy_rule(graph)]
+        # the rule reads only the adjacency, so removals that leave the same
+        # bitmasks under other labels (the paw without c or without d) share
+        # one solve; the memo lives for this graph only
+        solved: dict[tuple[int, ...], list[float]] = {}
         for x in range(graph.n):
-            row = _chi_float(graph, entropy_rule, x, tol, w)
+            sub = graph.remove_vertex(x)
+            if sub.nbrs not in solved:
+                solved[sub.nbrs] = [float(v) for v in entropy_rule(sub)]
+            row = _chi_float(graph, x, tol, w, dict(zip(sub.labels, solved[sub.nbrs])))
             if row is None:
                 skipped += 1
                 continue

@@ -626,10 +626,12 @@ def dominance_check(
     chi_z = chi_gr(cloud, rf, x, z, samples=samples, seed=seed + 2)
     ordering = None
     if dominates:
-        ordering = chi_y.value >= chi_z.value - 3 * (chi_y.half_width + chi_z.half_width)
+        # an apart pair's chi is an exact Fraction(0): value ± 0
+        margin = sum(getattr(chi, "half_width", 0.0) for chi in (chi_y, chi_z))
+        ordering = float(chi_y) >= float(chi_z) - 3 * margin
         if not ordering:
             raise RuntimeError(
-                f"dominance holds but chi(x,y)={chi_y.value} < chi(x,z)={chi_z.value} "
+                f"dominance holds but chi(x,y)={float(chi_y)} < chi(x,z)={float(chi_z)} "
                 "beyond the combined confidence margin"
             )
     return DominanceReport(dominates, chi_y, chi_z, witness, ordering)

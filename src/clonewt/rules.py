@@ -595,15 +595,29 @@ def _group_by_blocks(mats: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarra
 
 def _entropy_and_grad(masses: np.ndarray) -> tuple[float, np.ndarray]:
     clipped = np.maximum(masses, 1e-300)
-    return float(-(clipped * np.log2(clipped)).sum()), -np.log2(clipped) - 1.0 / LN2
+    logs = np.log2(clipped)
+    return float(-(clipped * logs).sum()), -logs - 1.0 / LN2
 
 
 def _project_simplex(q: np.ndarray) -> np.ndarray:
-    u = np.sort(q)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(q) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(q - theta, 0.0)
+    """Euclidean projection onto the simplex by sorting (Duchi et al., 2008),
+    in Python floats: for a handful of classes this is cheaper than numpy,
+    and the sums, products and the one division are the same IEEE operations
+    as those of ``np.cumsum`` and its kin, so the result is the same."""
+    values = q.tolist()
+    total = theta = 0.0
+    for j, u in enumerate(sorted(values, reverse=True), 1):
+        total += u
+        if u * j > total - 1.0:
+            theta = (total - 1.0) / j
+    return np.array([max(v - theta, 0.0) for v in values])
+
+
+def _spread(q, part, labels: tuple[str, ...]) -> WeightVector:
+    """Class masses q spread evenly over their classes, renormalised."""
+    values = [max(float(q[c]), 0.0) / len(part.classes[c]) for c in part.class_of]
+    total = sum(values)
+    return WeightVector(tuple(v / total for v in values), labels)
 
 
 def w_entropy(
@@ -626,39 +640,47 @@ def w_entropy(
 
     The partition entropies H(A q) are evaluated in one stacked pass per
     point: the distinct class-mass matrices A are built once and stacked by
-    block count (see ``_group_by_blocks``), Phi(q) is the first minimum
-    over them, and each ascent step evaluates Phi and H at its new point
-    once, carrying both into the next step's supergradient.  The polish
-    takes all the epigraph bounds H(A q) >= t as one vector-valued
-    inequality constraint with its Jacobian matrix.  The arithmetic is that
-    of a loop over the matrices one at a time, so the weights are the same
-    bit for bit.
+    block count (see ``_group_by_blocks``).  One ascent step takes, per
+    stack, one matmul, one log of the clipped block masses and one row sum;
+    Phi(q) is the first minimum, and its supergradient comes from the same
+    row of masses and logs.  H(q) takes one log, and the simplex projection
+    runs in Python floats.  The polish takes all the epigraph bounds
+    H(A q) >= t as one vector-valued inequality constraint with its
+    Jacobian matrix.  The arithmetic is that of a loop over the matrices one
+    at a time, so the weights are the same bit for bit.  A complete graph
+    is one class, so q = (1.0) and the weights are 1/n with no optimiser.
+    The weights depend on the adjacency alone, not the labels, which lets
+    ``conjecture_search`` solve once per distinct removal graph of a probe.
     """
     _require_nonempty(graph)
     budget = max_iter if max_iter is not None else default_caps().entropy_iterations
-    if graph.n == 1:
-        return WeightVector((1.0,), graph.labels)
     part = equivalence_classes(graph)
     k = len(part.classes)
+    if k == 1:  # a complete graph: q = (1.0) is the whole simplex
+        return _spread([1.0], part, graph.labels)
     mats = _class_mass_matrices(graph, cap)
     groups = _group_by_blocks(mats)
+    # matrix index -> (stack, row)
+    where = {i: (g, j) for g, (idx, _) in enumerate(groups) for j, i in enumerate(idx.tolist())}
     mu = tol
 
-    def block_masses(q: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        for idx, stack in groups:
-            yield idx, stack, np.maximum(stack @ q, 1e-300)
+    def block_logs(q: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per stack: the clipped block masses A q and their logs."""
+        return [(c, np.log2(c)) for c in (np.maximum(stack @ q, 1e-300) for _, stack in groups)]
 
-    def entropies(q: np.ndarray) -> np.ndarray:
+    def entropies(logs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """H(A q) for every matrix A, in the order of ``mats``."""
         h = np.empty(len(mats))
-        for idx, _, c in block_masses(q):
-            h[idx] = -(c * np.log2(c)).sum(axis=1)
+        for (idx, _), (c, lg) in zip(groups, logs):
+            h[idx] = -(c * lg).sum(axis=1)
         return h
 
     def phi(q: np.ndarray) -> tuple[float, np.ndarray]:
-        i = int(np.argmin(entropies(q)))  # the first minimum
-        h, grad = _entropy_and_grad(mats[i] @ q)
-        return h, mats[i].T @ grad
+        logs = block_logs(q)
+        h = entropies(logs)
+        i = int(h.argmin())  # the first minimum
+        g, j = where[i]
+        return float(h[i]), mats[i].T @ (-logs[g][1][j] - 1.0 / LN2)
 
     q = np.full(k, 1.0 / k)
     phi_q, grad_phi = phi(q)
@@ -691,14 +713,15 @@ def w_entropy(
     def epigraph_jac(z: np.ndarray) -> np.ndarray:
         """Row j: the gradient of H(A_j q) - t in z = (q, t)."""
         jac = np.full((len(mats), k + 1), -1.0)
-        for idx, stack, c in block_masses(z[:k]):
-            jac[idx, :k] = ((-np.log2(c) - 1.0 / LN2)[:, None, :] @ stack)[:, 0]
+        for (idx, stack), (_, lg) in zip(groups, block_logs(z[:k])):
+            jac[idx, :k] = ((-lg - 1.0 / LN2)[:, None, :] @ stack)[:, 0]
         return jac
 
     constraints = [
         {"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
          "jac": lambda z: np.concatenate([np.ones(k), [0.0]])},
-        {"type": "ineq", "fun": lambda z: entropies(z[:k]) - z[k], "jac": epigraph_jac},
+        {"type": "ineq", "fun": lambda z: entropies(block_logs(z[:k])) - z[k],
+         "jac": epigraph_jac},
     ]
     z0 = np.concatenate([best_q, [phi(best_q)[0]]])
     res = optimize.minimize(
@@ -724,13 +747,7 @@ def w_entropy(
             f"entropy rule did not converge within the iteration budget {budget}"
         )
 
-    values = []
-    for v in range(graph.n):
-        cls = part.class_of[v]
-        values.append(max(float(best_q[cls]), 0.0) / len(part.classes[cls]))
-    total = sum(values)
-    values = tuple(v / total for v in values)
-    return WeightVector(values, graph.labels)
+    return _spread(best_q, part, graph.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,14 @@ class TestStratifiedMonteCarlo:
         monkeypatch.setattr(euclid, "_BLOCK", block)
         assert estimates() == default
 
+    @pytest.mark.parametrize("pts", [[[0, 0], [5, 0], [0, 5]], [[0, 0], [0.5, 0], [5, 0]]])
+    def test_sampled_check_reads_an_exact_chi(self, pts):
+        """In 2-D the chi of a pair whose balls are apart comes back as an
+        exact Fraction(0), which the ordering check reads as 0 ± 0."""
+        rep = dominance_check(pts, 1.0, 0, 1, 2, samples=1000, seed=1)
+        assert rep.chi_z == Fraction(0)
+        assert rep.dominates and rep.ordering_ok
+
     def test_sampled_dominance_witness(self):
         """z on the far side of x is not dominated by y; the witness is the
         first sample in B(x) and B(z) but outside B(y)."""

@@ -34,7 +34,15 @@ from clonewt import (
     w_mccp,
     w_uniform,
 )
-from clonewt.audit import add_vertex_clone, conjecture_search, random_graph
+from clonewt.audit import (
+    ConjectureReport,
+    ConjectureWitness,
+    _chi_float,
+    add_vertex_clone,
+    conjecture_search,
+    paw_graph,
+    random_graph,
+)
 from clonewt import rules
 from clonewt.filtration import _bits, equivalence_classes
 from clonewt.rules import _maximal_clique_masks
@@ -492,7 +500,21 @@ class TestDegreeRule:
 # ---------------------------------------------------------------------------
 # Differential test: the entropy rule against the per-matrix loop it
 # replaced, which evaluates every partition matrix one at a time and Phi
-# twice per ascent step.  The weights must be equal, not close.
+# twice per ascent step, with numpy forms of the entropy gradient and the
+# simplex projection of its own.  The weights must be equal, not close.
+
+
+def reference_entropy_and_grad(masses: np.ndarray) -> tuple[float, np.ndarray]:
+    clipped = np.maximum(masses, 1e-300)
+    return float(-(clipped * np.log2(clipped)).sum()), -np.log2(clipped) - 1.0 / math.log(2.0)
+
+
+def reference_project_simplex(q: np.ndarray) -> np.ndarray:
+    u = np.sort(q)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, len(q) + 1) > css)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(q - theta, 0.0)
 
 
 def reference_class_mass_matrices(graph: Graph) -> list[np.ndarray]:
@@ -515,7 +537,7 @@ def reference_class_mass_matrices(graph: Graph) -> list[np.ndarray]:
 
 
 def reference_entropy(graph: Graph, tol: float = 1e-8) -> WeightVector:
-    entropy_and_grad, project = rules._entropy_and_grad, rules._project_simplex
+    entropy_and_grad, project = reference_entropy_and_grad, reference_project_simplex
     budget = rules.default_caps().entropy_iterations
     if graph.n == 1:
         return WeightVector((1.0,), graph.labels)
@@ -590,7 +612,9 @@ def reference_entropy(graph: Graph, tol: float = 1e-8) -> WeightVector:
 
 
 def entropy_differential_graphs() -> list[Graph]:
-    """Seeded random graphs of 2-9 vertices, each also with a planted clone."""
+    """Seeded random graphs of 2-9 vertices, each also with a planted clone;
+    the paw and its four removals; K2-K5; and 40 more seeded graphs of 2-9
+    vertices, half of them with a planted clone."""
     out = []
     for seed in range(8):
         rng = np.random.default_rng(100 + seed)
@@ -599,6 +623,14 @@ def entropy_differential_graphs() -> list[Graph]:
         out.append(g)
         if n < 9:
             out.append(add_vertex_clone(g, int(rng.integers(n))))
+    paw = paw_graph()
+    out += [paw] + [paw.remove_vertex(x) for x in range(4)]
+    out += [complete_graph(n) for n in range(2, 6)]
+    for seed in range(40):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(2, 9))
+        g = random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
+        out.append(add_vertex_clone(g, int(rng.integers(n))) if seed % 2 else g)
     return out
 
 
@@ -620,7 +652,75 @@ class TestStackedEntropyRule:
         assert tuple(w_entropy(graph)) == tuple(reference_entropy(graph))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_conjecture_search_unchanged(self, monkeypatch, seed):
-        stacked = conjecture_search("entropy_negative_chi", 10, seed).to_document()
-        monkeypatch.setattr(rules, "w_entropy", reference_entropy)
-        assert conjecture_search("entropy_negative_chi", 10, seed).to_document() == stacked
+    def test_conjecture_search_unchanged(self, seed):
+        """The search, which solves once per distinct removal graph, reports
+        what one reference solve per removal gives."""
+        got = conjecture_search("entropy_negative_chi", 10, seed).to_document()
+        assert got == reference_entropy_search(10, seed).to_document()
+
+    def test_one_solve_per_distinct_removal_graph(self, monkeypatch):
+        """The paw's removals of c and of d leave the same path a-b-x: one
+        solve for G and three for its removals."""
+        calls = []
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph.nbrs)
+            return w_entropy(graph, *args, **kwargs)
+
+        monkeypatch.setattr(rules, "w_entropy", counting)
+        conjecture_search("entropy_negative_chi", 1, 0)
+        assert len(calls) == 4 and len(set(calls)) == 4
+
+    @pytest.mark.parametrize("graph", [complete_graph(n) for n in range(1, 8)]
+                             + [add_vertex_clone(complete_graph(4), 2)],
+                             ids=lambda g: f"K{g.n}-{g.labels[-1]}")
+    def test_one_class_needs_no_optimiser(self, graph, monkeypatch):
+        want = tuple(reference_entropy(graph))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the optimiser ran on a one-class graph")
+
+        monkeypatch.setattr(rules.optimize, "minimize", refuse)
+        assert tuple(w_entropy(graph)) == want
+
+    def test_one_class_ignores_a_short_budget(self):
+        """Five ascent steps cannot stall, so on a graph of two or more
+        classes a polish that fails raises; q = (1.0) needs neither."""
+        assert tuple(w_entropy(complete_graph(3), max_iter=5)) == (1 / 3,) * 3
+
+
+def reference_entropy_search(budget: int, seed: int, tol: float = 1e-8) -> ConjectureReport:
+    """``conjecture_search("entropy_negative_chi", ...)`` with one reference
+    solve for G and one per removal, sharing none."""
+    rng = np.random.default_rng(seed)
+    stream = [paw_graph()]
+    while len(stream) < budget:
+        n = int(rng.integers(4, 8))
+        g = random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
+        if n < 7 and rng.random() < 0.5:
+            g = add_vertex_clone(g, int(rng.integers(0, n)))
+        stream.append(g)
+    witnesses, skipped = [], 0
+    for graph in stream:
+        if graph.n > 6:
+            continue
+        edges = tuple((graph.labels[a], graph.labels[b]) for a, b in graph.edges())
+        w = list(reference_entropy(graph))
+        for x in range(graph.n):
+            sub = graph.remove_vertex(x)
+            w_sub = dict(zip(sub.labels, reference_entropy(sub)))
+            row = _chi_float(graph, x, tol, w, w_sub)
+            if row is None:
+                skipped += 1
+                continue
+            witnesses += [
+                ConjectureWitness("entropy", graph.labels, edges,
+                                  (graph.labels[x], graph.labels[y]), repr(value))
+                for y, value in row.items() if value < -10.0 * tol
+            ]
+    note = (f"no counterexample in {len(stream)} graphs probed; this is not a proof"
+            if not witnesses else
+            f"{len(witnesses)} negative sharing value(s) found for the tested rules; "
+            "evidence only, the general question stays open")
+    return ConjectureReport("entropy_negative_chi", budget, len(stream), skipped,
+                            witnesses, note)
