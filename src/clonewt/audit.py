@@ -875,8 +875,9 @@ def conjecture_search(
     non-negative); ``entropy_negative_chi`` looks for a negative sharing
     coefficient under the entropy rule (none is expected).  The reference
     four-vertex graph is probed first, then seeded random graphs, one
-    budget unit each.  Findings are evidence only: the search never claims
-    a proof.
+    budget unit each.  The entropy search skips graphs of more than 6
+    vertices, and ``probed`` counts only the graphs looked at.  Findings are
+    evidence only: the search never claims a proof.
     """
     if target not in ("mcc_axiom2", "entropy_negative_chi"):
         raise ValueError(
@@ -900,7 +901,7 @@ def conjecture_search(
     def labelled_edges(graph: Graph) -> tuple[tuple[str, str], ...]:
         return tuple((graph.labels[a], graph.labels[b]) for a, b in graph.edges())
 
-    def probe_mcc(graph: Graph) -> None:
+    def probe_mcc(graph: Graph) -> bool:
         nonlocal skipped
         edges = labelled_edges(graph)
         for rule_name, rule in mcc_rules:
@@ -923,11 +924,13 @@ def conjecture_search(
                                 value=str(value),
                             )
                         )
+        return True
 
-    def probe_entropy(graph: Graph) -> None:
+    def probe_entropy(graph: Graph) -> bool:
+        """Whether the graph was looked at: one of more than 6 vertices is not."""
         nonlocal skipped
         if graph.n > 6:
-            return
+            return False
         edges = labelled_edges(graph)
         w = [float(v) for v in entropy_rule(graph)]
         # the rule reads only the adjacency, so removals that leave the same
@@ -953,6 +956,7 @@ def conjecture_search(
                             value=repr(value),
                         )
                     )
+        return True
 
     if target == "mcc_axiom2":
         mcc_rules = [(name, parse_rule(name)[1]) for name in ("mcca", "mccp")]
@@ -961,8 +965,7 @@ def conjecture_search(
         entropy_rule = parse_rule("entropy")[1]
         probe = probe_entropy
     for graph in itertools.islice(graph_stream(), budget):
-        probed += 1
-        probe(graph)
+        probed += probe(graph)
 
     if witnesses:
         note = (

@@ -229,10 +229,13 @@ class _Balls:
         return self.centers.min(axis=0) - self.r, self.centers.max(axis=0) + self.r
 
 
-def _spawn(seed, n: int) -> list[np.random.SeedSequence]:
-    """The first ``n`` children of ``seed``.  A caller's ``SeedSequence`` is
-    copied before spawning, so it is left as it was and the same object
-    gives the same children on every call."""
+def _spawn(seed, n: int) -> list[np.random.SeedSequence | None]:
+    """The first ``n`` children of ``seed`` (``n`` Nones for no seed, which
+    ``_check_draws`` refuses).  A caller's ``SeedSequence`` is copied before
+    spawning, so it is left as it was and the same object gives the same
+    children on every call."""
+    if seed is None:
+        return [None] * n
     if isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(
             seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
@@ -326,7 +329,8 @@ def _mc_ratios(balls: _Balls, numers, samples: int, seed) -> list[Estimate]:
 
 
 def _mc_ratio(balls: _Balls, numer, samples: int, seed) -> Estimate:
-    """``_mc_ratios`` for one numerator."""
+    """``_mc_ratios`` for one numerator: unused by the package, kept for the
+    tests and for ``benchmarks/tracing.py``, which wraps it by name."""
     return _mc_ratios(balls, [numer], samples, seed)[0]
 
 
@@ -341,6 +345,17 @@ def _numer(x: int, y: int | None):
     return lambda member, counts: np.where(
         member[:, x] & member[:, y], 1.0 / np.maximum(counts * (counts - 1), 1), 0.0
     )
+
+
+def _value(entry):
+    """An entry as a number: an exact one as it is, an estimate as a float."""
+    return entry if isinstance(entry, Fraction) else float(entry)
+
+
+def _half_width(entry):
+    """An estimate's half-width, and an int 0 for any other entry, so that
+    sums of exact entries stay exact."""
+    return entry.half_width if isinstance(entry, Estimate) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +398,7 @@ def union_volume(points, r: Number, *, samples: int = 10**6, seed: int | None = 
     lo, hi = balls.box()
     box_vol = float(np.prod(hi - lo))
     (hits,) = _stratified(balls, samples, seed, [_hits])
-    means = 0.0
-    for mean in hits.mean(axis=1):
-        means += float(mean)
-    rate = means / len(hits)
+    rate = float(np.cumsum(hits.mean(axis=1))[-1]) / len(hits)  # strata added in order
     hw = Z99 * math.sqrt(_strata_variance(hits)) / len(hits)
     return Estimate(box_vol * rate, box_vol * hw, hits.size, _seed_meta(seed), len(hits))
 
@@ -415,63 +427,38 @@ def removal_effect_gr(
 ) -> RemovalReport:
     """Verify that dropping x rescales-and-shifts every other weight:
     g_{S-x}(y) = (g_S(y) + chi(x, y)) * (1 + eta), with
-    eta = V_priv(x) / (Vol - V_priv(x)) = chi(x,x) / (1 - chi(x,x))."""
+    eta = V_priv(x) / (Vol - V_priv(x)) = chi(x,x) / (1 - chi(x,x)).
+
+    One ``_entries`` call reads S's entries from child 0 of ``seed``, one
+    S - x's weights from child 1.  Exact entries count with half-width 0;
+    the tolerance is three times the propagated half-widths, or 1e-9."""
     cloud = _cloud(points)
-    coords, arr, n = cloud.coords, cloud.arr, cloud.n
+    n = cloud.n
     if n < 2:
         raise ValueError("removal needs at least two points")
+    if not 0 <= x < n:
+        raise IndexError(f"no point {x} among {n}")
     r_ex = _radius(r)
-
-    if coords is not None:
-        rest = _Cloud([c for i, c in enumerate(coords) if i != x])
-        diag = chi_gr(cloud, r_ex, x, x)
-        eta = diag / (1 - diag)
-        entries: dict[int, RemovalEntry] = {}
-        worst = 0.0
-        for y in range(n):
-            if y == x:
-                continue
-            before = g_r(cloud, r_ex, y)
-            chi = chi_gr(cloud, r_ex, x, y)
-            after = g_r(rest, r_ex, y - 1 if y > x else y)
-            residual = float(after - (before + chi) * (1 + eta))
-            entries[y] = RemovalEntry(before, chi, after, abs(residual), 1e-9)
-            worst = max(worst, abs(residual))
-        return RemovalReport(x, eta, entries, worst, worst <= 1e-9, "exact-1d")
-
-    if seed is None:
-        raise ValueError("Monte-Carlo removal reports require an explicit seed")
-    rf = float(r_ex)
-    rest_arr = np.delete(arr, x, axis=0)
-    children = np.random.SeedSequence(seed).spawn(3 * (n - 1) + 1)
-    diag = _mc_ratio(_Balls(arr, rf), _numer(x, x), samples, children[0])
-    chi_xx = diag.value
-    eta = chi_xx / (1.0 - chi_xx)
-    eta_hw = diag.half_width / (1.0 - chi_xx) ** 2
+    one_d = cloud.coords is not None
+    rest = _Cloud(cloud.coords[:x] + cloud.coords[x + 1:] if one_d else np.delete(cloud.arr, x, 0))
+    others = [y for y in range(n) if y != x]
+    keys = [(x, x), *others, *((x, y) for y in others)]
+    now, then = _spawn(seed, 2)
+    diag, *read = _entries(cloud, "gr", r_ex, None, keys, samples, now)
+    afters = _entries(rest, "gr", r_ex, None, range(n - 1), samples, then)
+    eta = _value(diag) / (1 - _value(diag))
+    eta_hw = _half_width(diag) / (1 - _value(diag)) ** 2
     entries = {}
-    worst = 0.0
-    passed = True
-    slot = 1
-    for y in range(n):
-        if y == x:
-            continue
-        before = _mc_ratio(_Balls(arr, rf), _numer(y, None), samples, children[slot])
-        chi = chi_gr(cloud, rf, x, y, samples=samples, seed=children[slot + 1])
-        y_new = y - 1 if y > x else y
-        after = _mc_ratio(_Balls(rest_arr, rf), _numer(y_new, None), samples, children[slot + 2])
-        slot += 3
-        chi_val, chi_hw = float(chi), getattr(chi, "half_width", 0.0)
-        predicted = (before.value + chi_val) * (1.0 + eta)
-        residual = abs(after.value - predicted)
-        tol = 3.0 * (
-            after.half_width
-            + (1.0 + eta) * (before.half_width + chi_hw)
-            + abs(before.value + chi_val) * eta_hw
-        )
-        entries[y] = RemovalEntry(before, chi, after, residual, tol)
-        worst = max(worst, residual)
-        passed = passed and residual <= tol
-    return RemovalReport(x, eta, entries, worst, passed, "monte-carlo")
+    for y, before, chi, after in zip(others, read, read[n - 1:], afters):
+        shifted = _value(before) + _value(chi)
+        residual = abs(float(_value(after) - shifted * (1 + eta)))
+        spread = (_half_width(after) + (1 + eta) * (_half_width(before) + _half_width(chi))
+                  + abs(shifted) * eta_hw)
+        entries[y] = RemovalEntry(before, chi, after, residual, max(1e-9, 3 * spread))
+    rows = entries.values()
+    return RemovalReport(x, eta, entries, max(e.residual for e in rows),
+                         all(e.residual <= e.tolerance for e in rows),
+                         "exact-1d" if one_d else "monte-carlo")
 
 
 # ---------------------------------------------------------------------------
@@ -588,52 +575,36 @@ def dominance_check(
 ) -> DominanceReport:
     """Check whether y intersection-dominates z at x, i.e. whether
     B(x) cap B(z) is contained in B(x) cap B(y); when it is, the sharing
-    coefficients must satisfy chi(x, y) >= chi(x, z)."""
+    coefficients must satisfy chi(x, y) >= chi(x, z), within three times
+    their half-widths.  Containment is exact in 1-D and sampled over x's
+    cube from child 0 of ``seed`` otherwise; one ``_entries`` call reads
+    both chis from child 1."""
     cloud = _cloud(points)
-    coords, arr = cloud.coords, cloud.arr
-    r_ex = _fraction(r)
-
-    if coords is not None:
-        lo_zx = max(coords[x], coords[z]) - r_ex
-        hi_zx = min(coords[x], coords[z]) + r_ex
-        empty = lo_zx > hi_zx
-        lo_yx = max(coords[x], coords[y]) - r_ex
-        hi_yx = min(coords[x], coords[y]) + r_ex
-        dominates = empty or (lo_yx <= lo_zx and hi_zx <= hi_yx)
-        chi_y = chi_gr(cloud, r_ex, x, y)
-        chi_z = chi_gr(cloud, r_ex, x, z)
+    r_ex = _radius(r)
+    cube, read = _spawn(seed, 2)
+    if cloud.coords is not None:
+        c = cloud.coords
+        lo_zx, hi_zx = max(c[x], c[z]) - r_ex, min(c[x], c[z]) + r_ex
+        lo_yx, hi_yx = max(c[x], c[y]) - r_ex, min(c[x], c[y]) + r_ex
+        dominates = lo_zx > hi_zx or (lo_yx <= lo_zx and hi_zx <= hi_yx)
         witness = None
-        ordering = None
-        if dominates:
-            ordering = chi_y >= chi_z
-            if not ordering:
-                raise RuntimeError(
-                    f"dominance holds but chi(x,y)={chi_y} < chi(x,z)={chi_z}"
-                )
-        return DominanceReport(dominates, chi_y, chi_z, witness, ordering)
-
-    if seed is None:
-        raise ValueError("sampled dominance checks require an explicit seed")
-    rf = float(r)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    lo = arr[x] - rf
-    zs = lo + rng.random((samples, arr.shape[1])) * (2 * rf)
-    in_x, in_y, in_z = _Balls(arr[[x, y, z]], rf).member(zs).T
-    bad = in_x & in_z & ~in_y
-    witness = tuple(float(c) for c in zs[bad][0]) if bad.any() else None
-    dominates = not bad.any()
-    chi_y = chi_gr(cloud, rf, x, y, samples=samples, seed=seed + 1)
-    chi_z = chi_gr(cloud, rf, x, z, samples=samples, seed=seed + 2)
+    else:
+        _check_draws(samples, cube)
+        arr, rf = cloud.arr, float(r_ex)
+        zs = arr[x] - rf + np.random.default_rng(cube).random((samples, arr.shape[1])) * (2 * rf)
+        in_x, in_y, in_z = _Balls(arr[[x, y, z]], rf).member(zs).T
+        bad = in_x & in_z & ~in_y
+        dominates = not bad.any()
+        witness = None if dominates else tuple(float(c) for c in zs[bad][0])
+    chi_y, chi_z = _entries(cloud, "gr", r_ex, None, [(x, y), (x, z)], samples, read)
     ordering = None
     if dominates:
-        # an apart pair's chi is an exact Fraction(0): value ± 0
-        margin = sum(getattr(chi, "half_width", 0.0) for chi in (chi_y, chi_z))
-        ordering = float(chi_y) >= float(chi_z) - 3 * margin
+        # an exact entry adds an int 0, so exact chis compare exactly
+        margin = 3 * (_half_width(chi_y) + _half_width(chi_z))
+        ordering = _value(chi_y) >= _value(chi_z) - margin
         if not ordering:
-            raise RuntimeError(
-                f"dominance holds but chi(x,y)={float(chi_y)} < chi(x,z)={float(chi_z)} "
-                "beyond the combined confidence margin"
-            )
+            raise RuntimeError(f"dominance holds but chi(x,y)={_value(chi_y)} < "
+                               f"chi(x,z)={_value(chi_z)} beyond the margin {margin}")
     return DominanceReport(dominates, chi_y, chi_z, witness, ordering)
 
 
@@ -749,15 +720,13 @@ def sharing_matrix(
 
     hw = weight_hw = None
     if not exact_mode:
-        half = lambda v: 0.0 if isinstance(v, Fraction) else v.half_width
-        hw = tuple(tuple(half(c) for c in row) for row in chi)
-        weight_hw = tuple(half(w) for w in weights)
-    val = lambda v: v if isinstance(v, Fraction) else float(v)
+        hw = tuple(tuple(float(_half_width(c)) for c in row) for row in chi)
+        weight_hw = tuple(float(_half_width(w)) for w in weights)
     return SharingMatrix(
         family,
         param,
-        tuple(val(w) for w in weights),
-        tuple(tuple(val(c) for c in row) for row in chi),
+        tuple(map(_value, weights)),
+        tuple(tuple(map(_value, row)) for row in chi),
         tuple(residuals),
         hw,
         weight_hw,

@@ -85,21 +85,21 @@ def sharing_row(graph: Graph, rule: Rule, x: int | str) -> SharingRow:
     whenever w(G) is rational (float rules sum to 1 only within 1e-12).
     """
     x = graph.index(x)
-    return _rows(graph, rule, rule(graph), [x])[0]
+    return _rows(graph, rule, [x])[0]
 
 
 def sharing_rows(graph: Graph, rule: Rule) -> list[SharingRow]:
-    """The row of every vertex, indexed by vertex: one evaluation of w(G),
-    then each removal read off G's cover or classes (see
-    ``_removal_weights``), or one rule call per removal."""
-    return _rows(graph, rule, rule(graph), range(graph.n))
+    """The row of every vertex, indexed by vertex: w(G) and each w(G - x)
+    read off G's cover or classes, or one rule call for w(G) and one per
+    removal (see ``_weights``)."""
+    return _rows(graph, rule, range(graph.n))
 
 
-def _rows(graph: Graph, rule: Rule, weights, xs) -> list[SharingRow]:
-    """The rows of the vertices ``xs``, given w(G) as ``weights``.
+def _rows(graph: Graph, rule: Rule, xs) -> list[SharingRow]:
+    """The rows of the vertices ``xs``.
 
-    Everything runs in integers: w(G) is numerators b over the lcm B of its
-    denominators, and each w(G - x) numerators a over a common denominator
+    Everything runs in integers: w(G) is numerators b over a common
+    denominator B, and each w(G - x) numerators a over a common denominator
     A.  With (P, Q) = (b_o, a_o) at the first non-neighbour o of x, or
     (B, A) when N[x] covers everything, the scale 1 + eta is
     Q*B / (P*A): a non-neighbour z rescales consistently iff
@@ -109,9 +109,8 @@ def _rows(graph: Graph, rule: Rule, weights, xs) -> list[SharingRow]:
     """
     if graph.n < 2:
         raise ValueError("cannot remove a vertex from a single-vertex graph")
-    b, B = _over_common(_ratios(weights))
-    removed = _removal_weights(graph, rule)
-    return [_row(graph, x, b, B, weights.exact, *removed(x)) for x in xs]
+    (b, B), exact, removed = _weights(graph, rule)
+    return [_row(graph, x, b, B, exact, *removed(x)) for x in xs]
 
 
 def _ratios(weights) -> list[tuple[int, int]]:
@@ -149,37 +148,39 @@ def _removal_cover(cover: list[int], x: int) -> list[int]:
     return out
 
 
-def _removal_weights(graph: Graph, rule: Rule):
-    """The function that maps x to w(G - x) as (numerators, common
-    denominator), one numerator per vertex of G - x.
+def _weights(graph: Graph, rule: Rule):
+    """w(G) as (numerators, common denominator), whether it is exact, and
+    the function that maps x to w(G - x) the same way, one numerator per
+    vertex of G - x.
 
-    A rule that ``_pairs_reader`` knows is read off the state of G - x, with
-    no rule call and no ``remove_vertex``: its closed neighbourhoods, the
-    duplicate classes grouped by them, and the maximal cliques derived from
-    G's, which are enumerated once (``_removal_cover``).  The weights read
-    must sum to 1 exactly, the check a ``WeightVector`` makes.  Every other
-    rule is called on ``graph.remove_vertex(x)``.
+    A rule that ``_pairs_reader`` knows is read off the state of G and of
+    each G - x, with no rule call and no ``remove_vertex``: the closed
+    neighbourhoods, the duplicate classes grouped by them, and the maximal
+    cliques of G, enumerated once, with those of each G - x derived from
+    them (``_removal_cover``).  The weights read must sum to 1 exactly, the
+    check a ``WeightVector`` makes.  Every other rule is called on G and on
+    each ``graph.remove_vertex(x)``.
     """
     reader = _pairs_reader(rule)
     if reader is None:
-        return lambda x: _over_common(_ratios(rule(graph.remove_vertex(x))))
+        weights = rule(graph)
+        return (_over_common(_ratios(weights)), weights.exact,
+                lambda x: _over_common(_ratios(rule(graph.remove_vertex(x)))))
+
+    def read(nbrs: list[int], cover: list[int] | None) -> tuple[list[int], int]:
+        twins = _TwinState.of(nbrs) if reader.classes else None
+        a, common = _over_common(reader.pairs(_Kept(len(nbrs), nbrs, twins, cover)))
+        if sum(a) != common:
+            raise ValueError(f"exact weights sum to {Fraction(sum(a), common)}, expected 1")
+        return a, common
 
     cover = list(maximal_cliques(graph).masks) if reader.cliques else None
 
     def removed(x: int) -> tuple[list[int], int]:
         nbrs = [_squeeze(m, x) for v, m in enumerate(graph.nbrs) if v != x]
-        kept = _Kept(
-            graph.n - 1,
-            nbrs,
-            _TwinState.of(nbrs) if reader.classes else None,
-            _removal_cover(cover, x) if cover is not None else None,
-        )
-        a, common = _over_common(reader.pairs(kept))
-        if sum(a) != common:
-            raise ValueError(f"exact weights sum to {Fraction(sum(a), common)}, expected 1")
-        return a, common
+        return read(nbrs, _removal_cover(cover, x) if cover is not None else None)
 
-    return removed
+    return read(list(graph.nbrs), cover), True, removed
 
 
 def _row(

@@ -336,7 +336,7 @@ class TestShare:
     def test_graph_mode_reads_clique_rule_removals_off_the_cover(
         self, capsys, monkeypatch, paw_edges
     ):
-        """``mcca`` itself, wrapped as a tracer wraps it: one rule call and
+        """``mcca`` itself, wrapped as a tracer wraps it: no rule call and
         no removal, with the paw's known row."""
         import functools
 
@@ -359,7 +359,7 @@ class TestShare:
         code, out, _ = run(capsys, "share", "--graph", paw_edges, "--rule", "mcca")
         assert code == OK
         assert json.loads(out)["vertices"]["a"]["chi"]["b"] == "-1/4"
-        assert calls == [4]
+        assert calls == []
 
     @pytest.mark.parametrize("rule", ["mcca", "mccp", "smooth:mcca"])
     def test_graph_mode_keeps_the_clique_cap(self, capsys, monkeypatch, paw_edges, rule):

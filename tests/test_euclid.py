@@ -825,3 +825,72 @@ class TestSharedDraws:
         for call in calls:
             with pytest.raises(ValueError, match=f"need a positive sample count, got {samples}"):
                 call()
+
+
+class TestRemovalAndDominanceReadEntries:
+    """Removal reports and dominance checks read every entry through
+    ``_entries``: S's at child 0 of the seed and S - x's at child 1."""
+
+    @pytest.mark.parametrize("dim, seed", [(2, 3), (3, 4)])
+    def test_removal_entries_are_the_entry_calls_of_the_children(self, dim, seed):
+        pts = _partly_separated(dim, seed)
+        now, then = euclid._spawn(seed, 2)
+        kw = dict(samples=20_000, seed=now)
+        kinds = set()
+        for x in range(len(pts)):
+            report = removal_effect_gr(pts, 0.25, x, samples=20_000, seed=seed)
+            rest = pts[:x] + pts[x + 1:]
+            diag = chi_gr(pts, 0.25, x, x, **kw).value
+            assert report.eta == diag / (1 - diag)
+            for y, entry in report.entries.items():
+                assert entry.before == g_r(pts, 0.25, y, **kw)
+                assert entry.chi == chi_gr(pts, 0.25, x, y, **kw)
+                y_rest = y - 1 if y > x else y
+                assert entry.after == g_r(rest, 0.25, y_rest, samples=20_000, seed=then)
+                kinds.add(type(entry.chi))
+        assert kinds == {Fraction, euclid.Estimate}  # apart pairs are exact
+
+    def test_removal_on_disjoint_balls_is_exact_without_a_seed(self):
+        report = removal_effect_gr([[0, 0], [1, 0], [0, 1]], 0.4, 0)
+        assert report.eta == Fraction(1, 2)
+        for entry in report.entries.values():
+            assert (entry.before, entry.chi, entry.after) == (Fraction(1, 3), 0, Fraction(1, 2))
+            assert isinstance(entry.before, Fraction) and isinstance(entry.after, Fraction)
+            assert entry.residual == 0.0 and entry.tolerance == 1e-9
+        assert report.passed and report.max_residual == 0.0
+
+    def test_overlapping_removal_without_a_seed_is_refused(self):
+        with pytest.raises(ValueError, match="Monte-Carlo estimates require an explicit seed"):
+            removal_effect_gr([[0, 0], [0.5, 0], [0.2, 0.3]], 0.5, 0)
+
+    def test_removal_rejects_a_point_outside_the_cloud(self):
+        for x in (-1, 3):
+            with pytest.raises(IndexError, match=f"no point {x} among 3"):
+                removal_effect_gr([[0, 0], [1, 0], [0, 1]], 0.4, x)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_seeded_removals_pass(self, dim):
+        for seed in range(20):
+            pts = _partly_separated(dim, seed)
+            report = removal_effect_gr(pts, 0.25, seed % 5, samples=20_000, seed=seed)
+            assert report.passed, (seed, report.max_residual)
+
+    @pytest.mark.parametrize("pts", [_partly_separated(2, 5), _partly_separated(3, 6)])
+    def test_dominance_chis_are_one_pair_call_at_child_one(self, pts):
+        cloud = euclid._Cloud(pts)
+        read = euclid._spawn(9, 2)[1]
+        for x, y, z in ((0, 1, 2), (1, 0, 4), (2, 3, 4)):
+            rep = dominance_check(pts, 0.25, x, y, z, samples=20_000, seed=9)
+            want = euclid._entries(cloud, "gr", Fraction(1, 4), None, [(x, y), (x, z)],
+                                   20_000, read)
+            assert [rep.chi_y, rep.chi_z] == want
+            seq = dominance_check(pts, 0.25, x, y, z, samples=20_000,
+                                  seed=np.random.SeedSequence(9))
+            assert seq == rep
+
+    def test_sampled_dominance_needs_a_seed_and_samples(self):
+        pts = [[0.0, 0.0], [0.8, 0.0], [-0.8, 0.0]]
+        with pytest.raises(ValueError, match="require an explicit seed"):
+            dominance_check(pts, 1.0, 0, 1, 2)
+        with pytest.raises(ValueError, match="need a positive sample count, got 0"):
+            dominance_check(pts, 1.0, 0, 1, 2, samples=0, seed=1)

@@ -658,6 +658,12 @@ class TestStackedEntropyRule:
         got = conjecture_search("entropy_negative_chi", 10, seed).to_document()
         assert got == reference_entropy_search(10, seed).to_document()
 
+    def test_graphs_too_large_to_look_at_are_not_probed(self):
+        """Seed 0 draws 6 graphs of 7 vertices among its first 10, and the
+        search looks at none of them."""
+        report = conjecture_search("entropy_negative_chi", 10, 0)
+        assert (report.budget, report.probed) == (10, 4)
+
     def test_one_solve_per_distinct_removal_graph(self, monkeypatch):
         """The paw's removals of c and of d leave the same path a-b-x: one
         solve for G and three for its removals."""
@@ -700,10 +706,11 @@ def reference_entropy_search(budget: int, seed: int, tol: float = 1e-8) -> Conje
         if n < 7 and rng.random() < 0.5:
             g = add_vertex_clone(g, int(rng.integers(0, n)))
         stream.append(g)
-    witnesses, skipped = [], 0
+    witnesses, skipped, probed = [], 0, 0
     for graph in stream:
         if graph.n > 6:
             continue
+        probed += 1
         edges = tuple((graph.labels[a], graph.labels[b]) for a, b in graph.edges())
         w = list(reference_entropy(graph))
         for x in range(graph.n):
@@ -718,9 +725,9 @@ def reference_entropy_search(budget: int, seed: int, tol: float = 1e-8) -> Conje
                                   (graph.labels[x], graph.labels[y]), repr(value))
                 for y, value in row.items() if value < -10.0 * tol
             ]
-    note = (f"no counterexample in {len(stream)} graphs probed; this is not a proof"
+    note = (f"no counterexample in {probed} graphs probed; this is not a proof"
             if not witnesses else
             f"{len(witnesses)} negative sharing value(s) found for the tested rules; "
             "evidence only, the general question stays open")
-    return ConjectureReport("entropy_negative_chi", budget, len(stream), skipped,
+    return ConjectureReport("entropy_negative_chi", budget, probed, skipped,
                             witnesses, note)

@@ -277,8 +277,8 @@ class TestRowEngine:
                 assert set(derived) == set(want), (g.edges(), x)
 
     @pytest.mark.parametrize("spec", READ_RULES)
-    def test_read_rules_make_one_call_and_no_removal(self, spec, monkeypatch):
-        """w(G) is the one rule call; every w(G - x) is read off G."""
+    def test_read_rules_make_no_call_and_no_removal(self, spec, monkeypatch):
+        """w(G) and every w(G - x) are read off G, with no rule call."""
         rule = parse_rule(spec)[1]
         calls = []
 
@@ -294,9 +294,31 @@ class TestRowEngine:
         )
         g = random_graph(9, 0.5, np.random.default_rng(3))
         rows = sharing_rows(g, counting)
-        assert calls == [9] and removals == []
+        assert calls == [] and removals == []
         monkeypatch.setattr(Graph, "remove_vertex", remove_vertex)
         assert rows == sharing_rows(g, lambda h: rule(h))  # called per removal
+
+    @pytest.mark.parametrize("spec", ["mcca", "mccp"])
+    def test_clique_rules_enumerate_the_cover_once(self, spec, monkeypatch):
+        """G's maximal cliques are enumerated once per ``sharing_rows``, for
+        w(G) and every removal alike."""
+        import clonewt.rules as rules_module
+        import clonewt.sharing as sharing_module
+
+        calls = []
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph.n)
+            return maximal_cliques(graph, *args, **kwargs)
+
+        monkeypatch.setattr(sharing_module, "maximal_cliques", counting)
+        monkeypatch.setattr(rules_module, "maximal_cliques", counting)
+        g = random_graph(9, 0.5, np.random.default_rng(3))
+        rule = parse_rule(spec)[1]
+        rows = sharing_rows(g, rule)
+        assert calls == [9]
+        monkeypatch.undo()
+        assert rows == sharing_rows(g, lambda h: rule(h))
 
     def test_zero_weight_leaves_the_row_undefined(self):
         """A non-neighbour of weight 0 has no rescaling ratio: the row says
