@@ -41,7 +41,7 @@ from .caps import CapExceeded
 from .euclid import sharing_matrix
 from .filtration import Graph, neighborhood_graph, quotient
 from .metric import MetricError, MetricInstance, load_instance
-from .render import jsonable
+from .render import json_text, jsonable
 from .rules import (
     graph_entropy_certificate,
     maximal_cliques,
@@ -111,7 +111,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(doc, args) -> None:
-    _emit(json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n", args.output)
+    _emit(json_text(doc), args.output)
 
 
 def _read_instance(args, doc=None) -> MetricInstance:

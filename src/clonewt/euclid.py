@@ -436,15 +436,13 @@ def removal_effect_gr(
     n = cloud.n
     if n < 2:
         raise ValueError("removal needs at least two points")
-    if not 0 <= x < n:
-        raise IndexError(f"no point {x} among {n}")
     r_ex = _radius(r)
     one_d = cloud.coords is not None
-    rest = _Cloud(cloud.coords[:x] + cloud.coords[x + 1:] if one_d else np.delete(cloud.arr, x, 0))
     others = [y for y in range(n) if y != x]
     keys = [(x, x), *others, *((x, y) for y in others)]
     now, then = _spawn(seed, 2)
     diag, *read = _entries(cloud, "gr", r_ex, None, keys, samples, now)
+    rest = _Cloud(cloud.coords[:x] + cloud.coords[x + 1:] if one_d else np.delete(cloud.arr, x, 0))
     afters = _entries(rest, "gr", r_ex, None, range(n - 1), samples, then)
     eta = _value(diag) / (1 - _value(diag))
     eta_hw = _half_width(diag) / (1 - _value(diag)) ** 2
@@ -635,18 +633,22 @@ class SharingMatrix:
 def _entries(cloud: _Cloud, family: str, r, density, keys, samples, seed) -> list:
     """The entries ``keys`` of a ``family`` matrix, at radius r (``gr``) or
     under ``density`` (``fnu``): a key x is x's weight, (x, y) is chi(x, y)
-    and (x, x) is x's private share.  Here alone an entry is decided exact
-    or sampled.  A pair whose balls share no volume at r, or at alpha for
-    ``fnu``, is 0 (0.0 for a 1-D ``fnu`` integral); any other 1-D entry is
-    read off the cloud's tables.  On pairwise disjoint balls a ``gr`` weight
-    or private share is 1/n.  The rest are estimated together, from one
-    ``_mc_ratios`` (``gr``) or ``_radial_mcs`` (``fnu``) call."""
+    and (x, x) is x's private share; an index outside 0..n-1 is an
+    ``IndexError``.  Here alone an entry is decided exact or sampled.  A
+    pair whose balls share no volume at r, or at alpha for ``fnu``, is 0
+    (0.0 for a 1-D ``fnu`` integral); any other 1-D entry is read off the
+    cloud's tables.  On pairwise disjoint balls a ``gr`` weight or private
+    share is 1/n.  The rest are estimated together, from one ``_mc_ratios``
+    (``gr``) or ``_radial_mcs`` (``fnu``) call."""
     one_d = cloud.coords is not None
     reach = r if family == "gr" else density.alpha
     disjoint = family == "gr" and not one_d and cloud.gap >= 2 * float(r)
     values, sampled = {}, {}
     for key in keys:
         x, y = key if isinstance(key, tuple) else (key, None)
+        for i in (x,) if y is None else (x, y):
+            if not 0 <= i < cloud.n:
+                raise IndexError(f"no point {i} among {cloud.n}")
         if y not in (None, x) and cloud.apart(x, y, reach):
             values[key] = 0.0 if one_d and family == "fnu" else Fraction(0)
         elif one_d:
@@ -687,6 +689,7 @@ def sharing_matrix(
     one stratified set for ``gr``, one set per radius cell for ``fnu`` (cell
     k from child k of ``seed``).  The integrands of a row add up to its
     weight's at every draw, so each row sums to its weight up to rounding.
+    A seed is needed only when some entry is sampled.
     """
     cloud = _cloud(points)
     n = cloud.n
@@ -704,8 +707,6 @@ def sharing_matrix(
         raise ValueError(f'unknown sharing family {family!r}; use "gr" or "fnu"')
 
     exact_mode = cloud.coords is not None
-    if not exact_mode and seed is None:
-        raise ValueError("Monte-Carlo sharing matrices require an explicit seed")
     pairs = [(x, y) for x in range(n) for y in range(x, n)]
     values = _entries(cloud, family, r, density, [*range(n), *pairs], samples, seed)
     weights, chi = values[:n], [[None] * n for _ in range(n)]

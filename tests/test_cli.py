@@ -133,6 +133,36 @@ class TestWeigh:
         )
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("command", ["conjecture", "graph-share", "share-2d", "exact-weigh"])
+    def test_written_documents_are_canonical(self, capsys, tmp_path, paw_edges, command):
+        """The one-pass writer gives ``json.dumps``'s sorted-key, two-space
+        text on witness lists, rows of exact chis, sampled floats and a
+        weight of more than 4,300 digits."""
+        points = tmp_path / "points.json"
+        if command == "share-2d":
+            points.write_text('{"kind": "points", "points": [[0, 0], [0.5, 0], [0.2, 0.3]]}')
+        else:
+            points.write_text('{"kind": "points", "points": [[0], [1e-5000], [1]]}')
+        argv = {
+            "conjecture": ["audit", "conjecture", "--target", "mcc_axiom2", "--budget", "20",
+                           "--seed", "1"],
+            "graph-share": ["share", "--graph", paw_edges, "--rule", "mccp"],
+            "share-2d": ["share", "--input", str(points), "--family", "gr", "--r", "0.4",
+                         "--samples", "2000", "--seed", "3"],
+            "exact-weigh": ["weigh", "--input", str(points), "--rule", "cu", "--alpha", "2",
+                            "--exact"],
+        }[command]
+        code, out, _ = run(capsys, *argv)
+        assert code == OK
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if command == "conjecture":
+            assert doc["witnesses"]
+        elif command == "share-2d":
+            assert doc["estimator"] == "stratified-mc" and doc["half_widths"][0][1] > 0
+        elif command == "exact-weigh":
+            assert max(map(len, doc["weights"].values())) > 2 * 4300
+
     def test_unknown_rule_is_a_usage_error(self, capsys, three_points_doc):
         code, _, err = run(
             capsys, "weigh", "--input", three_points_doc, "--rule", "bogus", "--alpha", "2"

@@ -215,6 +215,15 @@ class TestSharingMatrix:
         m = sharing_matrix(TWO, family="fnu", density=Density.uniform(1))
         assert m.family == "fnu"
 
+    def test_seed_is_asked_for_only_when_an_entry_is_sampled(self):
+        m = sharing_matrix([[0, 0], [1, 0]], family="gr", r=0.4)
+        assert m.weights == (Fraction(1, 2),) * 2
+        assert m.chi == ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
+        assert m.row_residuals == (0.0, 0.0) and m.half_widths == ((0.0, 0.0),) * 2
+        for family, kw in (("gr", {"r": 0.4}), ("fnu", {"density": Density.uniform(1)})):
+            with pytest.raises(ValueError, match="Monte-Carlo estimates require an explicit seed"):
+                sharing_matrix([[0, 0], [0.5, 0]], family=family, **kw)
+
 
 # ---------------------------------------------------------------------------
 # Differential tests: the shared-geometry engines against per-entry references
@@ -708,6 +717,21 @@ class TestEntriesAreMatrixEntries:
             assert (got.value, got.half_width) == (want, hw) and hw > 0.0
         else:
             assert type(want) is kind and got == want
+
+    @pytest.mark.parametrize("pts", [[[0], [1]], [[0, 0], [1, 0]]], ids=["1d", "2d"])
+    @pytest.mark.parametrize("bad", [2, 5, -1])
+    def test_entry_functions_reject_a_point_outside_the_cloud(self, pts, bad):
+        d = Density.uniform(Fraction(1, 2))
+        calls = [
+            lambda: g_r(pts, 0.4, bad),
+            lambda: chi_gr(pts, 0.4, 0, bad),
+            lambda: chi_gr(pts, 0.4, bad, bad),
+            lambda: f_nu(pts, d, bad, samples=1000, seed=1),
+            lambda: chi_fnu(pts, d, bad, 0, samples=1000, seed=1),
+        ]
+        for call in calls:
+            with pytest.raises(IndexError, match=f"no point {bad} among 2"):
+                call()
 
 
 class TestSharedDraws:
