@@ -255,6 +255,9 @@ def _seed_meta(seed) -> int:
 #: Sample-ball pairs per block of strata (128 KiB of floats per temporary)
 _BLOCK = 1 << 14
 
+#: Floats per block of integrand rows (256 KiB per temporary)
+_ROWS = 1 << 15
+
 
 def _check_draws(samples: int, seed) -> None:
     if seed is None:
@@ -263,16 +266,13 @@ def _check_draws(samples: int, seed) -> None:
         raise ValueError(f"need a positive sample count, got {samples}")
 
 
-def _stratified(balls: _Balls, samples: int, seed, integrands):
-    """Each ``integrand(member, counts)`` at stratified uniform draws over
-    the balls' bounding box, as a (strata, draws per stratum) array.  One
-    ``default_rng(seed)`` draws for every stratum in turn, in ``np.ndindex``
-    order, so the draws do not depend on how strata are grouped into blocks.
-
-    The draws are made and their membership taken now; the integrands are
-    evaluated lazily, one per step of the returned iterator, so a caller
-    with many integrands holds one float array at a time next to the
-    (samples, balls) membership and the counts."""
+def _stratified(balls: _Balls, samples: int, seed) -> tuple[np.ndarray, int]:
+    """Stratified uniform draws over the balls' bounding box, as the
+    (balls, draws) membership matrix, each stratum's draws together, and
+    the number of strata.  One ``default_rng(seed)`` draws for every stratum
+    in turn, in ``np.ndindex`` order, so the draws do not depend on how
+    strata are grouped into blocks.  Only the booleans are kept; callers
+    evaluate their integrands on them."""
     _check_draws(samples, seed)
     lo, hi = balls.box()
     shape = (max(1, round(64 ** (1.0 / balls.dim))),) * balls.dim  # about 64 strata
@@ -282,69 +282,76 @@ def _stratified(balls: _Balls, samples: int, seed, integrands):
     origins = lo + np.indices(shape).reshape(balls.dim, -1).T * cell
     rng = np.random.default_rng(seed)
     step = max(1, _BLOCK // (n_each * len(balls.centers)))
-    member = np.empty((n_strata * n_each, len(balls.centers)), dtype=bool)
+    member = np.empty((len(balls.centers), n_strata * n_each), dtype=bool)
     for first in range(0, n_strata, step):
         stop = min(first + step, n_strata)
         draws = rng.random(((stop - first) * n_each, balls.dim))
         zs = np.repeat(origins[first:stop], n_each, axis=0) + draws * cell
-        member[first * n_each:stop * n_each] = balls.member(zs)
-    counts = member.sum(axis=1)
-    return (integrand(member, counts).reshape(n_strata, n_each) for integrand in integrands)
+        member[:, first * n_each:stop * n_each] = balls.member(zs).T
+    return member, n_strata
 
 
-def _hits(member, counts):
-    return (counts > 0).astype(float)
+def _rows(member: np.ndarray, by_kind: np.ndarray, keys) -> np.ndarray:
+    """The integrand of each key at every draw, one row per key: for a key
+    x, 1/c in x's ball; for (x, x), 1 where x's ball covers alone; for
+    (x, y), 1/(c(c-1)) where both balls cover.  ``member`` is the (balls,
+    draws) membership and the rows of ``by_kind`` are 1/c, [c = 1] and
+    1/(c(c-1)) at each draw, with c its covering count."""
+    xs, ys = zip(*(key if isinstance(key, tuple) else (key, key) for key in keys))
+    kinds = [2 if x != y else int(isinstance(key, tuple)) for key, x, y in zip(keys, xs, ys)]
+    rows = by_kind[kinds]
+    rows *= member[list(xs)] & member[list(ys)]
+    return rows
 
 
-def _strata_variance(values: np.ndarray) -> float:
-    """Sum over strata of the variance of a stratum's mean, added left to
-    right: ``np.cumsum`` adds in order, as a loop over the strata does."""
-    n_each = values.shape[1]
+def _strata_variance(values: np.ndarray) -> np.ndarray:
+    """Sum over strata of the variance of a stratum's mean, for values of
+    shape (..., strata, draws per stratum), added left to right:
+    ``np.cumsum`` adds in order, as a loop over the strata does."""
+    n_each = values.shape[-1]
     if n_each < 2:
-        return 0.0
-    return float(np.cumsum(values.var(axis=1, ddof=1) / n_each)[-1])
+        return np.zeros(values.shape[:-2])
+    return np.cumsum(values.var(axis=-1, ddof=1) / n_each, axis=-1)[..., -1]
 
 
-def _mc_ratios(balls: _Balls, numers, samples: int, seed) -> list[Estimate]:
-    """Estimate (integral of numer) / (union volume) for every numer, all
-    from one set of stratified draws over the box.
+def _mc_ratios(balls: _Balls, keys, samples: int, seed) -> list[Estimate]:
+    """Estimate (integral of the key's integrand) / (union volume) for every
+    key of ``_rows``, all from one set of stratified draws over the box.
 
-    ``numer(member, counts)`` maps the per-sample ball membership matrix and
-    covering counts to integrand values.  The ratio estimator uses the
-    linearised residuals e = a - Q*b for the half-width.  Since the draws
-    are shared, integrands that add up sample by sample give estimates that
-    add up to rounding.
+    The integrands are evaluated as the rows of one float array, in blocks
+    of keys of at most ``_ROWS`` floats, and each statistic is one numpy
+    call along the rows: a row's estimate is the one it has alone.  The
+    ratio estimator uses the linearised residuals e = a - Q*b for the
+    half-width.  Since the draws are shared, integrands that add up sample
+    by sample give estimates that add up to rounding.
     """
-    values = _stratified(balls, samples, seed, [_hits, *numers])
-    b = next(values)
+    member, strata = _stratified(balls, samples, seed)
+    counts = member.sum(axis=0)
+    b = (counts > 0).astype(float)
     mean_b = float(b.mean())
     if mean_b == 0.0:
         raise RuntimeError("no sample hit the ball union; estimator degenerate")
+    by_kind = np.empty((3, b.size))
+    np.divide(1.0, np.maximum(counts, 1), out=by_kind[0])
+    np.equal(counts, 1, out=by_kind[1])
+    np.divide(1.0, np.maximum(counts * (counts - 1), 1), out=by_kind[2])
+    step = max(1, _ROWS // b.size)
+    meta = _seed_meta(seed)
     estimates = []
-    for a in values:
-        q = float(a.mean()) / mean_b
-        hw = Z99 * math.sqrt(_strata_variance(a - q * b)) / len(a) / mean_b
-        estimates.append(Estimate(q, hw, a.size, _seed_meta(seed), len(a)))
+    for first in range(0, len(keys), step):
+        a = _rows(member, by_kind, keys[first:first + step])
+        q = a.mean(axis=-1) / mean_b
+        a -= q[:, None] * b
+        hw = Z99 * np.sqrt(_strata_variance(a.reshape(len(a), strata, -1))) / strata / mean_b
+        estimates += [Estimate(v, h, b.size, meta, strata)
+                      for v, h in zip(q.tolist(), hw.tolist())]
     return estimates
 
 
-def _mc_ratio(balls: _Balls, numer, samples: int, seed) -> Estimate:
-    """``_mc_ratios`` for one numerator: unused by the package, kept for the
+def _mc_ratio(balls: _Balls, key, samples: int, seed) -> Estimate:
+    """``_mc_ratios`` for one key: unused by the package, kept for the
     tests and for ``benchmarks/tracing.py``, which wraps it by name."""
-    return _mc_ratios(balls, [numer], samples, seed)[0]
-
-
-def _numer(x: int, y: int | None):
-    """The integrand of entry (x, y) over the union, as ``numer(member,
-    counts)``: 1/c in x's ball (y None), 1/(c(c-1)) where both balls cover,
-    or 1 where x's ball covers alone (y == x)."""
-    if y is None:
-        return lambda member, counts: np.where(member[:, x], 1.0 / np.maximum(counts, 1), 0.0)
-    if x == y:
-        return lambda member, counts: (member[:, x] & (counts == 1)).astype(float)
-    return lambda member, counts: np.where(
-        member[:, x] & member[:, y], 1.0 / np.maximum(counts * (counts - 1), 1), 0.0
-    )
+    return _mc_ratios(balls, [key], samples, seed)[0]
 
 
 def _value(entry):
@@ -397,7 +404,8 @@ def union_volume(points, r: Number, *, samples: int = 10**6, seed: int | None = 
     balls = _Balls(cloud.arr, float(r_ex))
     lo, hi = balls.box()
     box_vol = float(np.prod(hi - lo))
-    (hits,) = _stratified(balls, samples, seed, [_hits])
+    member, strata = _stratified(balls, samples, seed)
+    hits = member.any(axis=0).astype(float).reshape(strata, -1)
     rate = float(np.cumsum(hits.mean(axis=1))[-1]) / len(hits)  # strata added in order
     hw = Z99 * math.sqrt(_strata_variance(hits)) / len(hits)
     return Estimate(box_vol * rate, box_vol * hw, hits.size, _seed_meta(seed), len(hits))
@@ -513,16 +521,17 @@ def chi_fnu(points, density: Density, x: int, y: int, *, samples: int = 10**6,
     return _entries(_cloud(points), "fnu", None, density, [(x, y)], samples, seed)[0]
 
 
-def _radial_mcs(cloud: _Cloud, density: Density, numers, samples, seed) -> list[Estimate]:
+def _radial_mcs(cloud: _Cloud, density: Density, keys, samples, seed) -> list[Estimate]:
     """Midpoint radius grid of ``_RADIUS_CELLS`` cells with one stratified
-    spatial estimate per cell, shared by the (one or more) numerators: cell
-    k draws once, from child k of ``seed``.
+    spatial estimate per cell, shared by the (one or more) keys of
+    ``_rows``: cell k draws once, from child k of ``seed``, and estimates
+    every key in one ``_mc_ratios`` call.
 
     The reported half-width combines the per-cell Monte-Carlo half-widths in
     quadrature; the radial discretisation bias is not included.  A cell
     whose balls are pairwise disjoint (touching counts as disjoint) is
     exact: each ball is 1/n of the union and covered by itself alone, so the
-    ratio is the mean of ``numer`` over the identity membership matrix.
+    ratio is the mean of a key's row over the identity membership matrix.
     """
     _check_draws(samples, seed)
     alpha = float(density.alpha)
@@ -530,26 +539,22 @@ def _radial_mcs(cloud: _Cloud, density: Density, numers, samples, seed) -> list[
     mids = (np.arange(_RADIUS_CELLS) + 0.5) * width
     children = _spawn(seed, _RADIUS_CELLS)
     per_cell = max(1000, samples // _RADIUS_CELLS)
-    eye, ones = np.eye(cloud.n, dtype=bool), np.ones(cloud.n, dtype=int)
-    disjoint = [float(numer(eye, ones).mean()) for numer in numers]
-    totals = [0.0] * len(numers)
-    var = [0.0] * len(numers)
-    used = 0
-    strata = 0
+    # on the identity membership each draw is covered once: every kind adds 1
+    eye = np.eye(cloud.n, dtype=bool)
+    disjoint = _rows(eye, np.ones((3, cloud.n)), keys).mean(axis=-1).tolist()
+    totals, var = [0.0] * len(keys), [0.0] * len(keys)
+    used = strata = 0
     for k, mid in enumerate(mids):
         nu = float(density.pdf(float(mid)))
         if nu == 0.0:
             continue
-        if 2 * mid <= cloud.gap:
-            for i, value in enumerate(disjoint):
-                totals[i] += nu * value * width
-            continue
-        ests = _mc_ratios(_Balls(cloud.arr, float(mid)), numers, per_cell, children[k])
+        ests = disjoint
+        if 2 * mid > cloud.gap:
+            ests = _mc_ratios(_Balls(cloud.arr, float(mid)), keys, per_cell, children[k])
+            used, strata = used + ests[0].samples, strata + ests[0].strata
         for i, est in enumerate(ests):
-            totals[i] += nu * est.value * width
-            var[i] += (nu * width * est.half_width) ** 2
-        used += ests[0].samples
-        strata += ests[0].strata
+            totals[i] += nu * float(est) * width
+            var[i] += (nu * width * _half_width(est)) ** 2
     return [Estimate(total, math.sqrt(v), used, _seed_meta(seed), strata)
             for total, v in zip(totals, var)]
 
@@ -643,7 +648,7 @@ def _entries(cloud: _Cloud, family: str, r, density, keys, samples, seed) -> lis
     one_d = cloud.coords is not None
     reach = r if family == "gr" else density.alpha
     disjoint = family == "gr" and not one_d and cloud.gap >= 2 * float(r)
-    values, sampled = {}, {}
+    values, sampled = {}, []
     for key in keys:
         x, y = key if isinstance(key, tuple) else (key, None)
         for i in (x,) if y is None else (x, y):
@@ -661,13 +666,12 @@ def _entries(cloud: _Cloud, family: str, r, density, keys, samples, seed) -> lis
         elif disjoint and y in (None, x):
             values[key] = Fraction(1, cloud.n)
         else:
-            sampled[key] = _numer(x, y)
-    numers = list(sampled.values())
+            sampled.append(key)
     if sampled and family == "gr":
-        values.update(zip(sampled, _mc_ratios(_Balls(cloud.arr, float(r)), numers,
+        values.update(zip(sampled, _mc_ratios(_Balls(cloud.arr, float(r)), sampled,
                                                samples, seed)))
     elif sampled:
-        values.update(zip(sampled, _radial_mcs(cloud, density, numers, samples, seed)))
+        values.update(zip(sampled, _radial_mcs(cloud, density, sampled, samples, seed)))
     return [values[key] for key in keys]
 
 
@@ -689,7 +693,8 @@ def sharing_matrix(
     one stratified set for ``gr``, one set per radius cell for ``fnu`` (cell
     k from child k of ``seed``).  The integrands of a row add up to its
     weight's at every draw, so each row sums to its weight up to rounding.
-    A seed is needed only when some entry is sampled.
+    A seed is needed only when some entry is sampled; a matrix with none is
+    exact, with no half-widths or sample count and exact residuals.
     """
     cloud = _cloud(points)
     n = cloud.n
@@ -706,9 +711,9 @@ def sharing_matrix(
     else:
         raise ValueError(f'unknown sharing family {family!r}; use "gr" or "fnu"')
 
-    exact_mode = cloud.coords is not None
     pairs = [(x, y) for x in range(n) for y in range(x, n)]
     values = _entries(cloud, family, r, density, [*range(n), *pairs], samples, seed)
+    exact_mode = cloud.coords is not None or not any(isinstance(v, Estimate) for v in values)
     weights, chi = values[:n], [[None] * n for _ in range(n)]
     for (x, y), value in zip(pairs, values[n:]):
         chi[x][y] = chi[y][x] = value

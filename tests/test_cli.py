@@ -489,6 +489,21 @@ class TestShare:
         assert doc["half_widths"][0][2] == 0.0
         assert doc["half_widths"][0][1] > 0.0
 
+    def test_gr_on_disjoint_2d_balls_is_an_exact_matrix(self, capsys, tmp_path):
+        """The unit square's corners at r = 1/2: every entry is exact, so
+        the document reports an exact matrix, seeded or not."""
+        doc_path = tmp_path / "apart.json"
+        doc_path.write_text('{"kind": "points", "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}')
+        for seed in ([], ["--samples", "1000", "--seed", "1"]):
+            code, out, err = run(capsys, "share", "--input", str(doc_path), "--family", "gr",
+                                 "--r", "1/2", *seed)
+            assert code == OK, err
+            doc = json.loads(out)
+            assert doc["estimator"] == "exact"
+            assert doc["half_widths"] is None and doc["samples"] is None
+            assert doc["weights"] == ["1/4"] * 4 and doc["row_residuals"] == ["0"] * 4
+            assert doc["chi"] == [["1/4" if i == j else "0" for j in range(4)] for i in range(4)]
+
     def test_fnu_on_disjoint_3d_balls_is_exact(self, capsys, tmp_path):
         """Six 3-D points at least 1 apart under alpha 1/10: every radius
         cell has pairwise disjoint balls, so each weight and private share
