@@ -291,16 +291,18 @@ def _stratified(balls: _Balls, samples: int, seed) -> tuple[np.ndarray, int]:
     return member, n_strata
 
 
-def _rows(member: np.ndarray, by_kind: np.ndarray, keys) -> np.ndarray:
+def _rows(member: np.ndarray, inv: np.ndarray, alone: np.ndarray, keys) -> np.ndarray:
     """The integrand of each key at every draw, one row per key: for a key
     x, 1/c in x's ball; for (x, x), 1 where x's ball covers alone; for
     (x, y), 1/(c(c-1)) where both balls cover.  ``member`` is the (balls,
-    draws) membership and the rows of ``by_kind`` are 1/c, [c = 1] and
-    1/(c(c-1)) at each draw, with c its covering count."""
+    draws) membership, the rows of ``inv`` are 1/c and 1/(c(c-1)) at each
+    draw, with c its covering count, and ``alone`` is [c = 1], where 1/c
+    is 1."""
     xs, ys = zip(*(key if isinstance(key, tuple) else (key, key) for key in keys))
-    kinds = [2 if x != y else int(isinstance(key, tuple)) for key, x, y in zip(keys, xs, ys)]
-    rows = by_kind[kinds]
-    rows *= member[list(xs)] & member[list(ys)]
+    rows = inv[[int(x != y) for x, y in zip(xs, ys)]]
+    mask = member[list(xs)] & member[list(ys)]
+    mask[[isinstance(key, tuple) and x == y for key, x, y in zip(keys, xs, ys)]] &= alone
+    rows *= mask
     return rows
 
 
@@ -331,15 +333,21 @@ def _mc_ratios(balls: _Balls, keys, samples: int, seed) -> list[Estimate]:
     mean_b = float(b.mean())
     if mean_b == 0.0:
         raise RuntimeError("no sample hit the ball union; estimator degenerate")
-    by_kind = np.empty((3, b.size))
-    np.divide(1.0, np.maximum(counts, 1), out=by_kind[0])
-    np.equal(counts, 1, out=by_kind[1])
-    np.divide(1.0, np.maximum(counts * (counts - 1), 1), out=by_kind[2])
+    # 1/c and 1/(c(c-1)); a row no key reads is left unwritten, so its pages
+    # are never touched
+    pairs = [isinstance(key, tuple) and key[0] != key[1] for key in keys]
+    inv = np.empty((2, b.size))
+    if not all(pairs):
+        np.divide(1.0, np.maximum(counts, 1), out=inv[0])
+    if any(pairs):
+        np.divide(1.0, np.maximum(counts * (counts - 1), 1), out=inv[1])
+    alone = counts == 1
+    del counts  # 8 bytes a draw, not needed by the row blocks
     step = max(1, _ROWS // b.size)
     meta = _seed_meta(seed)
     estimates = []
     for first in range(0, len(keys), step):
-        a = _rows(member, by_kind, keys[first:first + step])
+        a = _rows(member, inv, alone, keys[first:first + step])
         q = a.mean(axis=-1) / mean_b
         a -= q[:, None] * b
         hw = Z99 * np.sqrt(_strata_variance(a.reshape(len(a), strata, -1))) / strata / mean_b
@@ -540,8 +548,8 @@ def _radial_mcs(cloud: _Cloud, density: Density, keys, samples, seed) -> list[Es
     children = _spawn(seed, _RADIUS_CELLS)
     per_cell = max(1000, samples // _RADIUS_CELLS)
     # on the identity membership each draw is covered once: every kind adds 1
-    eye = np.eye(cloud.n, dtype=bool)
-    disjoint = _rows(eye, np.ones((3, cloud.n)), keys).mean(axis=-1).tolist()
+    eye, alone = np.eye(cloud.n, dtype=bool), np.ones(cloud.n, dtype=bool)
+    disjoint = _rows(eye, np.ones((2, cloud.n)), alone, keys).mean(axis=-1).tolist()
     totals, var = [0.0] * len(keys), [0.0] * len(keys)
     used = strata = 0
     for k, mid in enumerate(mids):
@@ -667,6 +675,7 @@ def _entries(cloud: _Cloud, family: str, r, density, keys, samples, seed) -> lis
             values[key] = Fraction(1, cloud.n)
         else:
             sampled.append(key)
+    sampled = list(dict.fromkeys(sampled))  # a repeated key is estimated once
     if sampled and family == "gr":
         values.update(zip(sampled, _mc_ratios(_Balls(cloud.arr, float(r)), sampled,
                                                samples, seed)))

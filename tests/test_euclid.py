@@ -364,18 +364,25 @@ def _ref_strata(centers, r, samples, seed):
         yield member, member.sum(axis=1)
 
 
-def _ref_mc_ratio(centers, r, numer, samples, seed):
-    a_parts, b_parts = [], []
-    for member, counts in _ref_strata(centers, r, samples, seed):
-        a_parts.append(numer(member, counts))
-        b_parts.append((counts > 0).astype(float))
+def _ref_mc_ratios(centers, r, numers, samples, seed):
+    """(value, half-width, samples, strata) of each numerator, one numerator
+    and one stratum at a time."""
+    strata = list(_ref_strata(centers, r, samples, seed))
+    b_parts = [(counts > 0).astype(float) for _, counts in strata]
     mean_b = float(np.concatenate(b_parts).mean())
-    q = float(np.concatenate(a_parts).mean()) / mean_b
-    var_sum = 0.0
-    for a_s, b_s in zip(a_parts, b_parts):
-        if len(a_s) > 1:
-            var_sum += float((a_s - q * b_s).var(ddof=1)) / len(a_s)
-    return q, euclid.Z99 * math.sqrt(var_sum) / len(a_parts) / mean_b
+    if mean_b == 0.0:
+        raise RuntimeError("no sample hit the ball union; estimator degenerate")
+    out = []
+    for numer in numers:
+        a_parts = [numer(member, counts) for member, counts in strata]
+        q = float(np.concatenate(a_parts).mean()) / mean_b
+        var_sum = 0.0
+        for a_s, b_s in zip(a_parts, b_parts):
+            if len(a_s) > 1:
+                var_sum += float((a_s - q * b_s).var(ddof=1)) / len(a_s)
+        hw = euclid.Z99 * math.sqrt(var_sum) / len(a_parts) / mean_b
+        out.append((q, hw, sum(map(len, a_parts)), len(a_parts)))
+    return out
 
 
 def _ref_union_volume(centers, r, samples, seed):
@@ -390,14 +397,12 @@ def _ref_union_volume(centers, r, samples, seed):
     return box * (means / n_strata), box * (euclid.Z99 * math.sqrt(var_sum) / n_strata)
 
 
-# The per-numerator Monte-Carlo path that the stacked row blocks replaced,
-# copied here so that the engine is checked against code it does not share:
-# blocked draws into a (draws, balls) membership, then one ``numer(member,
-# counts)`` closure per entry, each with its own mean, residual, variance and
-# strata sum.
+# The per-numerator integrands that the stacked row blocks replaced, copied
+# here so that the engine is checked against code it does not share: one
+# ``numer(member, counts)`` closure per entry, on a (draws, balls) membership.
 
 
-def _old_numer(x, y):
+def _ref_numer(x, y):
     if y is None:
         return lambda member, counts: np.where(member[:, x], 1.0 / np.maximum(counts, 1), 0.0)
     if x == y:
@@ -407,44 +412,12 @@ def _old_numer(x, y):
     )
 
 
-def _old_numers(keys):
-    return [_old_numer(*key) if isinstance(key, tuple) else _old_numer(key, None)
+def _ref_numers(keys):
+    return [_ref_numer(*key) if isinstance(key, tuple) else _ref_numer(key, None)
             for key in keys]
 
 
-def _old_mc_ratios(centers, r, numers, samples, seed):
-    """(value, half-width, samples, strata) of each numerator."""
-    dim = centers.shape[1]
-    lo, hi = centers.min(axis=0) - r, centers.max(axis=0) + r
-    shape = (max(1, round(64 ** (1.0 / dim))),) * dim
-    n_strata = int(np.prod(shape))
-    n_each = max(1, samples // n_strata)
-    cell = (hi - lo) / np.array(shape, dtype=float)
-    origins = lo + np.indices(shape).reshape(dim, -1).T * cell
-    rng = np.random.default_rng(seed)
-    step = max(1, (1 << 14) // (n_each * len(centers)))
-    member = np.empty((n_strata * n_each, len(centers)), dtype=bool)
-    for first in range(0, n_strata, step):
-        stop = min(first + step, n_strata)
-        draws = rng.random(((stop - first) * n_each, dim))
-        zs = np.repeat(origins[first:stop], n_each, axis=0) + draws * cell
-        member[first * n_each:stop * n_each] = _ref_member(centers, r, zs)
-    counts = member.sum(axis=1)
-    b = (counts > 0).astype(float).reshape(n_strata, n_each)
-    mean_b = float(b.mean())
-    if mean_b == 0.0:
-        raise RuntimeError("no sample hit the ball union; estimator degenerate")
-    out = []
-    for numer in numers:
-        a = numer(member, counts).reshape(n_strata, n_each)
-        q = float(a.mean()) / mean_b
-        e = a - q * b
-        v = float(np.cumsum(e.var(axis=1, ddof=1) / n_each)[-1]) if n_each > 1 else 0.0
-        out.append((q, euclid.Z99 * math.sqrt(v) / n_strata / mean_b, a.size, n_strata))
-    return out
-
-
-def _old_radial_mcs(centers, density, numers, samples, seed):
+def _ref_radial_mcs(centers, density, numers, samples, seed):
     """(value, half-width, samples, strata) of each numerator over 64 radius
     cells, cell k drawing from child k of an int ``seed``."""
     n = len(centers)
@@ -464,7 +437,7 @@ def _old_radial_mcs(centers, density, numers, samples, seed):
                 totals[i] += nu * float(numer(eye, ones).mean()) * width
             continue
         for i, (value, hw, size, cells) in enumerate(
-                _old_mc_ratios(centers, float(mid), numers, per_cell, children[k])):
+                _ref_mc_ratios(centers, float(mid), numers, per_cell, children[k])):
             totals[i] += nu * value * width
             var[i] += (nu * width * hw) ** 2
         used, strata = used + size, strata + cells
@@ -484,11 +457,10 @@ class TestStratifiedMonteCarlo:
     def test_mc_ratio_equals_the_per_stratum_loop(self, cloud, samples, seed, kind):
         centers = _CLOUDS[cloud]
         key = {"g": 1, "chi": (0, 1), "private": (3, 3)}[kind]
-        numer = _old_numer(*key) if isinstance(key, tuple) else _old_numer(key, None)
         for seq in (seed, np.random.SeedSequence(seed).spawn(2)[1]):  # an int and a child
             est = euclid._mc_ratio(euclid._Balls(centers, 0.35), key, samples, seq)
-            ref = _ref_mc_ratio(centers, 0.35, numer, samples, seq)
-            assert (est.value, est.half_width) == ref
+            [ref] = _ref_mc_ratios(centers, 0.35, _ref_numers([key]), samples, seq)
+            assert (est.value, est.half_width, est.samples, est.strata) == ref
 
     @pytest.mark.parametrize("seed", range(5))
     def test_strata_variance_equals_the_loop(self, seed):
@@ -849,7 +821,7 @@ class TestStackedRowsEqualThePerNumeratorPath:
             centers = _copy_cloud(dim, seed)
             keys = _mixed_keys(len(centers), rng)
             got = euclid._mc_ratios(euclid._Balls(centers, 0.3), keys, samples, seed)
-            want = _old_mc_ratios(centers, 0.3, _old_numers(keys), samples, seed)
+            want = _ref_mc_ratios(centers, 0.3, _ref_numers(keys), samples, seed)
             assert [(e.value, e.half_width, e.samples, e.strata) for e in got] == want
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -864,14 +836,14 @@ class TestStackedRowsEqualThePerNumeratorPath:
         for seed, centers in enumerate((_copy_cloud(dim, 5) / 12, spread)):
             keys = _mixed_keys(len(centers), rng)
             got = euclid._radial_mcs(euclid._Cloud(centers), density, keys, 64_000, seed)
-            want = _old_radial_mcs(centers, density, _old_numers(keys), 64_000, seed)
+            want = _ref_radial_mcs(centers, density, _ref_numers(keys), 64_000, seed)
             assert [(e.value, e.half_width, e.samples, e.strata) for e in got] == want
 
     def test_degenerate_draws_are_refused_alike(self):
         """Draws that all miss the union raise the same error on both paths."""
         centers = np.array([[0.0, 0.0], [0.001, 0.0], [1.0, 1.0]])
         for run in (lambda: euclid._mc_ratios(euclid._Balls(centers, 0.001), [0, (0, 1)], 64, 1),
-                    lambda: _old_mc_ratios(centers, 0.001, _old_numers([0, (0, 1)]), 64, 1)):
+                    lambda: _ref_mc_ratios(centers, 0.001, _ref_numers([0, (0, 1)]), 64, 1)):
             with pytest.raises(RuntimeError, match="no sample hit the ball union"):
                 run()
 
@@ -948,6 +920,19 @@ class TestSharedDraws:
                 for y in range(x + 1, len(pts)):
                     if not cloud.apart(x, y, 0.25):
                         assert m.chi[x][y] == alone((x, y))
+
+    def test_a_repeated_entry_is_estimated_once(self, monkeypatch):
+        """A key asked for twice (as by ``dominance_check`` with y == z) is
+        one row of the draws, read twice."""
+        calls, estimate = [], euclid._mc_ratios
+        monkeypatch.setattr(euclid, "_mc_ratios", lambda balls, keys, *rest: (
+            calls.append(keys) or estimate(balls, keys, *rest)))
+        keys = [(0, 4), 1, (0, 4), 1]
+        got = euclid._entries(euclid._Cloud(_copy_cloud(2, 0)), "gr", 0.3, None, keys,
+                              20_000, 5)
+        assert calls == [[(0, 4), 1]]
+        assert got[:2] == got[2:] == estimate(euclid._Balls(_copy_cloud(2, 0), 0.3),
+                                              keys[:2], 20_000, 5)
 
     def test_membership_not_integrands_is_held(self):
         """Integrands are evaluated one at a time: fifteen numerators cost
