@@ -206,9 +206,11 @@ def _density(args) -> Density:
         raise _CLIError(
             f'unknown density {spec!r}: use "uniform" or a JSON file of CDF knots'
         )
-    with open(path) as fh:
-        knots = json.load(fh, parse_float=Fraction)
-    density = Density.piecewise_linear_cdf(knots)
+    try:
+        with open(path) as fh:
+            density = Density.piecewise_linear_cdf(json.load(fh, parse_float=Fraction))
+    except ValueError as exc:
+        raise _CLIError(f"density file {path}: {exc}") from None
     if alpha is not None and density.alpha != alpha:
         raise _CLIError(
             f"--alpha {alpha} conflicts with the density file (alpha={density.alpha})"
@@ -243,6 +245,8 @@ def _cmd_weigh(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    if args.r < 0:
+        raise _CLIError(f"--r must be non-negative, got {args.r}")
     inst = _read_instance(args)
     g = neighborhood_graph(inst, args.r, exact=args.exact and inst.has_exact)
     if args.quotient:
@@ -352,7 +356,10 @@ def _cmd_audit(args) -> int:
             raise _CLIError("audit axioms needs --input graph.edges")
         graph = _read_graph(args.graph_file)
         name, rule = parse_rule(args.rule[0] if args.rule else "cu")
-        wanted = tuple(int(t) for t in args.axioms.split(",")) if args.axioms else (1, 2, 3, 4)
+        try:
+            wanted = tuple(int(t) for t in args.axioms.split(",")) if args.axioms else (1, 2, 3, 4)
+        except ValueError:
+            raise _CLIError(f"--axioms must list axioms 1,2,3,4, got {args.axioms!r}") from None
         for k in wanted:
             if k not in (1, 2, 3, 4):
                 raise _CLIError(f"unknown axiom {k}; choose from 1,2,3,4")
@@ -531,10 +538,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except CapExceeded as exc:
+    except (_CLIError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (MetricError, InconsistentRescaling, LookupError, ValueError, RuntimeError) as exc:

@@ -8,6 +8,7 @@ to an exact finite sum of CDF increments times rule outputs.
 
 from __future__ import annotations
 
+import bisect
 import inspect
 import math
 from dataclasses import dataclass
@@ -63,9 +64,7 @@ class Density:
     kind: str = "piecewise_linear"
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        ks = self.knots
+        ks = self.knots  # radii that rise strictly from 0 to alpha make alpha positive
         if len(ks) < 2 or ks[0] != (0, 0) or ks[-1][0] != self.alpha or ks[-1][1] != 1:
             raise ValueError("CDF knots must run from (0, 0) to (alpha, 1)")
         for (r0, f0), (r1, f1) in zip(ks, ks[1:]):
@@ -87,14 +86,15 @@ class Density:
         return cls(a, ((Fraction(0), Fraction(0)), (a, Fraction(1))), 1 / a, kind="uniform")
 
     @classmethod
-    def piecewise_linear_cdf(
-        cls, knots, nu_bar: Number | None = None
-    ) -> "Density":
-        ks = tuple((_fraction(r), _fraction(f)) for r, f in knots)
-        alpha = ks[-1][0]
-        max_slope = max((f1 - f0) / (r1 - r0) for (r0, f0), (r1, f1) in zip(ks, ks[1:]))
-        bar = _fraction(nu_bar) if nu_bar is not None else max_slope
-        return cls(alpha, ks, bar)
+    def piecewise_linear_cdf(cls, knots) -> "Density":
+        """The CDF through the (radius, cumulative) ``knots``; slopes skip the
+        radii that do not rise, which ``__post_init__`` refuses."""
+        try:
+            ks = tuple((_fraction(r), _fraction(f)) for r, f in knots)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("CDF knots must be pairs of finite numbers") from None
+        slopes = [(f1 - f0) / (r1 - r0) for (r0, f0), (r1, f1) in zip(ks, ks[1:]) if r1 > r0]
+        return cls(ks[-1][0] if ks else Fraction(0), ks, max(slopes, default=Fraction(0)))
 
     def cdf(self, r: Number) -> Fraction:
         x = _fraction(r)
@@ -102,15 +102,8 @@ class Density:
             return Fraction(0)
         if x >= self.alpha:
             return Fraction(1)
-        ks = self.knots
-        lo, hi = 0, len(ks) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ks[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid
-        (r0, f0), (r1, f1) = ks[lo], ks[hi]
+        hi = bisect.bisect_right(self.knots, x, key=lambda knot: knot[0])
+        (r0, f0), (r1, f1) = self.knots[hi - 1], self.knots[hi]
         return f0 + (f1 - f0) * (x - r0) / (r1 - r0)
 
     def pdf(self, r: Number) -> Fraction:
@@ -236,8 +229,9 @@ class _Reader:
     ``classes`` is the ``_TwinState`` type that keeps the duplicate classes
     when it reads them, and ``cliques`` says whether it reads the clique
     cover.  ``sweep``, when given, makes the pairs function of one sweep of
-    n vertices, which keeps sums across the sweep's read pieces; ``pairs``
-    stays a pure function of the ``_Kept``."""
+    n vertices, which keeps sums across the sweep's read pieces
+    (``_family_sweep``, ``_mccp_sweep``); ``pairs`` stays a pure function
+    of the ``_Kept``."""
 
     pairs: Callable[[_Kept], Pairs]
     classes: type[_TwinState] | None = None
@@ -256,7 +250,7 @@ def _checked(total: int, common: int) -> None:
     """The check a ``WeightVector`` makes in the per-event loop, as one
     integer sum, in float mode too."""
     if total != common:
-        raise ValueError(f"smoothed weights sum to {Fraction(total, common)}, expected 1")
+        raise ValueError(f"weights read off the sweep sum to {Fraction(total, common)}, expected 1")
 
 
 def _smoothing(base: Callable[[_Kept], Pairs]) -> Callable[[_Kept], Pairs]:
@@ -278,73 +272,63 @@ def _smoothed(base: _Reader) -> _Reader:
     return _Reader(_smoothing(base.pairs), base.classes, base.cliques, sweep)
 
 
-class _ClassSums(_TwinState):
-    """The duplicate classes of a sweep and, for each vertex x, S_x, the
-    sum of L / |K| over the class keys K (closed neighbourhoods N[C] of the
-    classes C) that hold x, with L = lcm(1..n).
+class _KeyLog(_TwinState):
+    """The duplicate classes of a sweep and a log of the class keys (the
+    closed neighbourhoods N[C] of the classes C) that ``_move`` retired and
+    created since the last read; the initial singleton keys start the log.
 
     smooth:cu spreads the class-uniform weight 1 / (k * |C|) of each member
     of a class C over the |N[C]| vertices of its key, so x gets
-    1 / (k * |N[C]|) from each class with C inside N[x], that is with x in
-    N[C]: smooth:cu(x) = S_x / (k * L).  A key's terms change only when
-    ``_move`` creates or retires it, at O(|K|) additions.
+    1 / (k * |N[C]|) from each key that holds it: smooth:cu is the average
+    of the uniform weights on the keys, as mcca is on the maximal cliques.
     """
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        self.lcm = math.lcm(*range(1, n + 1))
-        self.sums = [self.lcm] * n  # each vertex is its own class {x}
+        self.gone, self.new = [], list(self.key)
 
     def _move(self, w: int) -> None:
-        a, new = self.cid[w], self.masks[w] | 1 << w
-        if self.size[a] == 1:  # a's key is retired (or replaced by new)
-            self._spread(self.key[a], -1)
-        if new not in self.by_key:
-            self._spread(new, 1)
+        a, closed = self.cid[w], self.masks[w] | 1 << w
+        if self.size[a] == 1:  # a's key is retired (or replaced by closed)
+            self.gone.append(self.key[a])
+        if closed not in self.by_key:
+            self.new.append(closed)
         super()._move(w)
 
-    def _spread(self, key: int, sign: int) -> None:
-        share, sums = sign * (self.lcm // key.bit_count()), self.sums
-        while key:
-            low = key & -key
-            sums[low.bit_length() - 1] += share
-            key ^= low
-
-    @staticmethod
-    def pairs(kept: _Kept) -> Pairs:
-        """smooth:cu of the sweep's classes, checked by the identity
-        sum of S_x = k * L (each key K adds |K| * L / |K|)."""
-        twins = kept.twins
-        common = len(twins.by_key) * twins.lcm
-        _checked(sum(twins.sums), common)
-        return [(s, common) for s in twins.sums]
+    def sets(self):
+        """The live keys, and those gone and new since the last read, which
+        empties the log."""
+        gone, new, self.gone, self.new = self.gone, self.new, [], []
+        return self.by_key, gone, new
 
 
-def _mcca_sweep(n: int) -> Callable[[_Kept], Pairs]:
-    """``_mcca_pairs`` of the cover a sweep keeps, from sums kept across it:
-    nums[v] = sum of L / |C| over the cliques C that hold v, with L the lcm
-    of the sizes of the cliques seen, which only grows (nums are scaled when
-    it does).  Each read piece adds the new cliques' terms and takes off the
-    gone ones', and rebuilds from the cover when more cliques changed than
-    it holds."""
+def _family_sweep(n: int, sets: Callable[[_Kept], tuple]) -> Callable[[_Kept], Pairs]:
+    """The average of the uniform weights on a family of vertex sets (the
+    cliques for mcca, the class keys for smooth:cu), from sums kept across
+    a sweep: nums[v] sums L / |S| over the sets S that hold v, with L the
+    lcm of the set sizes seen, which only grows (nums are scaled when it
+    does).  ``sets`` gives the live sets and those gone and new since the
+    last read, which adds the new sets' terms and takes off the gone ones',
+    or rebuilds when more sets changed than are live.  Each set adds L."""
     nums, lcm = [0] * n, 1
 
     def pairs(kept: _Kept) -> Pairs:
         nonlocal nums, lcm
-        cover, gone, new = kept.cover, kept.gone, kept.new
-        if len(gone) + len(new) > len(cover):
-            nums, lcm, gone, new = [0] * n, 1, (), cover
+        live, gone, new = sets(kept)
+        if len(gone) + len(new) > len(live):
+            nums, lcm, gone, new = [0] * n, 1, (), live
         grown = math.lcm(lcm, *{c.bit_count() for c in new})
         if grown != lcm:
             nums, lcm = [t * (grown // lcm) for t in nums], grown
-        for sign, cliques in ((-1, gone), (1, new)):
-            for c in cliques:
+        for sign, family in ((-1, gone), (1, new)):
+            for c in family:
                 share = sign * (lcm // c.bit_count())
                 while c:
                     low = c & -c
                     nums[low.bit_length() - 1] += share
                     c ^= low
-        den = len(cover) * lcm
+        den = len(live) * lcm
+        _checked(sum(nums), den)
         return [(t, den) for t in nums]
 
     return pairs
@@ -420,9 +404,10 @@ def _mccp_sweep(n: int) -> Callable[[_Kept], Pairs]:
 
 
 _CLASS_UNIFORM = _Reader(_class_uniform_pairs, classes=_TwinState)
-_SMOOTH_CLASS_UNIFORM = _Reader(_smoothing(_class_uniform_pairs), classes=_ClassSums,
-                                sweep=lambda n: _ClassSums.pairs)
-_MCCA = _Reader(lambda kept: _mcca_pairs(kept.cover, kept.n), cliques=True, sweep=_mcca_sweep)
+_SMOOTH_CLASS_UNIFORM = _Reader(_smoothing(_class_uniform_pairs), classes=_KeyLog,
+                                sweep=lambda n: _family_sweep(n, lambda kept: kept.twins.sets()))
+_MCCA = _Reader(lambda kept: _mcca_pairs(kept.cover, kept.n), cliques=True,
+                sweep=lambda n: _family_sweep(n, lambda kept: (kept.cover, kept.gone, kept.new)))
 _MCCP = _Reader(lambda kept: _mccp_pairs(kept.cover, _membership(kept.cover, kept.n)),
                 cliques=True, sweep=_mccp_sweep)
 
@@ -543,11 +528,12 @@ def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
     A reader with a ``sweep`` keeps sums across the read pieces instead of
     reading its pairs afresh at each: the sweep hands it ``gone`` (the
     retired cliques that were not listed again) and ``new`` (the listed
-    cliques that were not retired), and a ``_TwinState`` subclass it names
-    sees every class move.  So ``mcca``, ``mccp`` and ``smooth`` over the
-    class-uniform rule cost O(changed clique slots or class keys) per read
-    piece plus O(n) to read; the clique keepers sum over the whole cover
-    instead when most of it changed (see ``_mcca_sweep``, ``_mccp_sweep``).
+    cliques that were not retired), and the ``_TwinState`` subclass it names
+    sees every class move (``_KeyLog`` logs the class keys).  So ``mcca``,
+    ``mccp`` and ``smooth`` over the class-uniform rule cost O(changed
+    clique slots or class keys) per read piece plus O(n) to read; the
+    keepers start again from the live sets, or sum over the whole cover,
+    when most of them changed (see ``_family_sweep``, ``_mccp_sweep``).
     """
     reader = read if isinstance(read, _Reader) else None
     twins = reader.classes(n) if reader and reader.classes else None

@@ -198,6 +198,29 @@ class TestWeigh:
         assert code == USAGE_ERROR
         assert "expected a number" in err
 
+    def test_density_file(self, capsys, three_points_doc, tmp_path):
+        path = tmp_path / "nu.json"
+        path.write_text("[[0, 0], [0.5, 0.75], [2, 1]]")
+        code, out, _ = run(capsys, "weigh", "--input", three_points_doc, "--rule", "cu",
+                           "--nu", str(path), "--exact")
+        assert code == OK
+        assert sum(map(Fraction, json.loads(out)["weights"].values())) == 1
+
+    @pytest.mark.parametrize("text, fault", [
+        ("[[0, 0], [0, 0.5], [1, 1]]", "CDF knot radii must be strictly increasing"),
+        ("[[0, 0]]", "CDF knots must run from (0, 0) to (alpha, 1)"),
+        ('{"a": 1}', "CDF knots must be pairs of finite numbers"),
+        ('[[0, 0], [1, "x"]]', "CDF knots must be pairs of finite numbers"),
+    ])
+    def test_malformed_density_file_is_named(self, capsys, three_points_doc, tmp_path,
+                                             text, fault):
+        path = tmp_path / "nu.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "weigh", "--input", three_points_doc, "--rule", "cu",
+                             "--nu", str(path))
+        assert code == USAGE_ERROR and out == ""
+        assert err == f"error: density file {path}: {fault}\n"
+
     @pytest.mark.parametrize("doc", [
         {"kind": "matrix", "distances": [[0, 0.1, 0.25], [0.1, 0, 0.15], [0.25, 0.15, 0.0]]},
         {"kind": "points", "points": [[0.5, 0.25], [0.5, 1.5], [0.25, 0.5]]},
@@ -242,6 +265,18 @@ class TestGraphExport:
         lines = out.splitlines()
         assert lines[0] == "# labels: p0 p1 p2"
         assert lines[1:] == ["p0 p1", "p1 p2"]
+
+    def test_negative_radius_is_refused(self, capsys, three_points_doc):
+        code, out, err = run(capsys, "graph", "--input", three_points_doc, "--r", "-1")
+        assert code == USAGE_ERROR and out == ""
+        assert "--r" in err and "non-negative" in err
+
+    def test_radius_zero_links_the_copies(self, capsys, tmp_path):
+        doc = tmp_path / "dup.json"
+        doc.write_text(json.dumps({"kind": "points", "points": [[0], [0], [1]]}))
+        code, out, _ = run(capsys, "graph", "--input", str(doc), "--r", "0")
+        assert code == OK
+        assert out.splitlines()[1:] == ["e0 e1"]
 
     def test_quotient_merges_duplicates(self, capsys, tmp_path):
         doc = tmp_path / "dup.json"
@@ -628,6 +663,13 @@ class TestAudit:
         )
         assert code == USAGE_ERROR
         assert "unknown axiom" in err
+
+    def test_non_numeric_axiom_names_the_flag(self, capsys, paw_edges):
+        code, out, err = run(
+            capsys, "audit", "axioms", "--input", paw_edges, "--axioms", "1,x"
+        )
+        assert code == USAGE_ERROR and out == ""
+        assert err == "error: --axioms must list axioms 1,2,3,4, got '1,x'\n"
 
     def test_demo_refutes_the_strict_locality_axioms(self, capsys):
         code, out, _ = run(capsys, "audit", "demo")

@@ -9,6 +9,7 @@ is the main correctness evidence for the integrator.
 import dataclasses
 import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,18 @@ class TestDensity:
             Density.piecewise_linear_cdf([(0, 0), (1, Fraction(11, 10))])
         with pytest.raises(ValueError):
             Density.piecewise_linear_cdf([(0, 0), (Fraction(1, 2), 1), (1, Fraction(1, 2))])
+
+    @pytest.mark.parametrize("knots, fault", [
+        ([(0, 0), (0, Fraction(1, 2)), (1, 1)], "CDF knot radii must be strictly increasing"),
+        ([(0, 0)], "CDF knots must run from"),
+        ([], "CDF knots must run from"),
+        ({"a": 1}, "CDF knots must be pairs of finite numbers"),
+        ([(0, 0), (1, "x")], "CDF knots must be pairs of finite numbers"),
+        ([(0, 0), (1, float("inf"))], "CDF knots must be pairs of finite numbers"),
+    ])
+    def test_malformed_knots_raise_a_named_value_error(self, knots, fault):
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            Density.piecewise_linear_cdf(knots)
 
     def test_knot_radii_sorted(self):
         d = Density.piecewise_linear_cdf([(0, 0), (Fraction(1, 3), Fraction(1, 2)), (1, 1)])
@@ -358,7 +371,7 @@ class TestClassUniformDispatch:
         mode too: a base whose pairs sum to 3/2 is refused."""
         half = weighting._Reader(lambda kept: [(1, 2)] * kept.n)
         reader = weighting._smoothed(half)
-        with pytest.raises(ValueError, match="smoothed weights sum to 3/2, expected 1"):
+        with pytest.raises(ValueError, match="weights read off the sweep sum to 3/2, expected 1"):
             _driven(three_points, Density.uniform(2), exact, reader)
 
     def test_another_callable_named_cu_is_called_per_event(self, three_points):
@@ -647,6 +660,18 @@ def _rebuilt(kept):
     return len(kept.gone) + len(kept.new) > len(kept.cover)
 
 
+def _logged_reads(sets, rebuilt):
+    """``sets``, appending to ``rebuilt`` at each read whether
+    ``_family_sweep`` rebuilds from the live sets."""
+
+    def logged(kept):
+        live, gone, new = sets(kept)
+        rebuilt.append(len(gone) + len(new) > len(live))
+        return live, gone, new
+
+    return logged
+
+
 def _summed_globally(kept):
     """Whether more than half the vertices lie in a clique that meets a
     changed one (or every one, when the state is rebuilt)."""
@@ -667,10 +692,13 @@ class TestKeptSums:
     @given(edge_sweeps())
     def test_mcca(self, sweep):
         n, events = sweep
-        seen = _checked_keeper(weighting._mcca_sweep,
+        rebuilt = []
+        cover = _logged_reads(lambda kept: (kept.cover, kept.gone, kept.new), rebuilt)
+        seen = _checked_keeper(lambda n: weighting._family_sweep(n, cover),
                                lambda kept: _mcca_pairs(kept.cover, kept.n),
                                n, events, cliques=True)
         assert {_rebuilt(kept) for kept in seen} == {False, True}
+        assert rebuilt == [_rebuilt(kept) for kept in seen]
 
     @settings(max_examples=60, deadline=None)
     @given(edge_sweeps())
@@ -687,27 +715,40 @@ class TestKeptSums:
     @given(edge_sweeps())
     def test_smooth_class_uniform(self, sweep):
         n, events = sweep
+        rebuilt = []
+        keys = _logged_reads(lambda kept: kept.twins.sets(), rebuilt)
         seen = _checked_keeper(
-            lambda n: weighting._ClassSums.pairs,
+            lambda n: weighting._family_sweep(n, keys),
             lambda kept: _smooth_pairs(weighting._class_uniform_pairs(kept), kept.nbrs),
-            n, events, classes=weighting._ClassSums)
+            n, events, classes=weighting._KeyLog)
         assert len(seen) == sum(1 for _, increment in events if increment)
+        assert len(rebuilt) == len(seen) and set(rebuilt) == {False, True}
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_a_corrupted_class_sum_is_refused(self, three_points, exact):
-        class Corrupted(weighting._ClassSums):
-            def __init__(self, n):
-                super().__init__(n)
-                self.sums[0] += 1
+    def test_a_corrupted_class_sum_is_refused(self, exact):
+        """A key logged as new that was never created is caught at the read
+        after it: the 40-point cloud has more keys than change per read, so
+        the reads add to the kept sums and do not rebuild them."""
 
+        class Corrupted(weighting._KeyLog):
+            moves = 0
+
+            def _move(self, w):
+                super()._move(w)
+                self.moves += 1
+                if self.moves == 30:
+                    self.new.append((1 << len(self.masks)) - 1)
+
+        inst, density = random_instance("euclidean", 40, 3, dim=2), Density.uniform(Fraction(1, 5))
+        _driven(inst, density, exact, weighting._SMOOTH_CLASS_UNIFORM)
         reader = dataclasses.replace(weighting._SMOOTH_CLASS_UNIFORM, classes=Corrupted)
-        with pytest.raises(ValueError, match=r"smoothed weights sum to \d+/\d+, expected 1"):
-            _driven(three_points, Density.uniform(2), exact, reader)
+        with pytest.raises(ValueError, match="weights read off the sweep sum to 33/32, expected 1"):
+            _driven(inst, density, exact, reader)
 
     @pytest.mark.parametrize("rule", ["smooth:cu", "smooth:lift:uniform", "smooth:smooth:cu"])
     def test_smoothed_class_uniform_reads_the_class_sums(self, rule):
         reader = weighting._pairs_reader(parse_rule(rule)[1])
-        assert reader.classes is weighting._ClassSums
+        assert reader.classes is weighting._KeyLog
 
 
 def _listings(monkeypatch):
