@@ -230,7 +230,7 @@ def _cmd_weigh(args) -> int:
     weights = evaluate_all(inst, mw, exact=args.exact)
     if args.format == "csv":
         lines = ["label,weight"]
-        lines += [f"{lab},{jsonable(weights[lab])}" for lab in inst.labels]
+        lines += [f"{lab},{jsonable(w)}" for lab, w in zip(inst.labels, weights.values)]
         _emit("\n".join(lines) + "\n", args.output)
         return OK
     doc = {
@@ -238,7 +238,7 @@ def _cmd_weigh(args) -> int:
         "nu": args.nu,
         "rule": mw.rule_name,
         "exact": args.exact,
-        "weights": {lab: weights[lab] for lab in inst.labels},
+        "weights": dict(zip(inst.labels, weights.values)),
     }
     _emit_json(doc, args)
     return OK

@@ -65,10 +65,10 @@ class WeightVector:
         if self.exact:
             # integer arithmetic over the lcm of the distinct denominators
             distinct = dict(zip(map(id, self.values), self.values))
-            object.__setattr__(self, "distinct", distinct)
             if any(v.numerator < 0 for v in distinct.values()):
                 raise ValueError(f"negative weight in {self.values}")
             common = math.lcm(*{v.denominator for v in distinct.values()})
+            self.__dict__.update(distinct=distinct, common=common)
             total = sum(
                 distinct[key].numerator * (common // distinct[key].denominator) * k
                 for key, k in Counter(map(id, self.values)).items()
@@ -89,8 +89,17 @@ class WeightVector:
         """The distinct value objects, keyed by ``id``.  Rules share one
         value object per class, so this is usually far shorter than
         ``values``; equal values held by different objects stay separate.
-        The exact check of ``__post_init__`` stores it as it goes."""
+        The exact check of ``__post_init__`` stores it, and ``common``, the
+        lcm of the denominators, as it goes."""
         return dict(zip(map(id, self.values), self.values))
+
+    @staticmethod
+    def _trusted(values: tuple, labels: tuple[str, ...]) -> "WeightVector":
+        """Weights valid by construction (the exact weigh sweep's, checked
+        in integers), built without the checks of ``__post_init__``."""
+        vector = object.__new__(WeightVector)
+        vector.__dict__.update(values=values, labels=labels)
+        return vector
 
     @property
     def exact(self) -> bool:
@@ -117,6 +126,12 @@ class WeightVector:
         made = {key: v.numerator / v.denominator if isinstance(v, Fraction) else float(v)
                 for key, v in self.distinct.items()}
         return tuple(map(made.__getitem__, map(id, self.values)))
+
+    def as_pairs(self) -> list[tuple[int, int]]:
+        """The (numerator, denominator) of each weight, converting each
+        distinct object once; a float is the dyadic rational it holds."""
+        made = {key: v.as_integer_ratio() for key, v in self.distinct.items()}
+        return list(map(made.__getitem__, map(id, self.values)))
 
     def as_dict(self) -> dict[str, object]:
         return dict(zip(self.labels, self.values))
@@ -236,8 +251,7 @@ def smooth(base: Rule) -> Rule:
         _require_nonempty(graph)
         base_w = base(graph)
         if base_w.exact:
-            conv = {key: (v.numerator, v.denominator) for key, v in base_w.distinct.items()}
-            pairs = _smooth_pairs(list(map(conv.__getitem__, map(id, base_w.values))), graph.nbrs)
+            pairs = _smooth_pairs(base_w.as_pairs(), graph.nbrs)
             return WeightVector(_shared_fractions(pairs), graph.labels)
         made: dict[tuple[int, int], float] = {}
         spread = []

@@ -113,13 +113,6 @@ def _rows(graph: Graph, rule: Rule, xs) -> list[SharingRow]:
     return [_row(graph, x, b, B, exact, *removed(x)) for x in xs]
 
 
-def _ratios(weights) -> list[tuple[int, int]]:
-    """The exact (numerator, denominator) of each weight, converting each
-    distinct value object once; a float is the dyadic rational it holds."""
-    conv = {key: Fraction(v).as_integer_ratio() for key, v in weights.distinct.items()}
-    return list(map(conv.__getitem__, map(id, weights.values)))
-
-
 def _over_common(pairs) -> tuple[list[int], int]:
     """The numerators of the (p, q) ``pairs`` over the lcm L of the q, and L."""
     common = math.lcm(*{q for _, q in pairs})
@@ -164,8 +157,8 @@ def _weights(graph: Graph, rule: Rule):
     reader = _pairs_reader(rule)
     if reader is None:
         weights = rule(graph)
-        return (_over_common(_ratios(weights)), weights.exact,
-                lambda x: _over_common(_ratios(rule(graph.remove_vertex(x)))))
+        return (_over_common(weights.as_pairs()), weights.exact,
+                lambda x: _over_common(rule(graph.remove_vertex(x)).as_pairs()))
 
     def read(nbrs: list[int], cover: list[int] | None) -> tuple[list[int], int]:
         twins = _TwinState.of(nbrs) if reader.classes else None

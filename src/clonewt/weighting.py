@@ -111,11 +111,10 @@ class Density:
         x = _fraction(r)
         if x < 0 or x > self.alpha:
             return Fraction(0)
-        ks = self.knots
-        for (r0, f0), (r1, f1) in zip(ks, ks[1:]):
-            if r0 <= x < r1 or (r1 == self.alpha and x == self.alpha):
-                return (f1 - f0) / (r1 - r0)
-        return Fraction(0)  # pragma: no cover - unreachable
+        # the piece that starts at or below x; alpha closes the last piece
+        hi = min(bisect.bisect_right(self.knots, x, key=lambda knot: knot[0]), len(self.knots) - 1)
+        (r0, f0), (r1, f1) = self.knots[hi - 1], self.knots[hi]
+        return (f1 - f0) / (r1 - r0)
 
     def pdf_array(self, rs: np.ndarray) -> np.ndarray:
         edges = np.array([float(r) for r, _ in self.knots])
@@ -209,7 +208,9 @@ class _Kept:
     and ``gone`` and ``new``, the cliques it lost and gained since the last
     read piece: ``gone`` are the kept cliques that a vertex of T, the
     endpoints of the edges added since, now extends, and ``new`` are the
-    maximal cliques that hold one of those edges."""
+    maximal cliques that hold one of those edges.  In an ``exact`` sweep a
+    reader also sets ``common`` to a multiple K of the denominators of the
+    pairs it reads (the sweep takes their lcm when it does not)."""
 
     n: int
     nbrs: list[int]
@@ -217,6 +218,8 @@ class _Kept:
     cover: Collection[int] | None
     gone: Collection[int] = ()
     new: Collection[int] = ()
+    exact: bool = False
+    common: int = 0
 
 
 Pairs = list[tuple[int, int]]
@@ -259,7 +262,8 @@ def _smoothing(base: Callable[[_Kept], Pairs]) -> Callable[[_Kept], Pairs]:
 
     def pairs(kept: _Kept) -> Pairs:
         out = _smooth_pairs(base(kept), kept.nbrs)
-        _checked(sum(t for t, _ in out), out[0][1])
+        kept.common = out[0][1]
+        _checked(sum(t for t, _ in out), kept.common)
         return out
 
     return pairs
@@ -327,7 +331,7 @@ def _family_sweep(n: int, sets: Callable[[_Kept], tuple]) -> Callable[[_Kept], P
                     low = c & -c
                     nums[low.bit_length() - 1] += share
                     c ^= low
-        den = len(live) * lcm
+        kept.common = den = len(live) * lcm
         _checked(sum(nums), den)
         return [(t, den) for t in nums]
 
@@ -345,14 +349,18 @@ def _mccp_sweep(n: int) -> Callable[[_Kept], Pairs]:
     one, and T_v / D_v for their vertices.  When those are more than half
     the vertices, it sums every T_v over one common D, as ``_mccp_pairs``
     does; when more cliques changed than the cover holds, it starts again
-    from the cover.
+    from the cover.  An exact sweep keeps R, that last common D grown by
+    lcm with each recomputed P_C: a multiple of every D_v, so it states
+    K = #cliques * lcm(m) * R.
     """
     member, held = [0] * n, [set() for _ in range(n)]
     members: dict[int, list[int]] = {}  # the vertices of each clique
     inverse: dict[int, tuple[int, int]] = {}
     sums = [(0, 1)] * n
+    r = 1
 
     def pairs(kept: _Kept) -> Pairs:
+        nonlocal r
         cover, gone, new = kept.cover, kept.gone, kept.new
         if len(gone) + len(new) > len(cover):
             member[:] = [0] * n
@@ -391,13 +399,16 @@ def _mccp_sweep(n: int) -> Callable[[_Kept], Pairs]:
                 share = a * (common // b)
                 for v in members[c]:
                     totals[v] += share
-            sums[:] = [(t, common) for t in totals]
+            sums[:], r = [(t, common) for t in totals], common
         else:
             for v in dirty:
                 terms = list(map(inverse.__getitem__, held[v]))
                 d = math.lcm(*{b for _, b in terms})
                 sums[v] = (sum(a * (d // b) for a, b in terms), d)
         count = len(cover)
+        if kept.exact:
+            r = math.lcm(r, *{inverse[c][1] for c in dropped})
+            kept.common = count * m_lcm * r
         return [(t, count * m * d) for (t, d), m in zip(sums, member)]
 
     return pairs
@@ -452,10 +463,11 @@ def evaluate_all(
     the sweep keeps, without a rule call per event, and every other rule is
     called on the graph of each piece with a nonzero increment; a rule that
     reads duplicate classes or the quotient (``lift:mcca``, ``entropy``, ...)
-    computes them from that graph.  The class-uniform rules (``cu``,
-    ``lift:uniform``) take the same events, read off the duplicate classes
-    as they change: ``_class_uniform_floats`` in float mode and
-    ``_ClassUniformSums`` in exact mode.
+    computes them from that graph.  Exact mode sums the reads as integers
+    over one running denominator (``_exact_weights``).  The class-uniform
+    rules (``cu``, ``lift:uniform``) take the same events, read off the
+    duplicate classes as they change: ``_class_uniform_floats`` in float
+    mode and ``_ClassUniformSums`` in exact mode.
     """
     if exact and not mw.exact_capable:
         raise ValueError(
@@ -473,38 +485,60 @@ def evaluate_all(
         return WeightVector(_ClassUniformSums.integrate(n, events), labels)
     else:
         steps = _class_uniform_floats(n, events)
-    if not exact:
-        acc = np.zeros(n)
-        for weights, increment in steps:
-            # elementwise multiply-then-add in vertex order: the same float
-            # operations as a per-vertex loop, so the result is bit-identical
-            acc += increment * np.asarray(weights)
-        return WeightVector(tuple(acc.tolist()), labels)
-
-    # exact: one Fraction product per distinct rule value and one sum per
-    # distinct (running total, value) pair.  Rules share one value object per
-    # class, and vertices with equal histories share their running total, so
-    # only the grouping by id pairs runs over every vertex, in C-level passes.
-    acc = [Fraction(0)] * n
+    if exact:
+        common = math.lcm(*(increment.denominator for _, increment in events))
+        return WeightVector._trusted(_exact_weights(steps, n, common), labels)
+    acc = np.zeros(n)
     for weights, increment in steps:
-        terms = {key: increment * v for key, v in weights.distinct.items()}
-        keys = list(zip(map(id, acc), map(id, weights.values)))
-        totals = dict(zip(keys, acc))
-        sums = {key: total + terms[key[1]] for key, total in totals.items()}
-        acc = list(map(sums.__getitem__, keys))
-    return WeightVector(tuple(acc), labels)
+        # elementwise multiply-then-add in vertex order: the same float
+        # operations as a per-vertex loop, so the result is bit-identical
+        acc += increment * np.asarray(weights)
+    return WeightVector(tuple(acc.tolist()), labels)
+
+
+def _exact_weights(steps, n: int, common: int) -> tuple[Fraction, ...]:
+    """The integrals of the exact reads (pairs, K, increment) of ``steps``
+    as integers ``acc`` over a running multiple D of every K (grown by lcm
+    when K does not divide it), one reduced ``Fraction`` per distinct value
+    at the end.  Each read adds a * (D / K) * num * (K / den), with a /
+    ``common`` its increment, once per distinct pair, after the checks a
+    ``WeightVector`` makes, in integers; the increments sum to 1, so the
+    integrals must sum to ``common`` * D."""
+    acc, total = [0] * n, 1
+    for pairs, k, increment in steps:
+        if total % k:
+            grown = math.lcm(total, k)
+            acc, total = list(map((grown // total).__mul__, acc)), grown
+        scaled = {}
+        for num, den in set(pairs):
+            times, rest = divmod(k, den)
+            if num < 0 or rest:
+                raise ValueError(f"negative weight {num}/{den} read off the sweep" if num < 0 else
+                                 f"weight denominator {den} read off the sweep does not divide {k}")
+            scaled[num, den] = num * times
+        _checked(sum(map(scaled.__getitem__, pairs)), k)
+        a = increment.numerator * (common // increment.denominator) * (total // k)
+        terms = {pair: a * t for pair, t in scaled.items()}
+        acc = list(map(int.__add__, acc, map(terms.__getitem__, pairs)))
+    if sum(acc) != common * total:
+        raise ValueError(f"integrated weights sum to {Fraction(sum(acc), common * total)}, expected 1")
+    made = {t: Fraction(t, common * total) for t in set(acc)}
+    return tuple(map(made.__getitem__, acc))
 
 
 def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
-    """Yield (weights, increment) per piece of ``events`` with a nonzero
-    increment: the ``WeightVector`` in exact mode, one float per vertex
-    otherwise.
+    """Yield per piece of ``events`` with a nonzero increment (floats,
+    increment) in float mode, one float per vertex, and (pairs, K,
+    increment) in exact mode, one integer (numerator, denominator) pair
+    per vertex whose denominators divide K.
 
-    ``read`` is a ``_Reader``, whose weights are read off the state the
-    sweep keeps, or a rule without one, which is called on the piece's
-    graph.  Float mode converts each distinct value once: ``as_floats`` of
-    the rule's weights, or one ``int / int`` per distinct pair a reader
-    reads, which rounds as ``float(Fraction)`` does.
+    ``read`` is a ``_Reader``, whose pairs are read off the state the sweep
+    keeps, with K the ``_Kept.common`` it states, or a rule without one,
+    which is called on the piece's graph, with K the lcm that its
+    ``WeightVector``'s check computed.  Float mode converts each distinct
+    value once: ``as_floats`` of the rule's weights, or one ``int / int``
+    per distinct pair a reader reads, which rounds as ``float(Fraction)``
+    does.
 
     The sweep keeps one list of open neighbourhoods, the ``_TwinState``'s
     when the reader reads the duplicate classes, and the clique cover only
@@ -538,7 +572,7 @@ def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
     reader = read if isinstance(read, _Reader) else None
     twins = reader.classes(n) if reader and reader.classes else None
     nbrs = [0] * n if twins is None else twins.masks
-    kept = _Kept(n, nbrs, twins, set() if reader and reader.cliques else None)
+    kept = _Kept(n, nbrs, twins, set() if reader and reader.cliques else None, exact=exact)
     pairs_of = reader and (reader.sweep(n) if reader.sweep else reader.pairs)
     cap = default_caps().cliques
     touched = (1 << n) - 1  # the first cover read is enumerated in full
@@ -557,7 +591,12 @@ def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
             continue
         if reader is None:
             weights = read(Graph._trusted(n, tuple(nbrs), labels))
-            yield (weights if exact else weights.as_floats()), increment
+            if not exact:
+                yield weights.as_floats(), increment
+                continue
+            if not weights.exact:
+                raise ValueError("the rule gave float weights; exact integration needs rational ones")
+            yield weights.as_pairs(), weights.common, increment
             continue
         if kept.cover is not None:
             hit = [c for c in kept.cover if c & touched]
@@ -584,7 +623,7 @@ def _pairs_sweep(events, n: int, labels: tuple[str, ...], read, exact: bool):
             touched, pending = 0, []
         weights = pairs_of(kept)
         if exact:
-            yield WeightVector(_shared_fractions(weights), labels), increment
+            yield weights, kept.common or math.lcm(*{q for _, q in weights}), increment
         else:
             made = {pair: pair[0] / pair[1] for pair in set(weights)}
             yield list(map(made.__getitem__, weights)), increment

@@ -35,10 +35,12 @@ from clonewt import (
 )
 from clonewt import rules, weighting
 from clonewt.rules import (
+    WeightVector,
     _maximal_clique_masks,
     _mcca_pairs,
     _mccp_pairs,
     _membership,
+    _shared_fractions,
     _smooth_pairs,
     parse_rule,
 )
@@ -421,6 +423,33 @@ class TestFloatCdf:
         assert all(type(v) is float for v in got)
 
 
+def _scanned_pdf(density, r):
+    """``Density.pdf`` by a scan of every knot piece, as it was before it
+    bisected: the reference for the bisection."""
+    x, ks = weighting._fraction(r), density.knots
+    if x < 0 or x > density.alpha:
+        return Fraction(0)
+    for (r0, f0), (r1, f1) in zip(ks, ks[1:]):
+        if r0 <= x < r1 or (r1 == density.alpha and x == density.alpha):
+            return (f1 - f0) / (r1 - r0)
+    raise AssertionError("no knot piece holds r")
+
+
+class TestBisectedPdf:
+    @settings(max_examples=300, deadline=None)
+    @given(densities(), st.lists(st.fractions(-2, 1000, max_denominator=97), max_size=20))
+    def test_equal_to_the_knot_scan(self, density, drawn):
+        """At every knot radius, between knots, at 0 and alpha, outside
+        [0, alpha], and at floats."""
+        radii = density.knot_radii()
+        mids = [(a + b) / 2 for a, b in zip(radii, radii[1:])]
+        outside = [Fraction(-1, 3), -density.alpha, density.alpha + Fraction(1, 997), 2 * density.alpha]
+        for r in [0, 0.0, density.alpha, float(density.alpha), *radii, *mids, *outside, *drawn,
+                  *map(float, radii)]:
+            got, want = density.pdf(r), _scanned_pdf(density, r)
+            assert got == want and type(got) is type(want) is Fraction, r
+
+
 class TestIntegerIncrements:
     """``_increments`` evaluates the CDF in integers: exact increments are
     the differences of ``Density.cdf``, float ones those of its floats."""
@@ -634,9 +663,10 @@ def edge_sweeps(draw):
 
 
 def _checked_keeper(keeper, reference, n, events, classes=None, cliques=False):
-    """Drive the sweep with the pairs function ``keeper`` makes, asserting
-    at every read piece that its pairs are the ``Fraction``s of
-    ``reference``'s; return the ``_Kept`` seen at each (copied)."""
+    """Drive the exact sweep with the pairs function ``keeper`` makes,
+    asserting at every read piece that its pairs are the ``Fraction``s of
+    ``reference``'s and that the K it states is a multiple of their
+    denominators; return the ``_Kept`` seen at each (copied)."""
     seen = []
 
     def sweep(n):
@@ -645,6 +675,7 @@ def _checked_keeper(keeper, reference, n, events, classes=None, cliques=False):
         def pairs(kept):
             got, want = kept_pairs(kept), reference(kept)
             assert [Fraction(*p) for p in got] == [Fraction(*p) for p in want]
+            assert kept.common and all(kept.common % q == 0 for _, q in got)
             seen.append(dataclasses.replace(kept, cover=list(kept.cover or ())))
             return got
 
@@ -749,6 +780,104 @@ class TestKeptSums:
     def test_smoothed_class_uniform_reads_the_class_sums(self, rule):
         reader = weighting._pairs_reader(parse_rule(rule)[1])
         assert reader.classes is weighting._KeyLog
+
+
+def _fraction_loop(inst, mw):
+    """The exact weights by ``evaluate_all``'s former loop over the same
+    reads: a ``WeightVector`` of one ``Fraction`` per distinct pair at each
+    read, then one ``Fraction`` product per distinct value and one sum per
+    distinct (running total, value) pair."""
+    events = _instance_events(inst, mw.density, True)
+    read = weighting._pairs_reader(mw.rule) or mw.rule
+    acc = [Fraction(0)] * inst.n
+    for pairs, _, increment in weighting._pairs_sweep(events, inst.n, inst.labels, read, True):
+        weights = WeightVector(_shared_fractions(pairs), inst.labels)
+        terms = {key: increment * v for key, v in weights.distinct.items()}
+        keys = list(zip(map(id, acc), map(id, weights.values)))
+        totals = dict(zip(keys, acc))
+        sums = {key: total + terms[key[1]] for key, total in totals.items()}
+        acc = list(map(sums.__getitem__, keys))
+    return WeightVector(tuple(acc), inst.labels)
+
+
+#: a CDF with a steep first piece, a flat one and a slow last one, on [0, 1]
+_STEPPED = [(0, 0), (Fraction(1, 8), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2)), (1, 1)]
+
+
+class TestIntegerAccumulator:
+    """``_exact_weights`` sums every read as integers over one running
+    denominator: equal ``Fraction``s to the former ``Fraction`` loop, and
+    each of its integer checks refuses a faulty read by name."""
+
+    @pytest.mark.parametrize("density", ["uniform", "stepped"])
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("rule", [
+        "mcca", "mccp", "smooth:cu", "smooth:lift:uniform", "smooth:mcca", "smooth:mccp",
+        "smooth:smooth:cu", "degree", "uniform", "lift:mcca", "smooth:degree",
+    ])
+    def test_equal_to_the_fraction_loop(self, rule, kind, density):
+        """Dense: 18 points in the unit square with copies, swept to alpha
+        1, every pair an edge at the end.  Sparse: 60 such points swept to
+        alpha 1/6, where most reads add one or two edges."""
+        for seed in (1, 2):
+            n, alpha = (18, Fraction(1)) if kind == "dense" else (60, Fraction(1, 6))
+            inst = _cloud_with_copies(n, seed)
+            nu = Density.uniform(alpha) if density == "uniform" else \
+                Density.piecewise_linear_cdf([(r * alpha, f) for r, f in _STEPPED])
+            mw = MetricWeighting.from_names(rule, nu)
+            got, want = evaluate_all(inst, mw, exact=True), _fraction_loop(inst, mw)
+            assert got == want
+            assert all(type(v) is type(w) is Fraction for v, w in zip(got, want))
+
+    @staticmethod
+    def _read(monkeypatch, pairs):
+        """``evaluate_all`` of ``cu`` with its reader replaced by one that
+        reads ``pairs(kept)`` at every read."""
+        monkeypatch.setattr(weighting, "_pairs_reader", lambda rule: weighting._Reader(pairs))
+        return MetricWeighting.from_names("cu", Density.uniform(2))
+
+    def test_a_negative_numerator_is_refused(self, three_points, monkeypatch):
+        mw = self._read(monkeypatch, lambda kept: [(-1, 3), (2, 3), (2, 3)])
+        with pytest.raises(ValueError, match=re.escape("negative weight -1/3 read off the sweep")):
+            evaluate_all(three_points, mw, exact=True)
+
+    def test_a_denominator_that_does_not_divide_k_is_refused(self, three_points, monkeypatch):
+        def pairs(kept):
+            kept.common = 6  # the reader states a K that 4 does not divide
+            return [(1, 2), (1, 4), (1, 4)]
+
+        mw = self._read(monkeypatch, pairs)
+        with pytest.raises(ValueError, match=re.escape(
+                "weight denominator 4 read off the sweep does not divide 6")):
+            evaluate_all(three_points, mw, exact=True)
+
+    def test_a_read_that_does_not_sum_to_one_is_refused(self, three_points, monkeypatch):
+        mw = self._read(monkeypatch, lambda kept: [(1, 2), (1, 3), (1, 3)])
+        with pytest.raises(ValueError, match=re.escape(
+                "weights read off the sweep sum to 7/6, expected 1")):
+            evaluate_all(three_points, mw, exact=True)
+
+    @pytest.mark.parametrize("rule", ["mcca", "mccp", "smooth:cu", "degree"])
+    def test_a_corrupted_increment_is_refused(self, three_points, rule, monkeypatch):
+        """Every read is sound, but the first increment, 1/5 (from r = 0 to
+        2/5 of the 2 = alpha), is doubled: the integrals sum to 6/5."""
+        increments = weighting._increments
+
+        def corrupted(filtration, density, exact):
+            out = increments(filtration, density, exact)
+            out[0] *= 2
+            return out
+
+        monkeypatch.setattr(weighting, "_increments", corrupted)
+        mw = MetricWeighting.from_names(rule, Density.uniform(2))
+        with pytest.raises(ValueError, match=re.escape(
+                "integrated weights sum to 6/5, expected 1")):
+            evaluate_all(three_points, mw, exact=True)
+
+    def test_a_rule_with_float_weights_is_refused(self, three_points):
+        mw = MetricWeighting(lambda g: WeightVector((1 / g.n,) * g.n, g.labels), Density.uniform(2))
+        with pytest.raises(ValueError, match="float weights; exact integration needs rational"):
+            evaluate_all(three_points, mw, exact=True)
 
 
 def _listings(monkeypatch):
